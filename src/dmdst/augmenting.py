@@ -64,7 +64,6 @@ class FoundEndpoint:
 @dataclass
 class LayeredState:
     k: int
-    cfg: Config
     levels_V: list[set[int]] = field(default_factory=list)
     levels_U: list[set[int]] = field(default_factory=list)
     pred: dict[int, tuple[int, tuple[int, ...]]] = field(default_factory=dict)
@@ -91,18 +90,30 @@ def eligible_starts(t: InTree, st: LayeredState, i: int, cfg: Config) -> set[int
 
     Clean: no subtree vertex of degree >= k-2 (so every interior of a
     future segment is automatically low-degree).  Cheap: subtree potential
-    within the level's budget.
+    within the level's budget.  One walk per subtree, in subtree_iter order
+    so the float sum equals subtree_potential's, stops at the first vertex
+    that breaks either rule; terms are positive, so a partial sum over the
+    budget means the full one is over it too.
     """
     k = st.k
     budget = potential_budget(cfg, i, k)
+    powers = [cfg.base_c ** d for d in range(max(k - 2, 0))]
+    children = t.children
     out: set[int] = set()
     for v in st.levels_V[i - 1]:
-        for u in t.children[v]:
-            if any(t.deg(w) >= k - 2 for w in t.subtree_iter(u)):
-                continue
-            if subtree_potential(t, u, cfg.base_c) > budget:
-                continue
-            out.add(u)
+        for u in children[v]:
+            total = 0.0
+            stack = [u]
+            while stack:
+                kids = children[stack.pop()]
+                if len(kids) >= k - 2:
+                    break
+                total += powers[len(kids)]
+                if total > budget:
+                    break
+                stack.extend(reversed(kids))
+            else:
+                out.add(u)
     return out
 
 
@@ -138,7 +149,7 @@ def exit_set(t: InTree, g: Digraph, u: int, k: int) -> dict[int, tuple[int, ...]
 
 
 def extend_layer(
-    t: InTree, g: Digraph, st: LayeredState, i: int, cfg: Config
+    t: InTree, g: Digraph, st: LayeredState, i: int
 ) -> FoundEndpoint | set[int]:
     """Process level i: either find a terminal exit or assemble V_i.
 
@@ -256,27 +267,32 @@ def apply_augmenting_path(
 ) -> AdjustDelta:
     """Run the cut-and-append rewrite segment by segment and audit it.
 
-    Requires the final endpoint at degree <= k-2.  Afterwards: the
-    degree-k class lost exactly one member, no class above k grew, middle
-    endpoints kept their degree, and the final endpoint gained at most two
-    children (at most one unless it also sat inside an earlier subtree).
-    The recorded potential change uses potential_base (the driver passes
-    its running base c).
+    Requires the final endpoint at degree <= k-2.  Only segment vertices
+    and the old parents of rerouted ones change degree, so the audit covers
+    exactly those: the tree invariants hold there
+    (InTree.validate_changed), the degree-k class lost exactly one member,
+    no class above k grew, middle endpoints kept their degree, and the
+    final endpoint gained at most two children (at most one unless it also
+    sat inside an earlier subtree).  The recorded potential change uses
+    potential_base (the driver passes its running base c).
     """
     k = p.k
-    g = t.g
     final = p.segments[-1][-1]
     if t.deg(final) > k - 2:
         raise StalePath(f"final endpoint {final} has degree {t.deg(final)} > {k - 2}")
-    before = [t.deg(v) for v in range(g.n)]
+    rerouted = [a for seg in p.segments for a in seg[:-1]]
+    old_parents = [t.parent[a] for a in rerouted]
+    on_path = {v for s in p.segments for v in s}
+    touched = sorted(on_path.union(old_parents))
+    before = {v: t.deg(v) for v in touched}
     counts_before = t.degree_counts()
     phi_before = t.potential(potential_base)
-    first_parent = t.parent[p.segments[0][0]]
+    first_parent = old_parents[0]
     assert first_parent is not None
     for seg in p.segments:
         for a, b in zip(seg, seg[1:]):
             t.cut_and_append(a, b)
-    bad = t.validate()
+    bad = t.validate_changed(rerouted, old_parents)
     assert not bad, f"tree invalid after augmenting adjustment: {bad[:3]}"
     counts_after = t.degree_counts()
     assert counts_after.get(k, 0) == counts_before.get(k, 0) - 1, (
@@ -289,7 +305,6 @@ def apply_augmenting_path(
             )
     starts = {s[0] for s in p.segments}
     ends = [s[-1] for s in p.segments]
-    on_path = {v for s in p.segments for v in s}
     assert t.deg(first_parent) == before[first_parent] - 1
     for v in ends[:-1]:
         assert t.deg(v) == before[v], f"middle endpoint {v} changed degree"
@@ -298,7 +313,7 @@ def apply_augmenting_path(
     for v in on_path - starts - set(ends):
         assert t.deg(v) <= before[v] + 1, f"interior {v} gained more than one child"
     phi_after = t.potential(potential_base)
-    changed = {v: (before[v], t.deg(v)) for v in range(g.n) if t.deg(v) != before[v]}
+    changed = {v: (before[v], t.deg(v)) for v in touched if t.deg(v) != before[v]}
     return AdjustDelta(k, changed, phi_before, phi_after)
 
 
@@ -326,7 +341,7 @@ def run_augmenting_search(
     strict_size_bound = cfg.profile == "paper"
     while t.max_deg > cfg.stop_threshold_aug:
         k = choose_k(t, c / 2.0)
-        st = LayeredState(k=k, cfg=cfg)
+        st = LayeredState(k=k)
         st.levels_V.append(t.members(k))
         endpoint: FoundEndpoint | None = None
         covered: set[int] = set()
@@ -342,7 +357,7 @@ def run_augmenting_search(
             if strict_size_bound and k > 2 * c * c / cfg.epsilon ** 2:
                 floor = (k - 2 - c * c / cfg.epsilon) * len(st.levels_V[i - 1])
                 assert len(st.levels_U[-1]) >= floor
-            result = extend_layer(t, g, st, i, cfg)
+            result = extend_layer(t, g, st, i)
             if isinstance(result, FoundEndpoint):
                 endpoint = result
                 break

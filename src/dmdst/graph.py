@@ -174,25 +174,26 @@ def parse_graph(text: str | bytes) -> Digraph:
         raise MalformedHeader(
             f"header promises {m} edges but file has {len(edge_rows)}", lineno
         )
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for lineno, line in edge_rows:
-        parts = line.split()
-        if len(parts) != 2:
-            raise MalformedHeader(f"expected '<u> <v>', got {line!r}", lineno)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise MalformedHeader(f"non-integer edge field in {line!r}", lineno)
-        if not (0 <= u < n and 0 <= v < n):
-            raise VertexOutOfRange(f"edge ({u}, {v}) out of range for n={n}", lineno)
-        if u == v:
-            raise SelfLoop(f"self-loop at vertex {u}", lineno)
-        if (u, v) in seen:
-            raise DuplicateEdge(f"duplicate edge ({u}, {v})", lineno)
-        seen.add((u, v))
-        edges.append((u, v))
-    return Digraph(n, sink, edges)
+    # Digraph checks each edge (range, self-loop, duplicate) as it consumes
+    # this generator, so a failed check belongs to the line read last.
+    current = lineno
+
+    def edges() -> Iterator[tuple[int, int]]:
+        nonlocal current
+        for current, line in edge_rows:
+            parts = line.split()
+            if len(parts) != 2:
+                raise MalformedHeader(f"expected '<u> <v>', got {line!r}", current)
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise MalformedHeader(f"non-integer edge field in {line!r}", current)
+            yield u, v
+
+    try:
+        return Digraph(n, sink, edges())
+    except (VertexOutOfRange, SelfLoop, DuplicateEdge) as exc:
+        raise type(exc)(str(exc), current) from None
 
 
 def serialize_graph(g: Digraph) -> str:

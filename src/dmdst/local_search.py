@@ -72,13 +72,20 @@ def choose_k(t: InTree, base) -> int:
     return argmax_degree_class(t.degree_counts(), base)
 
 
-def psi(t: InTree, u: int, k: int) -> int:
-    """Potential mass of subtree(u) restricted to degrees <= k-2."""
+def psi(t: InTree, u: int, k: int, limit: Fraction | int | None = None) -> int:
+    """Potential mass of subtree(u) restricted to degrees <= k-2.
+
+    With a limit, returns the partial sum as soon as it exceeds the limit:
+    every term is positive, so that sum and the full one are both above it.
+    """
+    cap = None if limit is None else math.floor(limit)
     total = 0
     for v in t.subtree_iter(u):
         d = t.deg(v)
         if d <= k - 2:
             total += 1 << d
+            if cap is not None and total > cap:
+                return total
     return total
 
 
@@ -144,25 +151,27 @@ def _revalidate_improvement(t: InTree, p: ImprovementPath) -> None:
 def apply_improvement_path(t: InTree, p: ImprovementPath) -> AdjustDelta:
     """Reroute every path vertex but the last onto its path successor.
 
-    Afterwards the old parent of u has lost exactly one child and no path
-    vertex other than u has gained more than one; both facts are audited
-    against a full before/after degree snapshot.
+    Only the path vertices and the old parents of the rerouted ones change
+    degree, so the audit covers exactly those: the tree invariants hold
+    there (InTree.validate_changed), the old parent of u has lost exactly
+    one child, and no path vertex other than u has gained more than one.
     """
     _revalidate_improvement(t, p)
     vs = p.vertices
     u = vs[0]
     old_parent = t.parent[u]
     assert old_parent is not None
-    before = [t.deg(v) for v in range(t.g.n)]
+    rerouted = vs[:-1]
+    old_parents = [t.parent[a] for a in rerouted]
+    touched = sorted(set(vs).union(old_parents))
+    before = {v: t.deg(v) for v in touched}
     phi_before = t.potential(2)
     for a, b in zip(vs, vs[1:]):
         t.cut_and_append(a, b)
-    bad = t.validate()
+    bad = t.validate_changed(rerouted, old_parents)
     assert not bad, f"tree invalid after improvement: {bad[:3]}"
     phi_after = t.potential(2)
-    changed = {
-        v: (before[v], t.deg(v)) for v in range(t.g.n) if t.deg(v) != before[v]
-    }
+    changed = {v: (before[v], t.deg(v)) for v in touched if t.deg(v) != before[v]}
     assert t.deg(old_parent) == before[old_parent] - 1, "old parent must drop by 1"
     on_path = set(vs)
     for v, (old, new) in changed.items():
@@ -207,7 +216,7 @@ def run_local_search(
             c for parent in t.members(k) for c in t.children[parent]
         )
         for u in candidates:
-            psi_u = psi(t, u, k)
+            psi_u = psi(t, u, k, gate)
             if psi_u > gate:
                 continue
             path = find_improvement_path(t, g, u, k)

@@ -37,7 +37,8 @@ class InTree:
     A single solver run owns one tree; nothing here is shared or
     thread-safe.  Sequences of cut_and_append calls may pass through
     transient non-tree states (parent cycles); callers assert validity at
-    the end of each complete adjustment.
+    the end of each complete adjustment, with validate_changed over the
+    vertices it touched (validate re-checks the whole tree).
     """
 
     __slots__ = ("g", "parent", "children", "_members", "max_deg")
@@ -252,6 +253,69 @@ class InTree:
         actual_max = max(len(c) for c in self.children)
         if self.max_deg != actual_max:
             bad.append(f"MaxDegMismatch: cached {self.max_deg}, actual {actual_max}")
+        return bad
+
+    def validate_changed(
+        self, rerouted: Iterable[int], old_parents: Iterable[int]
+    ) -> list[str]:
+        """validate()'s invariants, checked only where one adjustment wrote.
+
+        Requires a tree that was valid before the adjustment and an
+        adjustment that only re-parented the `rerouted` vertices, away from
+        `old_parents`.  The touched set is those vertices, their old parents
+        and their new parents; nothing else changed its parent or children.
+        Any new parent cycle contains a vertex whose parent changed, so a
+        parent walk from each rerouted vertex finds it; walks stop at the
+        sink or at a vertex an earlier walk already cleared.  Cost is
+        O(touched degrees + walk lengths + degree classes), not O(n).
+        """
+        g = self.g
+        n = g.n
+        rerouted = list(rerouted)
+        touched = set(rerouted)
+        touched.update(old_parents)
+        touched.update(self.parent[v] for v in rerouted)
+        touched.discard(None)
+        bad: list[str] = []
+        for v in sorted(touched):
+            p = self.parent[v]
+            if v == g.sink:
+                if p is not None:
+                    bad.append(f"SinkHasParent: sink {v} has parent {p}")
+            elif p is None:
+                bad.append(f"MissingParent: vertex {v} has no parent")
+            elif not 0 <= p < n:
+                bad.append(f"ParentOutOfRange: vertex {v} -> {p}")
+            elif not g.has_edge(v, p):
+                bad.append(f"NotAnEdge: tree edge ({v}, {p}) missing from graph")
+            elif v not in self.children[p]:
+                bad.append(f"ChildrenMismatch: {v} missing under its parent {p}")
+            kids = self.children[v]
+            for c in kids:
+                if self.parent[c] != v:
+                    bad.append(f"ChildrenMismatch: {c} listed under {v}")
+            if len(set(kids)) != len(kids):
+                bad.append(f"ChildrenMismatch: duplicates under {v}")
+            if v not in self._members.get(len(kids), ()):
+                bad.append(f"HistogramMismatch: {v} not filed under degree {len(kids)}")
+        total = sum(len(s) for s in self._members.values())
+        if total != n:
+            bad.append(f"HistogramMismatch: {total} vertices filed, expected {n}")
+        top = max((d for d, s in self._members.items() if s), default=0)
+        if self.max_deg != top:
+            bad.append(f"MaxDegMismatch: cached {self.max_deg}, histogram top {top}")
+        cleared = {g.sink}
+        for v in rerouted:
+            walk: set[int] = set()
+            cur: int | None = v
+            while cur is not None and cur not in cleared and cur not in walk:
+                walk.add(cur)
+                p = self.parent[cur]
+                cur = p if p is not None and 0 <= p < n else None
+            if cur is None or cur in walk:
+                bad.append(f"CycleDetected: parent walk from {v} never reaches sink")
+            else:
+                cleared |= walk
         return bad
 
 

@@ -7,6 +7,7 @@ so the tests never check the library against itself.
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -79,6 +80,33 @@ def corpus_results() -> tuple[list[Solved], float]:
         out.append(Solved(name, g, oracle_delta, local, augment))
     elapsed = time.perf_counter() - start
     return out, elapsed
+
+
+def report_without_timing(report: SolveReport) -> dict:
+    """The report's JSON fields minus wall_time_ms, the one unstable field."""
+    data = json.loads(report.to_json())
+    del data["wall_time_ms"]
+    return data
+
+
+@pytest.fixture
+def full_audit(monkeypatch) -> list[int]:
+    """Make every changed-set audit also run the full validate(), require
+    the two to agree, and hand the solver the full result.  Returns the
+    list of audited adjustments (their rerouted-vertex counts)."""
+    changed_set_audit = InTree.validate_changed
+    audited: list[int] = []
+
+    def both(self, rerouted, old_parents):
+        rerouted, old_parents = list(rerouted), list(old_parents)
+        local = changed_set_audit(self, rerouted, old_parents)
+        full = self.validate()
+        assert bool(local) == bool(full), (local, full)
+        audited.append(len(rerouted))
+        return full
+
+    monkeypatch.setattr(InTree, "validate_changed", both)
+    return audited
 
 
 # -- independent oracles -----------------------------------------------------

@@ -217,14 +217,14 @@ def audited_augmenting_run(g: Digraph):
     applications = []
     while t.max_deg > 0:
         k = choose_k(t, cfg.base_c / 2.0)
-        st = LayeredState(k=k, cfg=cfg)
+        st = LayeredState(k=k)
         st.levels_V.append(t.members(k))
         endpoint = None
         i = 0
         while True:
             i += 1
             st.levels_U.append(eligible_starts(t, st, i, cfg))
-            result = extend_layer(t, g, st, i, cfg)
+            result = extend_layer(t, g, st, i)
             if isinstance(result, FoundEndpoint):
                 endpoint = result
                 break

@@ -26,7 +26,7 @@ from dmdst.augmenting import (
     reconstruct_path,
     subtree_potential,
 )
-from conftest import brute_first_exits, degree_snapshot
+from conftest import brute_first_exits, degree_snapshot, report_without_timing
 
 
 def two_segment_fixture() -> Digraph:
@@ -49,7 +49,7 @@ def two_segment_fixture() -> Digraph:
 def layered_fixture_state(g, k=3):
     t = build_initial_tree(g)
     cfg = Config.for_graph(g)
-    st_ = LayeredState(k=k, cfg=cfg)
+    st_ = LayeredState(k=k)
     st_.levels_V.append(t.members(k))
     return t, cfg, st_
 
@@ -106,7 +106,7 @@ def test_extend_layer_finds_endpoint_immediately():
     g = two_segment_fixture()
     t, cfg, st_ = layered_fixture_state(g)
     st_.levels_U.append({6})  # pretend level-1 start at the blocker's child
-    result = extend_layer(t, g, st_, 1, cfg)
+    result = extend_layer(t, g, st_, 1)
     assert isinstance(result, FoundEndpoint)
     assert result.exit == 8
 
@@ -115,7 +115,7 @@ def test_extend_layer_collects_blockers():
     g = two_segment_fixture()
     t, cfg, st_ = layered_fixture_state(g)
     st_.levels_U.append(eligible_starts(t, st_, 1, cfg))
-    result = extend_layer(t, g, st_, 1, cfg)
+    result = extend_layer(t, g, st_, 1)
     assert result == {5}
     assert st_.pred[5] == (2, (2, 5))
 
@@ -124,10 +124,10 @@ def test_reconstruct_two_segments_and_validate():
     g = two_segment_fixture()
     t, cfg, st_ = layered_fixture_state(g)
     st_.levels_U.append(eligible_starts(t, st_, 1, cfg))
-    st_.levels_V.append(extend_layer(t, g, st_, 1, cfg))
+    st_.levels_V.append(extend_layer(t, g, st_, 1))
     st_.levels_U.append(eligible_starts(t, st_, 2, cfg))
     assert st_.levels_U[1] == {6}
-    result = extend_layer(t, g, st_, 2, cfg)
+    result = extend_layer(t, g, st_, 2)
     assert isinstance(result, FoundEndpoint)
     path = reconstruct_path(st_, result, t)
     assert path.segments == ((2, 5), (6, 8))
@@ -161,9 +161,9 @@ def test_apply_two_segment_fixture_postconditions():
     g = two_segment_fixture()
     t, cfg, st_ = layered_fixture_state(g)
     st_.levels_U.append(eligible_starts(t, st_, 1, cfg))
-    st_.levels_V.append(extend_layer(t, g, st_, 1, cfg))
+    st_.levels_V.append(extend_layer(t, g, st_, 1))
     st_.levels_U.append(eligible_starts(t, st_, 2, cfg))
-    endpoint = extend_layer(t, g, st_, 2, cfg)
+    endpoint = extend_layer(t, g, st_, 2)
     path = reconstruct_path(st_, endpoint, t)
     counts_before = t.degree_counts()
     before = degree_snapshot(t)
@@ -247,3 +247,19 @@ def test_paper_profile_guarantee_requires_certificate_or_threshold():
         )
     report = run_augmenting_search(g)  # practical profile
     assert report.guarantee == "heuristic"
+
+
+def test_changed_set_audit_agrees_with_full_validate(corpus_results, full_audit):
+    """Every corpus augmenting adjustment, audited by both the changed-set
+    audit and a full validate(): they agree, and the reports are unchanged
+    when the full audit's result is the one the solver acts on."""
+    results, _ = corpus_results
+    for s in results:
+        report = run_augmenting_search(s.g, Config.for_graph(s.g), trace=True)
+        assert report_without_timing(report) == report_without_timing(s.augment), s.name
+    assert len(full_audit) == sum(s.augment.iterations for s in results)
+    multi = [
+        row for s in results for row in s.augment.layers_trace
+        if row["applied"] and row["segments"] > 1
+    ]
+    assert multi, "corpus has no multi-segment adjustment"

@@ -60,6 +60,13 @@ def test_parse_reports_offending_line():
     with pytest.raises(SelfLoop) as info:
         parse_graph("dmdst 1\n# comment\n2 1 0\n1 1\n")
     assert info.value.line == 4
+    with pytest.raises(DuplicateEdge) as info:
+        parse_graph("dmdst 1\n3 3 0\n1 0\n\n2 1\n1 0\n")
+    assert info.value.line == 6
+    assert str(info.value) == "line 6: duplicate edge (1, 0)"
+    with pytest.raises(VertexOutOfRange) as info:
+        parse_graph("dmdst 1\n3 2 0\n1 0\n5 1\n")
+    assert info.value.line == 4
 
 
 def test_comments_and_whitespace_tolerated():

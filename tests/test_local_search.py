@@ -18,7 +18,7 @@ from dmdst import (
     run_local_search,
 )
 from dmdst.local_search import StalePath, argmax_degree_class
-from conftest import brute_improvement_paths, degree_snapshot
+from conftest import brute_improvement_paths, degree_snapshot, report_without_timing
 
 
 def star_with_escape(with_chord: bool = True) -> Digraph:
@@ -150,6 +150,9 @@ def test_psi_matches_subtree_enumeration(seed):
                 2 ** t.deg(v) for v in t.subtree(u) if t.deg(v) <= k - 2
             )
             assert psi(t, u, k) == expected
+            for limit in (0, Fraction(3, 2), expected - 1, expected):
+                early = psi(t, u, k, limit)
+                assert early == expected if expected <= limit else early > limit
 
 
 def test_run_on_path_returns_immediately():
@@ -204,3 +207,15 @@ def test_adjustment_audit_off_path_untouched():
                 assert before[v] == after[v]
         return
     pytest.fail("no applicable improvement found")
+
+
+def test_changed_set_audit_agrees_with_full_validate(corpus_results, full_audit):
+    """Every corpus improvement, audited by both the changed-set audit and
+    a full validate(): they agree, and the reports are unchanged when the
+    full audit's result is the one the solver acts on."""
+    results, _ = corpus_results
+    for s in results:
+        report = run_local_search(s.g, Config.for_graph(s.g), trace=True)
+        assert report_without_timing(report) == report_without_timing(s.local), s.name
+    assert len(full_audit) == sum(s.local.iterations for s in results)
+    assert max(full_audit) >= 2

@@ -205,3 +205,51 @@ def test_config_invariants():
     practical = Config.for_n(100)
     assert practical.stop_threshold_local == 0.0
     assert practical.stop_threshold_aug == 0.0
+
+
+def _cycle(t):
+    t.cut_and_append(2, 3)  # 2 -> 3 -> 2
+    return [2], [1]
+
+
+def _non_edge(t):
+    # Reroute 2 below the sink by hand: (2, 0) is not a graph edge.
+    t.children[1].remove(2)
+    t._move_class(1, 1, 0)
+    t.parent[2] = 0
+    t.children[0].append(2)
+    t._move_class(0, 1, 2)
+    return [2], [1]
+
+
+def _wrong_class(t):
+    t.cut_and_append(3, 1)
+    t._members[2].discard(1)
+    t._members[1].add(1)
+    return [3], [2]
+
+
+def _stale_max_deg(t):
+    t.cut_and_append(3, 1)
+    t.max_deg += 1
+    return [3], [2]
+
+
+@pytest.mark.parametrize(
+    "inject, kind",
+    [
+        (_cycle, "CycleDetected"),
+        (_non_edge, "NotAnEdge"),
+        (_wrong_class, "HistogramMismatch"),
+        (_stale_max_deg, "MaxDegMismatch"),
+    ],
+)
+def test_validate_changed_catches_injected_fault(inject, kind):
+    # The path 3 -> 2 -> 1 -> 0 as the tree, plus graph edges 2 -> 3 and 3 -> 1.
+    g = Digraph(4, 0, [(1, 0), (2, 1), (3, 2), (2, 3), (3, 1)])
+    t = InTree(g, [None, 0, 1, 2])
+    assert t.validate() == []
+    rerouted, old_parents = inject(t)
+    local = t.validate_changed(rerouted, old_parents)
+    assert any(v.startswith(kind) for v in local), local
+    assert any(v.startswith(kind) for v in t.validate())
