@@ -11,24 +11,22 @@ total potential the adjustment can add back.
 
 Levels must grow by a (1+epsilon) factor each round; when they stop
 growing, the accumulated levels themselves form a blocking certificate.
+Potentials (base c = Config.base_c, an int) and budgets are exact.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from collections import deque
 from dataclasses import dataclass, field
+from fractions import Fraction
 
-from .certificate import (
-    BlockingCertificate,
-    EmptyWitness,
-    extract_augment_certificate,
-)
+from .certificate import extract_augment_certificate
 from .config import Config
 from .graph import Digraph
 from .local_search import AdjustDelta, StalePath, choose_k
 from .report import SolveReport
+from .search import Stall, search
 from .tree import InTree, build_initial_tree
 
 
@@ -75,14 +73,18 @@ class LayeredState:
         return out
 
 
-def subtree_potential(t: InTree, u: int, base: float) -> float:
-    return float(sum(base ** t.deg(v) for v in t.subtree_iter(u)))
+def subtree_potential(t: InTree, u: int, base: int) -> int:
+    return sum(base ** t.deg(v) for v in t.subtree_iter(u))
 
 
-def potential_budget(cfg: Config, i: int, k: int) -> float:
-    """Admission budget for a level-i start subtree: shrinks by 1/(1+eps)."""
-    c, eps = cfg.base_c, cfg.epsilon
-    return 0.9 * eps / (1.0 + eps) ** i * c ** (k - 1)
+def potential_budget(cfg: Config, i: int, k: int) -> Fraction:
+    """Admission budget for a level-i start subtree: shrinks by 1/(1+eps).
+
+    Exactly 9/10 * eps / (1+eps)**i * c**(k-1), with eps = p/q the float's
+    exact value, built as one Fraction (one gcd, not one per operation).
+    """
+    p, q = cfg.epsilon.as_integer_ratio()
+    return Fraction(9 * p * q ** i * cfg.base_c ** (k - 1), 10 * q * (p + q) ** i)
 
 
 def eligible_starts(t: InTree, st: LayeredState, i: int, cfg: Config) -> set[int]:
@@ -90,19 +92,19 @@ def eligible_starts(t: InTree, st: LayeredState, i: int, cfg: Config) -> set[int
 
     Clean: no subtree vertex of degree >= k-2 (so every interior of a
     future segment is automatically low-degree).  Cheap: subtree potential
-    within the level's budget.  One walk per subtree, in subtree_iter order
-    so the float sum equals subtree_potential's, stops at the first vertex
-    that breaks either rule; terms are positive, so a partial sum over the
-    budget means the full one is over it too.
+    within the level's budget (an int sum, so floor(budget) is exact).  One
+    walk per subtree stops at the first vertex that breaks either rule;
+    terms are positive, so a partial sum over the budget means the full
+    one is over it too.
     """
     k = st.k
-    budget = potential_budget(cfg, i, k)
+    budget = math.floor(potential_budget(cfg, i, k))
     powers = [cfg.base_c ** d for d in range(max(k - 2, 0))]
     children = t.children
     out: set[int] = set()
     for v in st.levels_V[i - 1]:
         for u in children[v]:
-            total = 0.0
+            total = 0
             stack = [u]
             while stack:
                 kids = children[stack.pop()]
@@ -236,7 +238,7 @@ def validate_augmenting_path(
         subtrees.append(sub)
         if any(t.deg(w) >= k - 2 for w in sub):
             raise ValidationFailed(f"subtree of {u} contains a degree >= {k - 2} vertex")
-        if subtree_potential(t, u, cfg.base_c) > potential_budget(cfg, i, k) + 1e-9:
+        if subtree_potential(t, u, cfg.base_c) > potential_budget(cfg, i, k):
             raise ValidationFailed(f"subtree of {u} over its potential budget")
     # (v) interiors stay inside their subtree, endpoint is the first outside
     for i, s in enumerate(segs):
@@ -263,7 +265,7 @@ def validate_augmenting_path(
 
 
 def apply_augmenting_path(
-    t: InTree, p: AugmentingPath, potential_base: float = 2
+    t: InTree, p: AugmentingPath, potential_base: int = 2
 ) -> AdjustDelta:
     """Run the cut-and-append rewrite segment by segment and audit it.
 
@@ -274,7 +276,7 @@ def apply_augmenting_path(
     no class above k grew, middle endpoints kept their degree, and the
     final endpoint gained at most two children (at most one unless it also
     sat inside an earlier subtree).  The recorded potential change uses
-    potential_base (the driver passes its running base c).
+    potential_base (the search passes its base c).
     """
     k = p.k
     final = p.segments[-1][-1]
@@ -320,30 +322,22 @@ def apply_augmenting_path(
 def run_augmenting_search(
     g: Digraph, cfg: Config | None = None, trace: bool = False
 ) -> SolveReport:
-    """Outer loop of the layered search.
+    """The layered search, one attempt per round of the shared driver.
 
-    Each round either applies one validated augmenting path (and restarts
-    with fresh layers) or stalls with a verified blocking certificate.
-    The base-c potential strictly decreases across applied adjustments,
-    and the degree-class vector drops lexicographically, so the loop
-    terminates.
+    Each round (class k by the base-c/2 argmax) either applies one
+    validated augmenting path, built from fresh layers, or stalls with the
+    layers as its certificate witness.  The base-c potential strictly
+    decreases across applied adjustments, and the degree-class vector drops
+    lexicographically, so the loop terminates.
     """
     cfg = cfg or Config.for_graph(g)
-    start = time.perf_counter()
-    t = build_initial_tree(g)
-    delta_initial = t.max_deg
     c = cfg.base_c
     layer_ceiling = 10.0 / cfg.epsilon * math.log2(max(g.n, 2))
-    applications = 0
-    rows: list[dict] = [] if trace else None  # type: ignore[assignment]
-    certificate: BlockingCertificate | None = None
-    exit_reason = "threshold"
     strict_size_bound = cfg.profile == "paper"
-    while t.max_deg > cfg.stop_threshold_aug:
-        k = choose_k(t, c / 2.0)
+
+    def attempt(t: InTree, k: int) -> dict | Stall:
         st = LayeredState(k=k)
         st.levels_V.append(t.members(k))
-        endpoint: FoundEndpoint | None = None
         covered: set[int] = set()
         i = 0
         while True:
@@ -359,61 +353,25 @@ def run_augmenting_search(
                 assert len(st.levels_U[-1]) >= floor
             result = extend_layer(t, g, st, i)
             if isinstance(result, FoundEndpoint):
-                endpoint = result
                 break
             st.levels_V.append(result)
             grown = sum(len(s) for s in st.levels_V)
             previous = grown - len(result)
             if grown < (1.0 + cfg.epsilon) * previous:
-                break
-        if endpoint is None:
-            exit_reason = "stalled"
-            try:
-                certificate = extract_augment_certificate(t, g, st)
-            except EmptyWitness:
-                certificate = None
-            if rows is not None:
-                rows.append(
-                    {"k": k, "layers": i, "applied": False, "phi": t.potential(c)}
+                return Stall(
+                    st, {"k": k, "layers": i, "applied": False, "phi": t.potential(c)}
                 )
-            break
-        path = reconstruct_path(st, endpoint, t)
+        path = reconstruct_path(st, result, t)
         validate_augmenting_path(t, g, path, cfg)
         delta = apply_augmenting_path(t, path, potential_base=c)
-        applications += 1
         assert delta.phi_after < delta.phi_before, (
             "base-c potential must strictly decrease"
         )
-        if rows is not None:
-            rows.append(
-                {
-                    "k": k,
-                    "layers": i,
-                    "applied": True,
-                    "segments": len(path.segments),
-                    "phi": delta.phi_before,
-                    "drop": delta.phi_drop,
-                }
-            )
-    wall_ms = (time.perf_counter() - start) * 1000.0
-    proved = cfg.profile == "paper" and (
-        exit_reason == "threshold" or certificate is not None
-    )
-    return SolveReport(
-        algorithm="augment",
-        profile=cfg.profile,
-        n=g.n,
-        m=g.m,
-        delta_initial=delta_initial,
-        delta_final=t.max_deg,
-        lower_bound=certificate.bound if certificate else None,
-        certificate=certificate,
-        iterations=applications,
-        potential_trace=None,
-        layers_trace=rows,
-        parent=t.parents_signed(),
-        wall_time_ms=wall_ms,
-        config=cfg.to_dict(),
-        guarantee="proved" if proved else "heuristic",
-        exit_reason=exit_reason,
+        return {"k": k, "layers": i, "applied": True, "segments": len(path.segments),
+                "phi": delta.phi_before, "drop": delta.phi_drop}
+
+    return search(
+        g, cfg, "augment", attempt, build=build_initial_tree, choose_k=choose_k,
+        base=Fraction(c, 2), threshold=cfg.stop_threshold_aug,
+        extract=extract_augment_certificate, trace=trace,
     )

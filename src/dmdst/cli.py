@@ -1,27 +1,28 @@
 """Command-line interface: generate, solve, verify, bench.
 
 Exit codes: 0 success, 1 failed verification, 2 bad input (parse or
-validation errors, invalid bench matrix), 3 internal assertion failure
-(a certificate that does not verify is a bug, never a recoverable state).
+validation errors, invalid bench matrix), 3 internal error: any other
+exception, such as a failed assertion, a broken tree or a certificate that
+does not verify, is a bug, never a recoverable state.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
 
 from .augmenting import run_augmenting_search
-from .certificate import BlockingCertificate, CertificateError, verify_blocking
+from .certificate import verify_blocking
 from .config import Config
 from .generators import gen_blocker, gen_complete, gen_instar, gen_path, gen_random
 from .graph import Digraph, GraphFormatError, load_graph, save_graph, serialize_graph
 from .local_search import run_local_search
 from .oracle import TooLarge, exact_min_degree
 from .report import SolveReport
+from .search import solve_report
 from .tree import build_initial_tree, tree_from_parents
 
 FAMILIES = ("random", "path", "instar", "complete", "blocker")
@@ -54,23 +55,9 @@ def _solve(g: Digraph, algo: str, cfg: Config, trace: bool) -> SolveReport:
         start = time.perf_counter()
         delta0 = build_initial_tree(g).max_deg
         best, tree = exact_min_degree(g, limit=EXACT_LIMIT)
-        return SolveReport(
-            algorithm="exact",
-            profile=cfg.profile,
-            n=g.n,
-            m=g.m,
-            delta_initial=delta0,
-            delta_final=best,
-            lower_bound=Fraction(best),
-            certificate=None,
-            iterations=0,
-            potential_trace=None,
-            layers_trace=None,
-            parent=tree.parents_signed(),
-            wall_time_ms=(time.perf_counter() - start) * 1000.0,
-            config=cfg.to_dict(),
-            guarantee="proved",
-            exit_reason="exact",
+        return solve_report(
+            "exact", g, cfg, tree, start, delta0,
+            lower_bound=Fraction(best), guarantee="proved", exit_reason="exact",
         )
     raise ValueError(f"unknown algorithm {algo!r}")
 
@@ -88,10 +75,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     g = load_graph(args.graph)
-    seed = int(os.environ.get("DMDST_SEED", args.seed))
-    cfg = Config.for_graph(
-        g, profile=args.profile, epsilon=args.epsilon, rng_seed=seed
-    )
+    cfg = Config.for_graph(g, profile=args.profile, epsilon=args.epsilon)
     report = _solve(g, args.algo, cfg, args.trace)
     sys.stdout.write(report.to_json())
     return 0
@@ -171,9 +155,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 for algo in algos:
                     if algo == "exact" and g.n > EXACT_LIMIT:
                         continue
-                    cfg = Config.for_graph(
-                        g, profile=args.profile, epsilon=args.epsilon, rng_seed=seed
-                    )
+                    cfg = Config.for_graph(g, profile=args.profile, epsilon=args.epsilon)
                     report = _solve(g, algo, cfg, trace=False)
                     floor = 1.0
                     if report.lower_bound is not None:
@@ -238,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--algo", choices=ALGOS, default="local")
     p_solve.add_argument("--profile", choices=("paper", "practical"), default="practical")
     p_solve.add_argument("--epsilon", type=float, default=0.1)
-    p_solve.add_argument("--seed", type=int, default=0)
     p_solve.add_argument("--trace", action="store_true")
     p_solve.set_defaults(func=cmd_solve)
 
@@ -270,8 +251,8 @@ def main(argv: list[str] | None = None) -> int:
     except (GraphFormatError, TooLarge, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CertificateError, AssertionError) as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:  # anything else is a bug, never bad input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

@@ -4,8 +4,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict
+from fractions import Fraction
+from typing import ClassVar
 
 PROFILES = ("paper", "practical")
+
+
+def _check_epsilon(epsilon: float) -> None:  # before 1/epsilon is taken
+    if not 0.0 < epsilon < 0.25:
+        raise ValueError(f"epsilon must be in (0, 1/4), got {epsilon}")
 
 
 @dataclass(frozen=True)
@@ -15,42 +22,33 @@ class Config:
     profile "paper" keeps the loop thresholds that back the approximation
     guarantee; "practical" sets both stop thresholds to 0 so the solvers
     keep improving for as long as any gated adjustment exists.  base_c is
-    floored at max(4, 1/epsilon) so its invariants hold even at small n,
-    where the asymptotic default 2*log2(n)**0.4 would be too small.
+    an int, so base-c potentials are exact: the least integer >= 4 and
+    >= 2*log2(n)**0.4 that exceeds 1/epsilon exactly (10 at epsilon 0.1).
+    psi_factor is the local search's fixed gate, not a setting.
     """
+
+    psi_factor: ClassVar[Fraction] = Fraction(1, 8)
 
     epsilon: float = 0.1
     profile: str = "practical"
-    base_c: float = 10.0 + 1e-9
-    psi_factor: float = 0.125
+    base_c: int = 10
     stop_threshold_local: float = 0.0
     stop_threshold_aug: float = 0.0
-    rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.epsilon < 0.25:
-            raise ValueError(f"epsilon must be in (0, 1/4), got {self.epsilon}")
+        _check_epsilon(self.epsilon)
         if self.profile not in PROFILES:
             raise ValueError(f"profile must be one of {PROFILES}, got {self.profile!r}")
-        if self.base_c < 4.0 or self.base_c <= 1.0 / self.epsilon:
-            raise ValueError(
-                f"base_c must be >= 4 and > 1/epsilon, got {self.base_c}"
-            )
-        if self.psi_factor <= 0:
-            raise ValueError(f"psi_factor must be positive, got {self.psi_factor}")
+        c = self.base_c
+        if not isinstance(c, int) or c < 4 or c <= 1 / Fraction(self.epsilon):
+            raise ValueError(f"base_c must be an int >= 4 and > 1/epsilon, got {c}")
 
     @classmethod
-    def for_n(
-        cls,
-        n: int,
-        profile: str = "practical",
-        epsilon: float = 0.1,
-        psi_factor: float = 0.125,
-        rng_seed: int = 0,
-    ) -> "Config":
+    def for_n(cls, n: int, profile: str = "practical", epsilon: float = 0.1) -> "Config":
         """Resolve the n-dependent defaults for an n-vertex instance."""
+        _check_epsilon(epsilon)
         log_n = math.log2(n) if n > 1 else 0.0
-        base_c = max(4.0, 1.0 / epsilon + 1e-9, 2.0 * log_n ** 0.4)
+        base_c = max(4, math.floor(1 / Fraction(epsilon)) + 1, math.ceil(2.0 * log_n ** 0.4))
         if profile == "paper":
             stop_local = 34.0 * log_n
             stop_aug = 2.0 * log_n / math.log2(base_c / 2.0)
@@ -61,10 +59,8 @@ class Config:
             epsilon=epsilon,
             profile=profile,
             base_c=base_c,
-            psi_factor=psi_factor,
             stop_threshold_local=stop_local,
             stop_threshold_aug=stop_aug,
-            rng_seed=rng_seed,
         )
 
     @classmethod

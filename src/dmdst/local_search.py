@@ -5,22 +5,22 @@ of that class whose subtree carries little low-degree potential, and try
 to reroute one of them out of its subtree along a path of low-degree
 vertices.  Each applied reroute takes one child away from a degree-k
 vertex while only letting path vertices gain a single child, so the
-potential sum(2**deg(v)) drops by at least psi_factor-determined margin
+potential sum(2**deg(v)) drops by at least psi_factor * 2**k = 2**(k-3)
 every time.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .certificate import BlockingCertificate, EmptyWitness, extract_local_certificate
+from .certificate import extract_local_certificate
 from .config import Config
 from .graph import Digraph
 from .report import SolveReport
+from .search import Stall, search
 from .tree import InTree, build_initial_tree
 
 
@@ -43,19 +43,23 @@ class AdjustDelta:
 
     k: int
     changed: dict[int, tuple[int, int]]
-    phi_before: int | float
-    phi_after: int | float
+    phi_before: int
+    phi_after: int
 
     @property
-    def phi_drop(self) -> int | float:
+    def phi_drop(self) -> int:
         return self.phi_before - self.phi_after
 
 
-def argmax_degree_class(counts: dict[int, int], base) -> int:
-    """argmax over d of base**d * counts[d]; ties go to the larger d."""
-    base = Fraction(base)
+def argmax_degree_class(counts: dict[int, int], base: int | Fraction) -> int:
+    """argmax over d of base**d * counts[d]; ties go to the larger d.
+    Exact: an integral base stays an int (cheaper powers), others are Fractions."""
+    if not isinstance(base, int):
+        base = Fraction(base)
+        if base.denominator == 1:
+            base = base.numerator
     best_d = -1
-    best = Fraction(-1)
+    best = -1
     for d in sorted(counts):
         if counts[d] <= 0:
             continue
@@ -68,7 +72,7 @@ def argmax_degree_class(counts: dict[int, int], base) -> int:
     return best_d
 
 
-def choose_k(t: InTree, base) -> int:
+def choose_k(t: InTree, base: int | Fraction) -> int:
     return argmax_degree_class(t.degree_counts(), base)
 
 
@@ -187,34 +191,19 @@ def run_local_search(
     """Run the gated improvement loop to exhaustion and certify the stall.
 
     Every applied improvement is checked to drop the base-2 potential by
-    at least psi_factor * 2**k.  When no gated candidate can be improved
-    the stalled degree class yields a blocking certificate (when its
-    witness set is nonempty), which is independently verified before the
-    report is assembled.
+    at least psi_factor * 2**k and by at least phi/(8 n^2), so there are at
+    most 8 n^2 ln(phi_0) of them.  When no gated candidate can be improved,
+    the round stalls and the shared driver certifies its degree class.
     """
     cfg = cfg or Config.for_graph(g)
-    start = time.perf_counter()
-    t = build_initial_tree(g)
-    delta_initial = t.max_deg
-    phi_initial = t.potential(2)
-    # Each gated improvement multiplies phi by at most 1 - 1/(8 n^2).
-    app_ceiling = 8.0 * g.n * g.n * math.log(phi_initial) + 1.0
-    psi_gate = Fraction(cfg.psi_factor)
+    phi_floor = 8 * g.n * g.n
     applications = 0
-    rows: list[dict] = [] if trace else None  # type: ignore[assignment]
-    certificate: BlockingCertificate | None = None
-    exit_reason = "threshold"
-    if cfg.profile == "paper" and 34.0 * math.log2(max(g.n, 2)) >= g.n:
-        # The loop guard is vacuous here: delta <= n-1 < 34*log2(n).
-        assert t.max_deg <= cfg.stop_threshold_local or g.n == 1
-    while t.max_deg > cfg.stop_threshold_local:
-        k = choose_k(t, 2)
+
+    def attempt(t: InTree, k: int) -> dict | Stall:
+        nonlocal applications
         n_k = len(t.members(k))
-        gate = psi_gate * (1 << k)
-        improved = False
-        candidates = sorted(
-            c for parent in t.members(k) for c in t.children[parent]
-        )
+        gate = cfg.psi_factor * (1 << k)
+        candidates = sorted(c for parent in t.members(k) for c in t.children[parent])
         for u in candidates:
             psi_u = psi(t, u, k, gate)
             if psi_u > gate:
@@ -226,54 +215,22 @@ def run_local_search(
             applications += 1
             # Accounting: the degree-k parent loses 2**(k-1) of potential,
             # the exit vertex gains at most 2**(k-2), subtree gains at most
-            # psi_u.  With the default 1/8 gate this is the 2**(k-3) law.
-            drop = Fraction(delta.phi_drop)
+            # psi_u.  With the 1/8 gate this is the 2**(k-3) law, and k is
+            # the argmax class, so 2**k >= phi / n**2.
+            drop = delta.phi_drop
             assert drop >= (1 << k) // 4 - psi_u, (
-                f"potential drop {delta.phi_drop} below accounting floor at k={k}"
+                f"potential drop {drop} below accounting floor at k={k}"
             )
-            if cfg.psi_factor <= 0.125:
-                assert drop >= gate, (
-                    f"potential drop {delta.phi_drop} below {gate} at k={k}"
-                )
-            assert applications <= app_ceiling, "improvement count exceeded ceiling"
-            if rows is not None:
-                rows.append(
-                    {
-                        "iteration": applications,
-                        "k": k,
-                        "n_k": n_k,
-                        "phi": delta.phi_before,
-                        "drop": delta.phi_drop,
-                    }
-                )
-            improved = True
-            break
-        if not improved:
-            exit_reason = "stalled"
-            try:
-                certificate = extract_local_certificate(t, g, k)
-            except EmptyWitness:
-                certificate = None
-            break
-    wall_ms = (time.perf_counter() - start) * 1000.0
-    proved = cfg.profile == "paper" and (
-        exit_reason == "threshold" or certificate is not None
-    )
-    return SolveReport(
-        algorithm="local",
-        profile=cfg.profile,
-        n=g.n,
-        m=g.m,
-        delta_initial=delta_initial,
-        delta_final=t.max_deg,
-        lower_bound=certificate.bound if certificate else None,
-        certificate=certificate,
-        iterations=applications,
-        potential_trace=rows,
-        layers_trace=None,
-        parent=t.parents_signed(),
-        wall_time_ms=wall_ms,
-        config=cfg.to_dict(),
-        guarantee="proved" if proved else "heuristic",
-        exit_reason=exit_reason,
+            assert drop >= gate, f"potential drop {drop} below {gate} at k={k}"
+            assert drop * phi_floor >= delta.phi_before, (
+                f"potential drop {drop} below phi/(8 n^2) at k={k}"
+            )
+            return {"iteration": applications, "k": k, "n_k": n_k,
+                    "phi": delta.phi_before, "drop": drop}
+        return Stall(k)
+
+    return search(
+        g, cfg, "local", attempt, build=build_initial_tree, choose_k=choose_k,
+        base=2, threshold=cfg.stop_threshold_local,
+        extract=extract_local_certificate, trace=trace,
     )

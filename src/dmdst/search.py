@@ -1,0 +1,106 @@
+"""The search loop both solvers share, and the one place reports are built.
+
+Both solvers build a start tree, pick a degree class k by a potential
+argmax, apply adjustments whose potential strictly drops, and turn a stall
+into a blocking certificate.  A solver supplies only attempt(t, k), which
+applies one adjustment at class k and returns its trace row, or returns a
+Stall; the driver owns the rest.
+"""
+
+from __future__ import annotations
+
+import time
+from fractions import Fraction
+from typing import Callable, NamedTuple
+
+from .certificate import BlockingCertificate, EmptyWitness
+from .config import Config
+from .graph import Digraph
+from .report import SolveReport
+from .tree import InTree
+
+
+class Stall(NamedTuple):
+    """No admissible adjustment at class k.  witness is the certificate
+    extractor's third argument (k, or the layered state); row is the trace
+    row the stall leaves, if any."""
+
+    witness: object
+    row: dict | None = None
+
+
+def search(
+    g: Digraph, cfg: Config, algorithm: str, attempt: Callable[[InTree, int], dict | Stall],
+    *, build: Callable[[Digraph], InTree], choose_k: Callable[[InTree, int | Fraction], int],
+    base: int | Fraction, threshold: float,
+    extract: Callable[[InTree, Digraph, object], BlockingCertificate], trace: bool,
+) -> SolveReport:
+    """Build the start tree, then attempt(t, choose_k(t, base)) while Delta
+    exceeds threshold, until a Stall.
+
+    The stall's certificate is extract(t, g, witness), or none when its
+    witness set is empty.  The paper profile's guarantee is proved when the
+    loop reached its threshold or the stall was certified.
+    """
+    start = time.perf_counter()
+    t = build(g)
+    delta_initial = t.max_deg
+    rows: list[dict] | None = [] if trace else None
+    applications = 0
+    certificate: BlockingCertificate | None = None
+    exit_reason = "threshold"
+    while t.max_deg > threshold:
+        outcome = attempt(t, choose_k(t, base))
+        if not isinstance(outcome, Stall):
+            applications += 1
+            if rows is not None:
+                rows.append(outcome)
+            continue
+        exit_reason = "stalled"
+        try:
+            certificate = extract(t, g, outcome.witness)
+        except EmptyWitness:
+            pass
+        if rows is not None and outcome.row is not None:
+            rows.append(outcome.row)
+        break
+    proved = cfg.profile == "paper" and (
+        exit_reason == "threshold" or certificate is not None
+    )
+    return solve_report(
+        algorithm, g, cfg, t, start, delta_initial,
+        lower_bound=certificate.bound if certificate else None,
+        certificate=certificate,
+        iterations=applications,
+        rows=rows,
+        guarantee="proved" if proved else "heuristic",
+        exit_reason=exit_reason,
+    )
+
+
+def solve_report(
+    algorithm: str, g: Digraph, cfg: Config, t: InTree, start: float, delta_initial: int,
+    *, lower_bound: Fraction | None, guarantee: str, exit_reason: str,
+    certificate: BlockingCertificate | None = None, iterations: int = 0,
+    rows: list[dict] | None = None,
+) -> SolveReport:
+    """The report on final tree t of a run begun at perf_counter() start;
+    rows go to the algorithm's trace field."""
+    return SolveReport(
+        algorithm=algorithm,
+        profile=cfg.profile,
+        n=g.n,
+        m=g.m,
+        delta_initial=delta_initial,
+        delta_final=t.max_deg,
+        lower_bound=lower_bound,
+        certificate=certificate,
+        iterations=iterations,
+        potential_trace=rows if algorithm == "local" else None,
+        layers_trace=rows if algorithm == "augment" else None,
+        parent=t.parents_signed(),
+        wall_time_ms=(time.perf_counter() - start) * 1000.0,
+        config=cfg.to_dict(),
+        guarantee=guarantee,
+        exit_reason=exit_reason,
+    )

@@ -9,7 +9,6 @@ potential function and degree-class scans are cheap.
 from __future__ import annotations
 
 from collections import deque
-from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .graph import Digraph
@@ -183,11 +182,9 @@ class InTree:
         assert len(picks) >= floor, f"|W|={len(picks)} below floor {floor} at d={d}"
         return picks
 
-    def potential(self, base) -> int | float | Fraction:
+    def potential(self, base: int) -> int:
         """Sum of base**deg(v) over all vertices, from the histogram."""
-        if isinstance(base, (int, Fraction)):
-            return sum((base ** d) * len(s) for d, s in self._members.items() if s)
-        return float(sum((base ** d) * len(s) for d, s in self._members.items() if s))
+        return sum((base ** d) * len(s) for d, s in self._members.items() if s)
 
     def parents_signed(self) -> list[int]:
         """Parent array with -1 at the sink (the serialized form)."""

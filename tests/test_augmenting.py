@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -188,13 +189,12 @@ def test_subtree_potential_and_budget():
     g = two_segment_fixture()
     t = build_initial_tree(g)
     cfg = Config.for_graph(g)
-    assert subtree_potential(t, 2, cfg.base_c) == 1.0
-    assert subtree_potential(t, 7, cfg.base_c) == pytest.approx(
-        cfg.base_c + 1.0
-    )
-    assert potential_budget(cfg, 1, 3) == pytest.approx(
-        0.9 * cfg.epsilon / 1.1 * cfg.base_c ** 2
-    )
+    assert subtree_potential(t, 2, cfg.base_c) == 1
+    assert subtree_potential(t, 7, cfg.base_c) == cfg.base_c + 1
+    budget = potential_budget(cfg, 1, 3)
+    assert isinstance(budget, Fraction)
+    eps = Fraction(cfg.epsilon)
+    assert budget == Fraction(9, 10) * eps / (1 + eps) * cfg.base_c ** 2
 
 
 def test_run_on_path_returns_immediately():

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from dmdst import Digraph, SolveReport, gen_path, save_graph, serialize_graph
+from dmdst import Digraph, SolveReport, cli, gen_instar, gen_path, save_graph, serialize_graph
+from dmdst.augmenting import ValidationFailed
 from dmdst.cli import main
 
 
@@ -112,12 +113,29 @@ def test_verify_flags_emptied_blocking_set(tmp_path, capsys):
     assert "BlockingCertificateInvalid" in err
 
 
-def test_env_seed_override(tmp_path, capsys, monkeypatch):
-    path = write_instance(tmp_path, "g", gen_path(4))
-    monkeypatch.setenv("DMDST_SEED", "777")
-    code, stdout, _ = run_cli(capsys, "solve", path, "--seed", "1")
+def test_augment_solves_high_degree_instar_exactly(tmp_path, capsys):
+    # Degree 399: a base-10 potential far past the float range.
+    path = write_instance(tmp_path, "star", gen_instar(400))
+    code, stdout, _ = run_cli(capsys, "solve", path, "--algo", "augment")
     assert code == 0
-    assert json.loads(stdout)["config"]["rng_seed"] == 777
+    report_file = tmp_path / "star.json"
+    report_file.write_text(stdout)
+    code, out, _ = run_cli(capsys, "verify", path, str(report_file))
+    assert code == 0
+    assert out.strip() == "ok"
+
+
+def test_solver_exception_exits_internal_error(tmp_path, capsys, monkeypatch):
+    def broken(g, cfg=None, trace=False):
+        raise ValidationFailed("injected")
+
+    monkeypatch.setattr(cli, "run_augmenting_search", broken)
+    path = write_instance(tmp_path, "g", gen_path(4))
+    code, stdout, err = run_cli(capsys, "solve", path, "--algo", "augment")
+    assert code == 3
+    assert stdout == ""
+    assert err.startswith("internal error: ValidationFailed: injected")
+    assert "Traceback" not in err
 
 
 def test_reports_are_stable_modulo_timing(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -145,6 +146,8 @@ def test_unrelated_children_rejects_empty_class():
 def test_potential_direct_arithmetic():
     assert build_initial_tree(gen_instar(4)).potential(2) == 11
     assert build_initial_tree(gen_path(3)).potential(2) == 5
+    # exact at degrees where a float base-10 power would overflow
+    assert build_initial_tree(gen_instar(400)).potential(10) == 10 ** 399 + 399
 
 
 @given(st.integers(0, 10 ** 6))
@@ -194,13 +197,16 @@ def test_s_d_derived_query():
 
 
 def test_config_invariants():
-    with pytest.raises(ValueError):
-        Config.for_n(10, epsilon=0.3)
+    for epsilon in (0.3, 0.0, float("inf")):  # rejected before 1/epsilon is taken
+        with pytest.raises(ValueError):
+            Config.for_n(10, epsilon=epsilon)
     with pytest.raises(ValueError):
         Config(epsilon=0.2, base_c=4.5)  # base_c <= 1/epsilon
     cfg = Config.for_n(100, profile="paper")
     assert cfg.base_c >= 4.0
-    assert cfg.base_c > 1.0 / cfg.epsilon
+    assert cfg.base_c > 1 / Fraction(cfg.epsilon)
+    assert cfg.base_c == 10
+    assert Config.for_n(100, epsilon=0.125).base_c == 9  # 1/epsilon exactly 8
     assert cfg.stop_threshold_local == pytest.approx(34 * 6.643856, rel=1e-5)
     practical = Config.for_n(100)
     assert practical.stop_threshold_local == 0.0
