@@ -7,7 +7,9 @@ candidate start vertices, and a chain of per-level path segments is
 stitched into one multi-segment adjustment that still removes a child from
 the degree-k class.  Candidate subtrees are admitted only while their
 potential fits under a geometrically shrinking budget, which caps the
-total potential the adjustment can add back.
+total potential the adjustment can add back.  Each level is one scan
+(extend_layer): one walk per candidate subtree admits it and collects the
+vertex set its exit search and unrelatedness check then use.
 
 Levels must grow by a (1+epsilon) factor each round; when they stop
 growing, the accumulated levels themselves form a blocking certificate.
@@ -61,16 +63,19 @@ class FoundEndpoint:
 
 @dataclass
 class LayeredState:
+    """One round's levels at class k.  seen is the union of every blocker
+    level found so far, covered the union of every admitted start's
+    subtree; extend_layer keeps both current."""
+
     k: int
-    levels_V: list[set[int]] = field(default_factory=list)
+    levels_V: list[set[int]]
     levels_U: list[set[int]] = field(default_factory=list)
     pred: dict[int, tuple[int, tuple[int, ...]]] = field(default_factory=dict)
+    seen: set[int] = field(init=False)
+    covered: set[int] = field(default_factory=set)
 
-    def seen_v(self) -> set[int]:
-        out: set[int] = set()
-        for s in self.levels_V:
-            out |= s
-        return out
+    def __post_init__(self) -> None:
+        self.seen = set().union(*self.levels_V)
 
 
 def subtree_potential(t: InTree, u: int, base: int) -> int:
@@ -87,46 +92,15 @@ def potential_budget(cfg: Config, i: int, k: int) -> Fraction:
     return Fraction(9 * p * q ** i * cfg.base_c ** (k - 1), 10 * q * (p + q) ** i)
 
 
-def eligible_starts(t: InTree, st: LayeredState, i: int, cfg: Config) -> set[int]:
-    """Children of level i-1 vertices whose subtrees are clean and cheap.
-
-    Clean: no subtree vertex of degree >= k-2 (so every interior of a
-    future segment is automatically low-degree).  Cheap: subtree potential
-    within the level's budget (an int sum, so floor(budget) is exact).  One
-    walk per subtree stops at the first vertex that breaks either rule;
-    terms are positive, so a partial sum over the budget means the full
-    one is over it too.
-    """
-    k = st.k
-    budget = math.floor(potential_budget(cfg, i, k))
-    powers = [cfg.base_c ** d for d in range(max(k - 2, 0))]
-    children = t.children
-    out: set[int] = set()
-    for v in st.levels_V[i - 1]:
-        for u in children[v]:
-            total = 0
-            stack = [u]
-            while stack:
-                kids = children[stack.pop()]
-                if len(kids) >= k - 2:
-                    break
-                total += powers[len(kids)]
-                if total > budget:
-                    break
-                stack.extend(reversed(kids))
-            else:
-                out.add(u)
-    return out
-
-
-def exit_set(t: InTree, g: Digraph, u: int, k: int) -> dict[int, tuple[int, ...]]:
+def exit_set(
+    t: InTree, g: Digraph, u: int, k: int, inside: set[int]
+) -> dict[int, tuple[int, ...]]:
     """Every first vertex outside subtree(u) reachable from u, with a
-    min-hop interior path to it.
+    min-hop interior path to it.  inside is subtree(u)'s vertex set.
 
     Requires a clean subtree (no vertex of degree >= k-2), so interior
     vertices need no degree filter.
     """
-    inside = t.subtree(u)
     assert all(t.deg(v) <= k - 3 for v in inside), "subtree not clean"
     pred: dict[int, int] = {u: u}
     exits: dict[int, tuple[int, ...]] = {}
@@ -151,31 +125,60 @@ def exit_set(t: InTree, g: Digraph, u: int, k: int) -> dict[int, tuple[int, ...]
 
 
 def extend_layer(
-    t: InTree, g: Digraph, st: LayeredState, i: int
+    t: InTree, g: Digraph, st: LayeredState, i: int, cfg: Config
 ) -> FoundEndpoint | set[int]:
-    """Process level i: either find a terminal exit or assemble V_i.
+    """Scan level i: either find a terminal exit or assemble V_i.
 
-    Start vertices are scanned in ascending id; the first exit of degree
-    <= k-2 ends the search.  Otherwise exits of degree exactly k-1 that
-    were never seen before join V_i, remembering which start discovered
-    them (first discoverer wins).
+    The children of V_{i-1} are scanned in ascending id.  One walk of each
+    child's subtree decides whether it joins U_i as a start: clean (no
+    vertex of degree >= k-2, so segment interiors are low-degree) and
+    cheap (potential within the level's budget, an int sum, so
+    floor(budget) is exact).  The walk stops at the first vertex that
+    breaks either rule; terms are positive, so a partial sum over the
+    budget means the full one is over it too.  An admitted start must be
+    unrelated to every earlier one, and its exits are explored at once:
+    the first exit of degree <= k-2 ends the search.  Otherwise exits of
+    degree exactly k-1 never seen before join V_i, remembering which
+    start discovered them (first discoverer wins).
     """
     k = st.k
-    seen = st.seen_v()
+    budget = math.floor(potential_budget(cfg, i, k))
+    powers = [cfg.base_c ** d for d in range(max(k - 2, 0))]
+    children = t.children
+    admitted: set[int] = set()
+    st.levels_U.append(admitted)
     v_new: set[int] = set()
-    for u in sorted(st.levels_U[i - 1]):
-        exits = exit_set(t, g, u, k)
-        for x, path in exits.items():
-            if t.deg(x) <= k - 2:
-                return FoundEndpoint(i, u, x, path)
-        for x, path in exits.items():
-            if t.deg(x) == k - 1 and x not in seen and x not in v_new:
-                v_new.add(x)
-                st.pred[x] = (u, path)
-            elif t.deg(x) == k:
-                # Degree-k exits are level 0 by definition; higher ones sit
-                # in S_{k+1}.  Both land on the certificate's blocking side.
-                assert x in st.levels_V[0]
+    for u in sorted(c for v in st.levels_V[i - 1] for c in children[v]):
+        inside: set[int] = set()
+        total = 0
+        stack = [u]
+        while stack:
+            v = stack.pop()
+            kids = children[v]
+            if len(kids) >= k - 2:
+                break
+            total += powers[len(kids)]
+            if total > budget:
+                break
+            inside.add(v)
+            stack.extend(kids)
+        else:
+            admitted.add(u)
+            assert st.covered.isdisjoint(inside), "start vertices must stay unrelated"
+            st.covered |= inside
+            for x, path in exit_set(t, g, u, k, inside).items():
+                d = t.deg(x)
+                if d <= k - 2:
+                    return FoundEndpoint(i, u, x, path)
+                if d == k - 1 and x not in st.seen:
+                    st.seen.add(x)
+                    v_new.add(x)
+                    st.pred[x] = (u, path)
+                elif d == k:
+                    # Degree-k exits are level 0 by definition; higher ones
+                    # sit in S_{k+1}.  Both land on the certificate's
+                    # blocking side.
+                    assert x in st.levels_V[0]
     return v_new
 
 
@@ -336,24 +339,17 @@ def run_augmenting_search(
     strict_size_bound = cfg.profile == "paper"
 
     def attempt(t: InTree, k: int) -> dict | Stall:
-        st = LayeredState(k=k)
-        st.levels_V.append(t.members(k))
-        covered: set[int] = set()
+        st = LayeredState(k, [t.members(k)])
         i = 0
         while True:
             i += 1
             assert i <= layer_ceiling, f"layer count {i} exceeded ceiling"
-            st.levels_U.append(eligible_starts(t, st, i, cfg))
-            for u in st.levels_U[-1]:
-                sub = t.subtree(u)
-                assert not (covered & sub), "start vertices must stay unrelated"
-                covered |= sub
+            result = extend_layer(t, g, st, i, cfg)
+            if isinstance(result, FoundEndpoint):
+                break
             if strict_size_bound and k > 2 * c * c / cfg.epsilon ** 2:
                 floor = (k - 2 - c * c / cfg.epsilon) * len(st.levels_V[i - 1])
                 assert len(st.levels_U[-1]) >= floor
-            result = extend_layer(t, g, st, i)
-            if isinstance(result, FoundEndpoint):
-                break
             st.levels_V.append(result)
             grown = sum(len(s) for s in st.levels_V)
             previous = grown - len(result)

@@ -1,9 +1,10 @@
 """Command-line interface: generate, solve, verify, bench.
 
 Exit codes: 0 success, 1 failed verification, 2 bad input (parse or
-validation errors, invalid bench matrix), 3 internal error: any other
-exception, such as a failed assertion, a broken tree or a certificate that
-does not verify, is a bug, never a recoverable state.
+validation errors, a malformed report, an invalid bench matrix), 3
+internal error: any other exception, such as a failed assertion, a broken
+tree or a certificate that does not verify, is a bug, never a recoverable
+state.
 """
 
 from __future__ import annotations

@@ -11,6 +11,10 @@ from .certificate import BlockingCertificate
 SCHEMA_VERSION = 1
 
 
+class ReportFormatError(ValueError):
+    """A report file is not a well-formed solve report: bad input."""
+
+
 @dataclass
 class SolveReport:
     algorithm: str
@@ -67,26 +71,34 @@ class SolveReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SolveReport":
-        lb = d.get("lower_bound")
-        cert = d.get("certificate")
-        return cls(
-            algorithm=d["algorithm"],
-            profile=d["profile"],
-            n=d["n"],
-            m=d["m"],
-            delta_initial=d["delta_initial"],
-            delta_final=d["delta_final"],
-            lower_bound=None if lb is None else Fraction(lb["num"], lb["den"]),
-            certificate=None if cert is None else BlockingCertificate.from_dict(cert),
-            iterations=d["iterations"],
-            potential_trace=d.get("potential_trace"),
-            layers_trace=d.get("layers_trace"),
-            parent=list(d["parent"]),
-            wall_time_ms=d["wall_time_ms"],
-            config=d.get("config", {}),
-            guarantee=d["guarantee"],
-            exit_reason=d.get("exit_reason", ""),
-        )
+        """Raises ReportFormatError on a missing key or a wrongly shaped value."""
+        if not isinstance(d, dict):
+            raise ReportFormatError(f"report must be a JSON object, not {type(d).__name__}")
+        try:
+            lb = d.get("lower_bound")
+            cert = d.get("certificate")
+            return cls(
+                algorithm=d["algorithm"],
+                profile=d["profile"],
+                n=d["n"],
+                m=d["m"],
+                delta_initial=d["delta_initial"],
+                delta_final=d["delta_final"],
+                lower_bound=None if lb is None else Fraction(lb["num"], lb["den"]),
+                certificate=None if cert is None else BlockingCertificate.from_dict(cert),
+                iterations=d["iterations"],
+                potential_trace=d.get("potential_trace"),
+                layers_trace=d.get("layers_trace"),
+                parent=list(d["parent"]),
+                wall_time_ms=d["wall_time_ms"],
+                config=d.get("config", {}),
+                guarantee=d["guarantee"],
+                exit_reason=d.get("exit_reason", ""),
+            )
+        except KeyError as exc:
+            raise ReportFormatError(f"malformed report: missing key {exc}") from exc
+        except (TypeError, ZeroDivisionError) as exc:
+            raise ReportFormatError(f"malformed report: {exc}") from exc
 
     @classmethod
     def from_json(cls, text: str) -> "SolveReport":

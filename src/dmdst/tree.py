@@ -63,7 +63,8 @@ class InTree:
         return len(self.children[v])
 
     def members(self, d: int) -> set[int]:
-        """The set N_d of vertices with degree exactly d (a live copy)."""
+        """The set N_d of vertices with degree exactly d (a snapshot copy,
+        not a live view)."""
         return set(self._members.get(d, ()))
 
     def degree_counts(self) -> dict[int, int]:
@@ -189,9 +190,6 @@ class InTree:
     def parents_signed(self) -> list[int]:
         """Parent array with -1 at the sink (the serialized form)."""
         return [-1 if p is None else p for p in self.parent]
-
-    def copy(self) -> "InTree":
-        return InTree(self.g, self.parent)
 
     # -- validation ----------------------------------------------------------
 

@@ -14,10 +14,10 @@ from fractions import Fraction
 
 import pytest
 
+import dmdst.augmenting
 from dmdst import (
     Config,
     Digraph,
-    apply_augmenting_path,
     apply_improvement_path,
     build_initial_tree,
     choose_k,
@@ -32,15 +32,7 @@ from dmdst import (
     run_local_search,
     save_graph,
     tree_from_parents,
-    validate_augmenting_path,
     verify_blocking,
-)
-from dmdst.augmenting import (
-    FoundEndpoint,
-    LayeredState,
-    eligible_starts,
-    extend_layer,
-    reconstruct_path,
 )
 from dmdst.cli import main as cli_main
 from dmdst.generators import SplitMix64
@@ -210,39 +202,24 @@ def test_criterion_4_potential_law(improvement_fuzz, corpus_results):
 # -- criterion 5 -------------------------------------------------------------
 
 
-def audited_augmenting_run(g: Digraph):
-    """Mirror the layered driver with explicit degree-class audits."""
-    cfg = Config.for_graph(g)
-    t = build_initial_tree(g)
+@pytest.fixture
+def augmenting_applications(monkeypatch):
+    """Record every adjustment the real augmenting solver applies: its k,
+    the degree counts before and after, and its path."""
+    apply = dmdst.augmenting.apply_augmenting_path
     applications = []
-    while t.max_deg > 0:
-        k = choose_k(t, cfg.base_c / 2.0)
-        st = LayeredState(k=k)
-        st.levels_V.append(t.members(k))
-        endpoint = None
-        i = 0
-        while True:
-            i += 1
-            st.levels_U.append(eligible_starts(t, st, i, cfg))
-            result = extend_layer(t, g, st, i)
-            if isinstance(result, FoundEndpoint):
-                endpoint = result
-                break
-            st.levels_V.append(result)
-            total = sum(len(s) for s in st.levels_V)
-            if total < (1.0 + cfg.epsilon) * (total - len(result)):
-                break
-        if endpoint is None:
-            return t, applications
-        path = reconstruct_path(st, endpoint, t)
-        validate_augmenting_path(t, g, path, cfg)
-        counts_before = t.degree_counts()
-        apply_augmenting_path(t, path)
-        applications.append((k, counts_before, t.degree_counts(), path))
-    return t, applications
+
+    def audited(t, p, *args, **kwargs):
+        before = t.degree_counts()
+        delta = apply(t, p, *args, **kwargs)
+        applications.append((p.k, before, t.degree_counts(), p))
+        return delta
+
+    monkeypatch.setattr(dmdst.augmenting, "apply_augmenting_path", audited)
+    return applications
 
 
-def test_criterion_5_augmenting_adjustment_contract():
+def test_criterion_5_augmenting_adjustment_contract(augmenting_applications):
     fixture = Digraph(
         10,
         0,
@@ -261,8 +238,9 @@ def test_criterion_5_augmenting_adjustment_contract():
     for n, extra, seed in random_corpus_specs():
         instances.append(gen_random(n, extra, seed))
     for g in instances:
-        _, applications = audited_augmenting_run(g)
-        for k, before, after, path in applications:
+        augmenting_applications.clear()
+        run_augmenting_search(g)
+        for k, before, after, path in augmenting_applications:
             assert after.get(k, 0) == before.get(k, 0) - 1, "N_k must drop by one"
             for d in set(before) | set(after):
                 if d > k:

@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import dmdst.augmenting
+
 from dmdst import (
     Config,
     Digraph,
@@ -20,14 +22,18 @@ from dmdst.augmenting import (
     LayeredState,
     ValidationFailed,
     apply_augmenting_path,
-    eligible_starts,
     exit_set,
     extend_layer,
     potential_budget,
     reconstruct_path,
     subtree_potential,
 )
-from conftest import brute_first_exits, degree_snapshot, report_without_timing
+from conftest import (
+    brute_first_exits,
+    degree_snapshot,
+    random_corpus_specs,
+    report_without_timing,
+)
 
 
 def two_segment_fixture() -> Digraph:
@@ -50,29 +56,37 @@ def two_segment_fixture() -> Digraph:
 def layered_fixture_state(g, k=3):
     t = build_initial_tree(g)
     cfg = Config.for_graph(g)
-    st_ = LayeredState(k=k)
-    st_.levels_V.append(t.members(k))
-    return t, cfg, st_
+    return t, cfg, LayeredState(k, [t.members(k)])
 
 
-def test_eligible_starts_takes_clean_leaf_subtrees():
+def test_scan_admits_clean_leaf_subtrees():
     g = two_segment_fixture()
     t, cfg, st_ = layered_fixture_state(g)
-    st_.levels_U.append(eligible_starts(t, st_, 1, cfg))
-    assert st_.levels_U[0] == {2, 4}  # 3 carries the blocker subtree
+    extend_layer(t, g, st_, 1, cfg)
+    # 3 carries the blocker subtree, so it is not clean
+    assert st_.levels_U == [{2, 4}]
+    assert st_.covered == {2, 4}
 
 
-def test_eligible_starts_excludes_dirty_subtree():
-    g = two_segment_fixture()
-    t, cfg, st_ = layered_fixture_state(g)
-    starts = eligible_starts(t, st_, 1, cfg)
-    assert 3 not in starts  # subtree contains the degree-2 blocker
+def test_scan_budget_admits_exactly_its_floor():
+    """k=4, level 1: the budget is 9/10 * eps/(1+eps) * 10**3, about 81.8.
+    A 9-vertex chain (8 * 10 + 1 = 81) fits; a 10-vertex chain (91) does
+    not."""
+    edges = [(1, 0)] + [(v, 1) for v in (2, 3, 4, 5)]
+    edges += [(6, 2)] + [(v, v - 1) for v in range(7, 14)]  # 2 .. 13: 9 vertices
+    edges += [(14, 3)] + [(v, v - 1) for v in range(15, 23)]  # 3 .. 22: 10 vertices
+    g = Digraph(23, 0, edges)
+    t, cfg, st_ = layered_fixture_state(g, k=4)
+    assert math.floor(potential_budget(cfg, 1, 4)) == 81
+    assert subtree_potential(t, 2, cfg.base_c) == 81
+    assert extend_layer(t, g, st_, 1, cfg) == set()
+    assert st_.levels_U == [{2, 4, 5}]
 
 
 def test_exit_set_leaf_with_two_exits():
     g = Digraph(4, 0, [(1, 0), (2, 0), (3, 0), (3, 1), (3, 2)])
     t = build_initial_tree(g)
-    exits = exit_set(t, g, 3, k=5)
+    exits = exit_set(t, g, 3, 5, t.subtree(3))
     assert exits == {0: (3, 0), 1: (3, 1), 2: (3, 2)}
 
 
@@ -81,8 +95,8 @@ def test_exit_set_empty_when_no_edges_leave():
     t = build_initial_tree(g)
     # vertex 1's only out-edge is its tree parent: exits = {0}; vertex 2's
     # only out-edge stays inside subtree(1) when rooted there.
-    assert set(exit_set(t, g, 1, k=5)) == {0}
-    assert set(exit_set(t, g, 2, k=5)) == {1}
+    assert set(exit_set(t, g, 1, 5, t.subtree(1))) == {0}
+    assert set(exit_set(t, g, 2, 5, t.subtree(2))) == {1}
 
 
 @given(st.integers(0, 10 ** 6))
@@ -92,9 +106,9 @@ def test_exit_set_matches_brute_force(seed):
     t = build_initial_tree(g)
     k = t.max_deg + 3  # every subtree is clean at this class
     for u in range(g.n):
-        exits = exit_set(t, g, u, k)
-        assert set(exits) == brute_first_exits(t, g, u)
         inside = t.subtree(u)
+        exits = exit_set(t, g, u, k, inside)
+        assert set(exits) == brute_first_exits(t, g, u)
         for x, path in exits.items():
             assert path[0] == u and path[-1] == x
             assert len(set(path)) == len(path)
@@ -105,34 +119,76 @@ def test_exit_set_matches_brute_force(seed):
 
 def test_extend_layer_finds_endpoint_immediately():
     g = two_segment_fixture()
-    t, cfg, st_ = layered_fixture_state(g)
-    st_.levels_U.append({6})  # pretend level-1 start at the blocker's child
-    result = extend_layer(t, g, st_, 1)
+    t = build_initial_tree(g)
+    # pretend the blocker is level 0: its clean child 6 escapes to 8
+    st_ = LayeredState(3, [{5}])
+    result = extend_layer(t, g, st_, 1, Config.for_graph(g))
     assert isinstance(result, FoundEndpoint)
-    assert result.exit == 8
+    assert (result.u, result.exit) == (6, 8)
+    assert st_.levels_U == [{6}]
 
 
 def test_extend_layer_collects_blockers():
     g = two_segment_fixture()
     t, cfg, st_ = layered_fixture_state(g)
-    st_.levels_U.append(eligible_starts(t, st_, 1, cfg))
-    result = extend_layer(t, g, st_, 1)
+    result = extend_layer(t, g, st_, 1, cfg)
     assert result == {5}
     assert st_.pred[5] == (2, (2, 5))
+    assert st_.seen == {1, 5}
 
 
 def test_reconstruct_two_segments_and_validate():
     g = two_segment_fixture()
     t, cfg, st_ = layered_fixture_state(g)
-    st_.levels_U.append(eligible_starts(t, st_, 1, cfg))
-    st_.levels_V.append(extend_layer(t, g, st_, 1))
-    st_.levels_U.append(eligible_starts(t, st_, 2, cfg))
+    st_.levels_V.append(extend_layer(t, g, st_, 1, cfg))
+    result = extend_layer(t, g, st_, 2, cfg)
     assert st_.levels_U[1] == {6}
-    result = extend_layer(t, g, st_, 2)
     assert isinstance(result, FoundEndpoint)
     path = reconstruct_path(st_, result, t)
     assert path.segments == ((2, 5), (6, 8))
     validate_augmenting_path(t, g, path, cfg)
+
+
+def test_scan_matches_brute_force_on_corpus(monkeypatch):
+    """Every level the solver scans on the random corpus, re-derived from
+    subtree enumeration: a completed level admitted exactly the clean,
+    in-budget children of V_{i-1}; an endpoint came from the lowest-id
+    admitted start with an exit of degree <= k-2, and the scan admitted
+    nothing past it."""
+    scan = dmdst.augmenting.extend_layer
+    tally = {"completed": 0, "endpoints": 0, "rejected": 0}
+
+    def checked(t, g, st_, i, cfg):
+        k = st_.k
+        candidates = sorted(c for v in st_.levels_V[i - 1] for c in t.children[v])
+        admissible = [
+            u for u in candidates
+            if all(t.deg(w) <= k - 3 for w in t.subtree(u))
+            and sum(cfg.base_c ** t.deg(w) for w in t.subtree(u))
+            <= potential_budget(cfg, i, k)
+        ]
+        escaping = [
+            u for u in admissible
+            if any(t.deg(x) <= k - 2 for x in brute_first_exits(t, g, u))
+        ]
+        result = scan(t, g, st_, i, cfg)
+        tally["rejected"] += len(candidates) - len(admissible)
+        if isinstance(result, FoundEndpoint):
+            tally["endpoints"] += 1
+            assert result.u == escaping[0]
+            assert st_.levels_U[i - 1] == {u for u in admissible if u <= result.u}
+            assert t.deg(result.exit) <= k - 2
+            assert result.exit in brute_first_exits(t, g, result.u)
+        else:
+            tally["completed"] += 1
+            assert not escaping
+            assert st_.levels_U[i - 1] == set(admissible)
+        return result
+
+    monkeypatch.setattr(dmdst.augmenting, "extend_layer", checked)
+    for n, extra, seed in random_corpus_specs():
+        run_augmenting_search(gen_random(n, extra, seed))
+    assert min(tally.values()) > 0, tally
 
 
 def test_validation_rejects_tampered_path():
@@ -161,10 +217,8 @@ def test_apply_single_segment_matches_improvement_semantics():
 def test_apply_two_segment_fixture_postconditions():
     g = two_segment_fixture()
     t, cfg, st_ = layered_fixture_state(g)
-    st_.levels_U.append(eligible_starts(t, st_, 1, cfg))
-    st_.levels_V.append(extend_layer(t, g, st_, 1))
-    st_.levels_U.append(eligible_starts(t, st_, 2, cfg))
-    endpoint = extend_layer(t, g, st_, 2)
+    st_.levels_V.append(extend_layer(t, g, st_, 1, cfg))
+    endpoint = extend_layer(t, g, st_, 2, cfg)
     path = reconstruct_path(st_, endpoint, t)
     counts_before = t.degree_counts()
     before = degree_snapshot(t)

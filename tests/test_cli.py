@@ -113,6 +113,40 @@ def test_verify_flags_emptied_blocking_set(tmp_path, capsys):
     assert "BlockingCertificateInvalid" in err
 
 
+def _drop_parent(data):
+    del data["parent"]
+    return data
+
+
+def _zero_bound_denominator(data):
+    data["lower_bound"]["den"] = 0
+    return data
+
+
+def _drop_certificate_k(data):
+    del data["certificate"]["k"]
+    return data
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_drop_parent, _zero_bound_denominator, _drop_certificate_k, lambda data: [data]],
+    ids=["missing-parent", "zero-denominator", "certificate-without-k", "top-level-list"],
+)
+def test_verify_rejects_malformed_report_as_bad_input(tmp_path, capsys, corrupt):
+    path = write_instance(tmp_path, "g", Digraph(5, 0, [(v, 0) for v in range(1, 5)]))
+    _, stdout, _ = run_cli(capsys, "solve", path, "--algo", "local")
+    data = json.loads(stdout)
+    assert data["lower_bound"] is not None and data["certificate"] is not None
+    report_file = tmp_path / "bad.json"
+    report_file.write_text(json.dumps(corrupt(data)))
+    code, out, err = run_cli(capsys, "verify", path, str(report_file))
+    assert code == 2, err
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_augment_solves_high_degree_instar_exactly(tmp_path, capsys):
     # Degree 399: a base-10 potential far past the float range.
     path = write_instance(tmp_path, "star", gen_instar(400))
