@@ -59,13 +59,21 @@ def layered_fixture_state(g, k=3):
     return t, cfg, LayeredState(k, [t.members(k)])
 
 
-def test_scan_admits_clean_leaf_subtrees():
+def test_eligible_starts_takes_clean_leaf_subtrees():
     g = two_segment_fixture()
     t, cfg, st_ = layered_fixture_state(g)
     extend_layer(t, g, st_, 1, cfg)
-    # 3 carries the blocker subtree, so it is not clean
+    # the level scan admits exactly the clean, in-budget children of V_0
     assert st_.levels_U == [{2, 4}]
     assert st_.covered == {2, 4}
+
+
+def test_eligible_starts_excludes_dirty_subtree():
+    g = two_segment_fixture()
+    t, cfg, st_ = layered_fixture_state(g)
+    extend_layer(t, g, st_, 1, cfg)
+    assert 3 not in st_.levels_U[0]  # subtree contains the degree-2 blocker
+    assert 3 not in st_.covered
 
 
 def test_scan_budget_admits_exactly_its_floor():
