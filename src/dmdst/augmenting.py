@@ -95,11 +95,14 @@ def potential_budget(cfg: Config, i: int, k: int) -> Fraction:
 def exit_set(
     t: InTree, g: Digraph, u: int, k: int, inside: set[int]
 ) -> dict[int, tuple[int, ...]]:
-    """Every first vertex outside subtree(u) reachable from u, with a
-    min-hop interior path to it.  inside is subtree(u)'s vertex set.
+    """First vertices outside subtree(u) reachable from u, in discovery
+    order, each with a min-hop interior path to it.  inside is subtree(u)'s
+    vertex set.
 
-    Requires a clean subtree (no vertex of degree >= k-2), so interior
-    vertices need no degree filter.
+    Returns as soon as an exit of degree <= k-2 has been added: it is then
+    the last key, and the only one of that degree.  Without such an exit
+    the map holds every first exit.  Requires a clean subtree (no vertex of
+    degree >= k-2), so interior vertices need no degree filter.
     """
     assert all(t.deg(v) <= k - 3 for v in inside), "subtree not clean"
     pred: dict[int, int] = {u: u}
@@ -121,6 +124,8 @@ def exit_set(
                 path.append(u)
                 path.reverse()
                 exits[y] = tuple(path)
+                if t.deg(y) <= k - 2:
+                    return exits
     return exits
 
 

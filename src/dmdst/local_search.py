@@ -7,6 +7,11 @@ vertices.  Each applied reroute takes one child away from a degree-k
 vertex while only letting path vertices gain a single child, so the
 potential sum(2**deg(v)) drops by at least psi_factor * 2**k = 2**(k-3)
 every time.
+
+A round pays only for the candidates it tries: one walk of each
+candidate's subtree computes its gate value (psi) and collects the vertex
+set that its path search (find_improvement_path) then reuses, and a class
+below 2 stalls at once, since no path vertex can have degree <= k-2 there.
 """
 
 from __future__ import annotations
@@ -76,16 +81,30 @@ def choose_k(t: InTree, base: int | Fraction) -> int:
     return argmax_degree_class(t.degree_counts(), base)
 
 
-def psi(t: InTree, u: int, k: int, limit: Fraction | int | None = None) -> int:
+def psi(
+    t: InTree, u: int, k: int, limit: Fraction | int | None = None,
+    inside: set[int] | None = None,
+) -> int:
     """Potential mass of subtree(u) restricted to degrees <= k-2.
 
     With a limit, returns the partial sum as soon as it exceeds the limit:
     every term is positive, so that sum and the full one are both above it.
+    The walk adds every vertex it reaches to inside, so a sum within the
+    limit leaves inside equal to subtree(u)'s vertex set, ready for
+    find_improvement_path.
     """
     cap = None if limit is None else math.floor(limit)
+    if inside is None:
+        inside = set()
+    children = t.children
     total = 0
-    for v in t.subtree_iter(u):
-        d = t.deg(v)
+    stack = [u]
+    while stack:
+        v = stack.pop()
+        inside.add(v)
+        kids = children[v]
+        stack.extend(kids)
+        d = len(kids)
         if d <= k - 2:
             total += 1 << d
             if cap is not None and total > cap:
@@ -94,18 +113,16 @@ def psi(t: InTree, u: int, k: int, limit: Fraction | int | None = None) -> int:
 
 
 def find_improvement_path(
-    t: InTree, g: Digraph, u: int, d: int
+    t: InTree, g: Digraph, u: int, d: int, inside: set[int]
 ) -> ImprovementPath | None:
     """Min-hop path from u exiting subtree(u) through degree <= d-2 vertices.
 
-    BFS over graph edges: interior vertices are restricted to subtree(u)
-    with degree <= d-2, and the search stops at the first vertex found
-    outside the subtree with degree <= d-2.  Returns None when no such
-    path exists.
+    inside is subtree(u)'s vertex set (psi fills it).  BFS over graph
+    edges: interior vertices are restricted to the subtree with degree
+    <= d-2, and the search stops at the first vertex found outside it with
+    degree <= d-2.  Returns None when no such path exists, always so when
+    d < 2.
     """
-    if d < 2:
-        return None
-    inside = t.subtree(u)
     pred: dict[int, int] = {u: u}
     queue = deque([u])
     while queue:
@@ -201,14 +218,18 @@ def run_local_search(
 
     def attempt(t: InTree, k: int) -> dict | Stall:
         nonlocal applications
-        n_k = len(t.members(k))
+        if k < 2:
+            # No path vertex can have degree <= k-2 < 0: nothing applies.
+            return Stall(k)
+        members = t.members(k)
         gate = cfg.psi_factor * (1 << k)
-        candidates = sorted(c for parent in t.members(k) for c in t.children[parent])
+        candidates = sorted(c for parent in members for c in t.children[parent])
         for u in candidates:
-            psi_u = psi(t, u, k, gate)
+            inside: set[int] = set()
+            psi_u = psi(t, u, k, gate, inside)
             if psi_u > gate:
                 continue
-            path = find_improvement_path(t, g, u, k)
+            path = find_improvement_path(t, g, u, k, inside)
             if path is None:
                 continue
             delta = apply_improvement_path(t, path)
@@ -225,7 +246,7 @@ def run_local_search(
             assert drop * phi_floor >= delta.phi_before, (
                 f"potential drop {drop} below phi/(8 n^2) at k={k}"
             )
-            return {"iteration": applications, "k": k, "n_k": n_k,
+            return {"iteration": applications, "k": k, "n_k": len(members),
                     "phi": delta.phi_before, "drop": drop}
         return Stall(k)
 

@@ -164,17 +164,24 @@ class InTree:
 
         Members of the degree class are folded in by increasing depth; each
         step evicts the at most one current pick lying on the new member's
-        root path, then adds all its children.  The result always reaches
-        the (d-1)*|N_d| + 1 size floor, which is asserted rather than
-        assumed.
+        root path, found by walking that path once from the member itself,
+        then adds all its children.  Cost is O(n + sum of member depths).
+        The result always reaches the (d-1)*|N_d| + 1 size floor, which is
+        asserted rather than assumed.
         """
         members = self._members.get(d, set())
         if not members:
             raise EmptyDegreeClass(f"no vertices of degree {d}")
         depth = self.depths()
+        parent = self.parent
         picks: set[int] = set()
         for u in sorted(members, key=lambda v: (depth[v], v)):
-            blockers = [w for w in picks if self.is_ancestor(w, u)]
+            blockers = []
+            cur: int | None = u
+            while cur is not None:
+                if cur in picks:
+                    blockers.append(cur)
+                cur = parent[cur]
             assert len(blockers) <= 1, "pairwise-unrelated set had two ancestors"
             for w in blockers:
                 picks.discard(w)

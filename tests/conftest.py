@@ -161,6 +161,20 @@ def brute_unrelated(t: InTree, u: int, v: int) -> bool:
     return not (t.subtree(u) & t.subtree(v))
 
 
+def all_picks_unrelated_children(t: InTree, d: int) -> set[int]:
+    """InTree.unrelated_children by its first definition: members of N_d
+    by increasing depth, each testing every current pick for ancestry and
+    evicting the one found, then adding all its children."""
+    depth = t.depths()
+    picks: set[int] = set()
+    for u in sorted((v for v in range(t.g.n) if t.deg(v) == d), key=lambda v: (depth[v], v)):
+        blockers = [w for w in picks if t.is_ancestor(w, u)]
+        assert len(blockers) <= 1
+        picks.difference_update(blockers)
+        picks.update(t.children[u])
+    return picks
+
+
 def fraction_det(mat: list[list[Fraction]]) -> Fraction:
     """Exact Gaussian-elimination determinant."""
     mat = [row[:] for row in mat]

@@ -10,24 +10,21 @@ from __future__ import annotations
 import json
 import math
 import time
-from fractions import Fraction
 
 import pytest
 
 import dmdst.augmenting
+import dmdst.local_search
 from dmdst import (
     Config,
     Digraph,
-    apply_improvement_path,
     build_initial_tree,
     choose_k,
     enumerate_spanning_intrees,
-    find_improvement_path,
     gen_blocker,
     gen_instar,
     gen_path,
     gen_random,
-    psi,
     run_augmenting_search,
     run_local_search,
     save_graph,
@@ -117,53 +114,33 @@ def test_criterion_2_certificate_soundness_by_enumeration(corpus_results):
 # -- criteria 3 and 4 --------------------------------------------------------
 
 
-def gated_improvement_records(g: Digraph):
-    """Replay the gated improvement loop, snapshotting around every apply."""
-    cfg = Config.for_graph(g)
-    t = build_initial_tree(g)
-    factor = Fraction(cfg.psi_factor)
-    records = []
-    while True:
-        k = choose_k(t, 2)
-        gate = factor * (1 << k)
-        applied = False
-        for u in sorted(c for p in t.members(k) for c in t.children[p]):
-            if psi(t, u, k) > gate:
-                continue
-            path = find_improvement_path(t, g, u, k)
-            if path is None:
-                continue
-            old_parent = t.parent[u]
-            before = degree_snapshot(t)
-            phi_before = t.potential(2)
-            apply_improvement_path(t, path)
-            records.append(
-                (
-                    path,
-                    old_parent,
-                    before,
-                    degree_snapshot(t),
-                    phi_before,
-                    t.potential(2),
-                    k,
-                )
-            )
-            applied = True
-            break
-        if not applied:
-            return records
-
-
 @pytest.fixture(scope="session")
 def improvement_fuzz():
+    """Snapshot around every adjustment the real local solver applies, over
+    chorded in-stars and small random graphs, until there are 10,000."""
+    apply = dmdst.local_search.apply_improvement_path
     records = []
-    seed = 0
-    while len(records) < 10_000:
-        records.extend(gated_improvement_records(instar_with_chords(9, seed)))
-        n = 4 + seed % 6
-        extra = min((seed * 5) % 13, (n - 1) ** 2)
-        records.extend(gated_improvement_records(gen_random(n, extra, seed)))
-        seed += 1
+
+    def recorded(t, path):
+        k = choose_k(t, 2)
+        old_parent = t.parent[path.vertices[0]]
+        before = degree_snapshot(t)
+        phi_before = t.potential(2)
+        delta = apply(t, path)
+        records.append(
+            (path, old_parent, before, degree_snapshot(t), phi_before, t.potential(2), k)
+        )
+        return delta
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dmdst.local_search, "apply_improvement_path", recorded)
+        seed = 0
+        while len(records) < 10_000:
+            run_local_search(instar_with_chords(9, seed))
+            n = 4 + seed % 6
+            extra = min((seed * 5) % 13, (n - 1) ** 2)
+            run_local_search(gen_random(n, extra, seed))
+            seed += 1
     return records
 
 

@@ -94,8 +94,11 @@ def test_scan_budget_admits_exactly_its_floor():
 def test_exit_set_leaf_with_two_exits():
     g = Digraph(4, 0, [(1, 0), (2, 0), (3, 0), (3, 1), (3, 2)])
     t = build_initial_tree(g)
-    exits = exit_set(t, g, 3, 5, t.subtree(3))
-    assert exits == {0: (3, 0), 1: (3, 1), 2: (3, 2)}
+    # at k=5 the parent (degree 3 <= k-2) is already a low exit
+    assert list(exit_set(t, g, 3, 5, t.subtree(3)).items()) == [(0, (3, 0))]
+    # at k=3 it is not; the scan stops at the next exit, leaf 1
+    exits = exit_set(t, g, 3, 3, t.subtree(3))
+    assert list(exits.items()) == [(0, (3, 0)), (1, (3, 1))]
 
 
 def test_exit_set_empty_when_no_edges_leave():
@@ -112,17 +115,25 @@ def test_exit_set_matches_brute_force(seed):
     n = 4 + seed % 6
     g = gen_random(n, min(seed % 13, (n - 1) ** 2), seed)
     t = build_initial_tree(g)
-    k = t.max_deg + 3  # every subtree is clean at this class
     for u in range(g.n):
         inside = t.subtree(u)
-        exits = exit_set(t, g, u, k, inside)
-        assert set(exits) == brute_first_exits(t, g, u)
-        for x, path in exits.items():
-            assert path[0] == u and path[-1] == x
-            assert len(set(path)) == len(path)
-            assert all(v in inside for v in path[:-1])
-            for a, b in zip(path, path[1:]):
-                assert g.has_edge(a, b)
+        brute = brute_first_exits(t, g, u)
+        # every class at which subtree(u) is clean, up to one where every
+        # exit is low
+        for k in range(max(t.deg(v) for v in inside) + 3, t.max_deg + 4):
+            exits = exit_set(t, g, u, k, inside)
+            assert set(exits) <= brute
+            for x, path in exits.items():
+                assert path[0] == u and path[-1] == x
+                assert len(set(path)) == len(path)
+                assert all(v in inside for v in path[:-1])
+                for a, b in zip(path, path[1:]):
+                    assert g.has_edge(a, b)
+            low = [x for x in exits if t.deg(x) <= k - 2]
+            if low:
+                assert low == [list(exits)[-1]]
+            else:
+                assert set(exits) == brute
 
 
 def test_extend_layer_finds_endpoint_immediately():

@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import dmdst.local_search
+
 from dmdst import (
     Config,
     Digraph,
@@ -40,7 +42,7 @@ def test_find_path_single_hop_example():
     g = star_with_escape()
     t = build_initial_tree(g)
     assert t.deg(1) == 3
-    p = find_improvement_path(t, g, 2, 3)
+    p = find_improvement_path(t, g, 2, 3, t.subtree(2))
     assert p is not None
     assert p.vertices == (2, 5)
 
@@ -48,7 +50,7 @@ def test_find_path_single_hop_example():
 def test_find_path_absent_without_chord():
     g = star_with_escape(with_chord=False)
     t = build_initial_tree(g)
-    assert find_improvement_path(t, g, 2, 3) is None
+    assert find_improvement_path(t, g, 2, 3, t.subtree(2)) is None
 
 
 @given(st.integers(0, 10 ** 6))
@@ -61,7 +63,7 @@ def test_find_path_existence_matches_brute_force(seed):
         if p is None:
             continue
         d = t.deg(p)
-        found = find_improvement_path(t, g, u, d)
+        found = find_improvement_path(t, g, u, d, t.subtree(u))
         brute = brute_improvement_paths(t, g, u, d)
         assert (found is not None) == bool(brute)
         if found is not None:
@@ -72,7 +74,7 @@ def test_find_path_existence_matches_brute_force(seed):
 def test_apply_single_hop_example():
     g = star_with_escape()
     t = build_initial_tree(g)
-    p = find_improvement_path(t, g, 2, 3)
+    p = find_improvement_path(t, g, 2, 3, t.subtree(2))
     delta = apply_improvement_path(t, p)
     assert t.deg(1) == 2
     assert t.deg(5) == 1
@@ -85,7 +87,7 @@ def test_apply_single_hop_example():
 def test_apply_rejects_stale_path():
     g = star_with_escape()
     t = build_initial_tree(g)
-    p = find_improvement_path(t, g, 2, 3)
+    p = find_improvement_path(t, g, 2, 3, t.subtree(2))
     apply_improvement_path(t, p)
     with pytest.raises(StalePath):
         apply_improvement_path(t, p)
@@ -96,7 +98,7 @@ def test_apply_potential_change_matches_recomputation():
     t = build_initial_tree(g)
     k = choose_k(t, 2)
     for u in sorted(c for p in t.members(k) for c in t.children[p]):
-        path = find_improvement_path(t, g, u, k)
+        path = find_improvement_path(t, g, u, k, t.subtree(u))
         if path is None:
             continue
         before = t.potential(2)
@@ -149,10 +151,16 @@ def test_psi_matches_subtree_enumeration(seed):
             expected = sum(
                 2 ** t.deg(v) for v in t.subtree(u) if t.deg(v) <= k - 2
             )
-            assert psi(t, u, k) == expected
+            inside: set[int] = set()
+            assert psi(t, u, k, None, inside) == expected
+            assert inside == t.subtree(u)
             for limit in (0, Fraction(3, 2), expected - 1, expected):
-                early = psi(t, u, k, limit)
+                inside = set()
+                early = psi(t, u, k, limit, inside)
                 assert early == expected if expected <= limit else early > limit
+                assert inside <= t.subtree(u)
+                if expected <= limit:
+                    assert inside == t.subtree(u)
 
 
 def test_run_on_path_returns_immediately():
@@ -160,6 +168,44 @@ def test_run_on_path_returns_immediately():
     assert report.delta_final == 1
     assert report.iterations == 0
     assert report.parent == [-1, 0, 1, 2, 3, 4]
+
+
+def test_path_stalls_without_psi_or_path_search(monkeypatch):
+    """k = 1 on a path: the round stalls before any candidate is tried."""
+    calls = []
+    for name in ("psi", "find_improvement_path"):
+        fn = getattr(dmdst.local_search, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(dmdst.local_search, name, counted)
+    report = run_local_search(gen_path(2000))
+    assert calls == []
+    assert (report.delta_initial, report.delta_final, report.iterations) == (1, 1, 0)
+    assert report.exit_reason == "stalled"
+    assert report.certificate is None and report.lower_bound is None
+    assert report.parent == [-1] + list(range(1999))
+
+
+def test_path_search_reuses_the_gated_subtree(corpus_results, monkeypatch):
+    """The vertex set psi collected is exactly subtree(u) whenever the
+    path search runs, and reusing it leaves every corpus report as is."""
+    search = dmdst.local_search.find_improvement_path
+    searched = []
+
+    def checked(t, g, u, d, inside):
+        assert inside == t.subtree(u), u
+        searched.append(u)
+        return search(t, g, u, d, inside)
+
+    monkeypatch.setattr(dmdst.local_search, "find_improvement_path", checked)
+    results, _ = corpus_results
+    for s in results:
+        report = run_local_search(s.g, Config.for_graph(s.g), trace=True)
+        assert report_without_timing(report) == report_without_timing(s.local), s.name
+    assert len(searched) > sum(s.local.iterations for s in results)
 
 
 def test_run_improves_star_with_ham_path():
@@ -193,7 +239,7 @@ def test_adjustment_audit_off_path_untouched():
     k = choose_k(t, 2)
     candidates = sorted(c for p in t.members(k) for c in t.children[p])
     for u in candidates:
-        path = find_improvement_path(t, g, u, k)
+        path = find_improvement_path(t, g, u, k, t.subtree(u))
         if path is None:
             continue
         old_parent = t.parent[u]

@@ -4,9 +4,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from dmdst import Config, Digraph, build_initial_tree, gen_complete, gen_instar, gen_path, gen_random
+from dmdst import (
+    Config,
+    Digraph,
+    build_initial_tree,
+    gen_blocker,
+    gen_complete,
+    gen_instar,
+    gen_path,
+    gen_random,
+    run_augmenting_search,
+    run_local_search,
+    tree_from_parents,
+)
 from dmdst.tree import CutSink, EmptyDegreeClass, InTree, NotAnEdge
-from conftest import brute_unrelated
+from conftest import all_picks_unrelated_children, brute_unrelated
 
 
 def path_with_chord():
@@ -135,6 +147,31 @@ def test_unrelated_children_nested_case_attains_bound():
 def test_unrelated_children_degree_one():
     t = build_initial_tree(gen_path(4))
     assert len(t.unrelated_children(1)) >= 1
+
+
+def test_unrelated_children_matches_all_picks_reference(corpus_results):
+    """Every class d >= 2 of the corpus's start, local and augment trees,
+    and of blocker-family trees, against the all-picks definition."""
+    results, _ = corpus_results
+    graphs = [(r.g, r.local, r.augment) for r in results]
+    for k, fanout in ((4, 3), (6, 10), (10, 20), (25, 30)):
+        for seed in range(3):
+            g = gen_blocker(k, fanout, seed)
+            graphs.append((g, run_local_search(g), run_augmenting_search(g)))
+    checked = evicting = 0
+    for g, local, augment in graphs:
+        trees = [build_initial_tree(g)]
+        trees += [tree_from_parents(g, rep.parent) for rep in (local, augment)]
+        for t in trees:
+            for d in t.degree_counts():
+                if d < 2:
+                    continue
+                picks = t.unrelated_children(d)
+                assert picks == all_picks_unrelated_children(t, d), (d, t.parent)
+                checked += 1
+                evicting += len(picks) < sum(t.deg(u) for u in t.members(d))
+    assert checked > 1000
+    assert evicting > 100
 
 
 def test_unrelated_children_rejects_empty_class():
