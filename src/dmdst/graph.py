@@ -4,12 +4,20 @@ Vertices are dense 0-based integers.  An edge u -> v means "u may choose v
 as its parent", so spanning in-trees toward the sink are assembled from
 parent choices along these edges.  Every valid graph guarantees that the
 sink is reachable from all vertices.
+
+Both ways in, Digraph(n, sink, edges) and parse_graph, go through one
+builder over two int columns, whose range, self-loop and duplicate checks
+run in bulk.  parse_graph reads text in exactly the canonical form that
+serialize_graph writes in bulk (one json call for the whole body) and any
+other text line by line; an invalid file raises the same error type on the
+same line either way.
 """
 
 from __future__ import annotations
 
+import json
 from collections import deque
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 MAGIC = "dmdst 1"
 
@@ -60,31 +68,57 @@ class Digraph:
         edges: Iterable[tuple[int, int]],
         validate_reachability: bool = True,
     ) -> None:
+        pairs = list(edges)
+        self._build(
+            n, sink, [u for u, _ in pairs], [v for _, v in pairs], None,
+            validate_reachability,
+        )
+
+    def _build(
+        self,
+        n: int,
+        sink: int,
+        us: Sequence[int],
+        vs: Sequence[int],
+        lines: Sequence[int] | None,
+        validate_reachability: bool,
+    ) -> None:
+        """The one edge builder, over the edge columns us[i] -> vs[i].
+
+        Range, self-loop and duplicate checks run in bulk; only when one
+        fails does _edge_fault scan the edges in order for the first
+        offending one, so the error is the one a check of each edge in turn
+        would raise (on line lines[i] for edge i, when lines are given).
+        """
         if n < 1:
             raise MalformedHeader(f"vertex count must be >= 1, got {n}")
         if not 0 <= sink < n:
             raise VertexOutOfRange(f"sink {sink} out of range for n={n}")
+        m = len(us)
+        # Before any indexing: a negative vertex would wrap around silently.
+        if m and (min(us) < 0 or min(vs) < 0 or max(us) >= n or max(vs) >= n):
+            raise _edge_fault(n, us, vs, lines)
         out: list[list[int]] = [[] for _ in range(n)]
-        out_sets: list[set[int]] = [set() for _ in range(n)]
         rev: list[list[int]] = [[] for _ in range(n)]
-        m = 0
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise VertexOutOfRange(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                raise SelfLoop(f"self-loop at vertex {u}")
-            if v in out_sets[u]:
-                raise DuplicateEdge(f"duplicate edge ({u}, {v})")
+        for u, v in zip(us, vs):
             out[u].append(v)
-            out_sets[u].add(v)
             rev[v].append(u)
-            m += 1
+        # Through set(): a frozenset copied from a set gets a table sized to
+        # it, while one grown from a list can take twice the memory.
+        out_sets = tuple(map(frozenset, map(set, out)))
+        # A self-loop puts u in its own out-set; a repeated edge leaves a
+        # set smaller than its list.
+        if (
+            any(map(frozenset.__contains__, out_sets, range(n)))
+            or sum(map(len, out_sets)) != m
+        ):
+            raise _edge_fault(n, us, vs, lines)
         self.n = n
         self.m = m
         self.sink = sink
-        self.out_edges = tuple(tuple(a) for a in out)
-        self.out_sets = tuple(frozenset(s) for s in out_sets)
-        self.rev_edges = tuple(tuple(a) for a in rev)
+        self.out_edges = tuple(map(tuple, out))
+        self.out_sets = out_sets
+        self.rev_edges = tuple(map(tuple, rev))
         if validate_reachability:
             stranded = unreachable_to_sink(self)
             if stranded:
@@ -115,21 +149,43 @@ class Digraph:
         return f"Digraph(n={self.n}, m={self.m}, sink={self.sink})"
 
 
+def _edge_fault(
+    n: int, us: Sequence[int], vs: Sequence[int], lines: Sequence[int] | None
+) -> GraphFormatError | None:
+    """The first edge, in order, that is out of range, a self-loop or a
+    repeat, as the error checking it raises (checked in that order)."""
+    seen: set[tuple[int, int]] = set()
+    for i, (u, v) in enumerate(zip(us, vs)):
+        if not (0 <= u < n and 0 <= v < n):
+            kind, message = VertexOutOfRange, f"edge ({u}, {v}) out of range for n={n}"
+        elif u == v:
+            kind, message = SelfLoop, f"self-loop at vertex {u}"
+        elif (u, v) in seen:
+            kind, message = DuplicateEdge, f"duplicate edge ({u}, {v})"
+        else:
+            seen.add((u, v))
+            continue
+        return kind(message, None if lines is None else lines[i])
+    return None
+
+
 def unreachable_to_sink(g: Digraph) -> set[int]:
     """Vertices with no directed path to the sink (empty on a valid graph).
 
-    One backward BFS from the sink over reversed edges.
+    One backward BFS from the sink over reversed edges; it stops once every
+    vertex is seen, which on a dense graph is after a few edge lists.
     """
     seen = [False] * g.n
     seen[g.sink] = True
+    left = g.n - 1
     queue = deque([g.sink])
-    while queue:
-        v = queue.popleft()
-        for u in g.rev_edges[v]:
+    while queue and left:
+        for u in g.rev_edges[queue.popleft()]:
             if not seen[u]:
                 seen[u] = True
+                left -= 1
                 queue.append(u)
-    return {v for v in range(g.n) if not seen[v]}
+    return {v for v in range(g.n) if not seen[v]} if left else set()
 
 
 def parse_graph(text: str | bytes) -> Digraph:
@@ -143,9 +199,72 @@ def parse_graph(text: str | bytes) -> Digraph:
 
     Lines starting with '#' are comments; blank lines and trailing
     whitespace are tolerated.
+
+    Text exactly in the canonical form serialize_graph writes is read in
+    bulk; anything else is read line by line.  Both feed the same builder,
+    and an invalid file raises the same error on the same line either way.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
+    n, sink, us, vs, lines = _canonical_columns(text) or _line_columns(text)
+    g = Digraph.__new__(Digraph)
+    g._build(n, sink, us, vs, lines, True)
+    return g
+
+
+def _read_header(header: str, lineno: int) -> tuple[int, int, int]:
+    """n, m and sink from the '<n> <m> <sink>' line, checked."""
+    parts = header.split()
+    if len(parts) != 3:
+        raise MalformedHeader(f"expected '<n> <m> <sink>', got {header!r}", lineno)
+    try:
+        n, m, sink = (int(p) for p in parts)
+    except ValueError:
+        raise MalformedHeader(f"non-integer header field in {header!r}", lineno)
+    if n < 1:
+        raise MalformedHeader(f"vertex count must be >= 1, got {n}", lineno)
+    if not 0 <= sink < n:
+        raise VertexOutOfRange(f"sink {sink} out of range for n={n}", lineno)
+    return n, m, sink
+
+
+_Columns = tuple[int, int, Sequence[int], Sequence[int], Sequence[int]]
+
+
+def _canonical_columns(text: str) -> _Columns | None:
+    """(n, sink, us, vs, lines) of text in serialize_graph's exact form,
+    else None.
+
+    The body must be m lines of two ASCII digit runs joined by one space,
+    each ending in a newline; json then converts it in one call, and
+    rejects leading zeros (those files take the line path).  Edge i is on
+    line i + 3.
+    """
+    magic, _, rest = text.partition("\n")
+    header, newline, body = rest.partition("\n")
+    fields = header.split(" ")
+    if not (
+        magic == MAGIC
+        and newline
+        and len(fields) == 3
+        and all(f.isascii() and f.isdigit() for f in fields)
+    ):
+        return None
+    n, m, sink = _read_header(header, 2)
+    if not body.isascii():
+        return None
+    skeleton = body.encode("ascii").translate(None, b"0123456789")
+    if len(skeleton) != 2 * m or skeleton != b" \n" * m:
+        return None
+    try:
+        nums = json.loads("[" + body.replace("\n", ",").replace(" ", ",")[:-1] + "]")
+    except ValueError:
+        return None
+    return n, sink, nums[0::2], nums[1::2], range(3, m + 3)
+
+
+def _line_columns(text: str) -> _Columns:
+    """(n, sink, us, vs, lines) of any text, read line by line."""
     rows: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.rstrip()
@@ -158,42 +277,30 @@ def parse_graph(text: str | bytes) -> Digraph:
     if len(rows) < 2:
         raise MalformedHeader("missing '<n> <m> <sink>' header line", rows[0][0])
     lineno, header = rows[1]
-    parts = header.split()
-    if len(parts) != 3:
-        raise MalformedHeader(f"expected '<n> <m> <sink>', got {header!r}", lineno)
-    try:
-        n, m, sink = (int(p) for p in parts)
-    except ValueError:
-        raise MalformedHeader(f"non-integer header field in {header!r}", lineno)
-    if n < 1:
-        raise MalformedHeader(f"vertex count must be >= 1, got {n}", lineno)
-    if not 0 <= sink < n:
-        raise VertexOutOfRange(f"sink {sink} out of range for n={n}", lineno)
+    n, m, sink = _read_header(header, lineno)
     edge_rows = rows[2:]
     if len(edge_rows) != m:
         raise MalformedHeader(
             f"header promises {m} edges but file has {len(edge_rows)}", lineno
         )
-    # Digraph checks each edge (range, self-loop, duplicate) as it consumes
-    # this generator, so a failed check belongs to the line read last.
-    current = lineno
-
-    def edges() -> Iterator[tuple[int, int]]:
-        nonlocal current
-        for current, line in edge_rows:
-            parts = line.split()
+    us: list[int] = []
+    vs: list[int] = []
+    lines: list[int] = []
+    for lineno, line in edge_rows:
+        parts = line.split()
+        try:
+            u, v = map(int, parts)
+        except ValueError:
             if len(parts) != 2:
-                raise MalformedHeader(f"expected '<u> <v>', got {line!r}", current)
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise MalformedHeader(f"non-integer edge field in {line!r}", current)
-            yield u, v
-
-    try:
-        return Digraph(n, sink, edges())
-    except (VertexOutOfRange, SelfLoop, DuplicateEdge) as exc:
-        raise type(exc)(str(exc), current) from None
+                error = f"expected '<u> <v>', got {line!r}"
+            else:
+                error = f"non-integer edge field in {line!r}"
+            # An edge above this line that fails a graph check comes first.
+            raise _edge_fault(n, us, vs, lines) or MalformedHeader(error, lineno)
+        us.append(u)
+        vs.append(v)
+        lines.append(lineno)
+    return n, sink, us, vs, lines
 
 
 def serialize_graph(g: Digraph) -> str:

@@ -10,8 +10,10 @@ every time.
 
 A round pays only for the candidates it tries: one walk of each
 candidate's subtree computes its gate value (psi) and collects the vertex
-set that its path search (find_improvement_path) then reuses, and a class
-below 2 stalls at once, since no path vertex can have degree <= k-2 there.
+set that its path search (find_improvement_path) then reuses.  A class
+below 2 stalls at once, since no path vertex can have degree <= k-2 there,
+and so does class 2, whose gate 1/2 no subtree passes: each holds a leaf,
+worth 2**0 = 1.
 """
 
 from __future__ import annotations
@@ -93,7 +95,6 @@ def psi(
     limit leaves inside equal to subtree(u)'s vertex set, ready for
     find_improvement_path.
     """
-    cap = None if limit is None else math.floor(limit)
     if inside is None:
         inside = set()
     children = t.children
@@ -107,7 +108,7 @@ def psi(
         d = len(kids)
         if d <= k - 2:
             total += 1 << d
-            if cap is not None and total > cap:
+            if limit is not None and total > limit:
                 return total
     return total
 
@@ -218,11 +219,15 @@ def run_local_search(
 
     def attempt(t: InTree, k: int) -> dict | Stall:
         nonlocal applications
-        if k < 2:
-            # No path vertex can have degree <= k-2 < 0: nothing applies.
+        if k <= 2:
+            # k < 2: no path vertex can have degree <= k-2 < 0.  k = 2: the
+            # gate is 1/2, and every subtree holds a leaf, whose psi term is
+            # 2**0 = 1.  Either way nothing applies.
             return Stall(k)
         members = t.members(k)
-        gate = cfg.psi_factor * (1 << k)
+        # psi is an int, so psi > gate iff psi > floor(gate); for k >= 3
+        # the gate 2**k / 8 is an int anyway.
+        gate = math.floor(cfg.psi_factor * (1 << k))
         candidates = sorted(c for parent in members for c in t.children[parent])
         for u in candidates:
             inside: set[int] = set()

@@ -325,21 +325,25 @@ def build_initial_tree(g: Digraph) -> InTree:
     """Breadth-first spanning tree from the sink over reversed edges.
 
     Deterministic given the graph's edge order; parent(v) is v's BFS
-    predecessor, so the tree is as shallow as the graph allows.
+    predecessor, so the tree is as shallow as the graph allows.  The walk
+    stops once every vertex is seen: parents are set on first visit only,
+    so the rest of the walk could not change the tree.
     """
     parent: list[int | None] = [None] * g.n
     seen = [False] * g.n
     seen[g.sink] = True
+    left = g.n - 1
     queue = deque([g.sink])
-    while queue:
+    while queue and left:
         v = queue.popleft()
         for u in g.rev_edges[v]:
             if not seen[u]:
                 seen[u] = True
                 parent[u] = v
+                left -= 1
                 queue.append(u)
-    missing = [v for v in range(g.n) if not seen[v]]
-    if missing:
+    if left:
+        missing = [v for v in range(g.n) if not seen[v]]
         raise TreeError(f"graph invariant broken: {missing} cannot reach sink")
     return InTree(g, parent)
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import time
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -155,6 +156,23 @@ def brute_first_exits(t: InTree, g: Digraph, u: int) -> set[int]:
 
     dfs(u, [u])
     return exits
+
+
+def full_bfs_parents(g: Digraph) -> list[int | None]:
+    """build_initial_tree's parent array by its first definition: a BFS
+    from the sink over reversed edges that walks every edge list."""
+    parent: list[int | None] = [None] * g.n
+    seen = {g.sink}
+    queue = deque([g.sink])
+    while queue:
+        v = queue.popleft()
+        for u in g.rev_edges[v]:
+            if u not in seen:
+                seen.add(u)
+                parent[u] = v
+                queue.append(u)
+    assert len(seen) == g.n
+    return parent
 
 
 def brute_unrelated(t: InTree, u: int, v: int) -> bool:

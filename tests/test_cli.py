@@ -2,7 +2,16 @@ import json
 
 import pytest
 
-from dmdst import Digraph, SolveReport, cli, gen_instar, gen_path, save_graph, serialize_graph
+from dmdst import (
+    Digraph,
+    SolveReport,
+    cli,
+    gen_instar,
+    gen_path,
+    gen_random,
+    save_graph,
+    serialize_graph,
+)
 from dmdst.augmenting import ValidationFailed
 from dmdst.cli import main
 
@@ -181,6 +190,31 @@ def test_reports_are_stable_modulo_timing(tmp_path, capsys):
         data["wall_time_ms"] = 0.0
         outputs.append(json.dumps(data, sort_keys=True))
     assert outputs[0] == outputs[1]
+
+
+def test_solve_reads_canonical_and_annotated_files_alike(tmp_path, capsys):
+    text = serialize_graph(gen_random(40, 70, 5))
+    canonical = tmp_path / "canonical.g"
+    canonical.write_text(text)
+    annotated = tmp_path / "annotated.g"
+    rows = ["# the same graph, annotated"]
+    for i, line in enumerate(text.splitlines()):
+        rows.extend([line + "  ", "# edge block"] if i % 4 == 3 else [line, ""])
+    annotated.write_bytes("\r\n".join(rows).encode())
+    for algo in ("local", "augment"):
+        reports = {}
+        for path in (canonical, annotated):
+            code, stdout, err = run_cli(capsys, "solve", str(path), "--algo", algo, "--trace")
+            assert code == 0, err
+            data = json.loads(stdout)
+            del data["wall_time_ms"]
+            reports[path] = json.dumps(data, sort_keys=True)
+            report_file = tmp_path / f"{path.stem}-{algo}.json"
+            report_file.write_text(stdout)
+            for graph_path in (canonical, annotated):
+                code, out, err = run_cli(capsys, "verify", str(graph_path), str(report_file))
+                assert (code, out.strip()) == (0, "ok"), err
+        assert reports[canonical] == reports[annotated]
 
 
 def test_bench_produces_expected_matrix(capsys):

@@ -3,18 +3,22 @@ from hypothesis import given, strategies as st
 
 from dmdst import (
     Digraph,
+    build_initial_tree,
     gen_random,
     parse_graph,
     serialize_graph,
     unreachable_to_sink,
 )
+from dmdst import graph as graph_module
 from dmdst.graph import (
     DuplicateEdge,
+    GraphFormatError,
     MalformedHeader,
     SelfLoop,
     SinkUnreachable,
     VertexOutOfRange,
 )
+from dmdst.tree import TreeError
 
 PATH3 = "dmdst 1\n3 2 0\n1 0\n2 1\n"
 
@@ -67,11 +71,124 @@ def test_parse_reports_offending_line():
     with pytest.raises(VertexOutOfRange) as info:
         parse_graph("dmdst 1\n3 2 0\n1 0\n5 1\n")
     assert info.value.line == 4
+    # one line too long and one too short, together as many numbers as
+    # two edges
+    with pytest.raises(MalformedHeader) as info:
+        parse_graph("dmdst 1\n3 2 0\n2 1 0\n1\n")
+    assert info.value.line == 3
+    # A graph fault above a malformed line comes first, and vice versa.
+    with pytest.raises(SelfLoop) as info:
+        parse_graph("dmdst 1\n3 3 0\n1 1\n2 1 7\n2 0\n")
+    assert info.value.line == 3
+    with pytest.raises(MalformedHeader) as info:
+        parse_graph("dmdst 1\n3 3 0\n2 1 7\n1 1\n2 0\n")
+    assert info.value.line == 3
+
+
+@pytest.mark.parametrize(
+    "text, kind, line, message",
+    [
+        ("dmdst 1\n3 2 0\n1 1\n2 1\n", SelfLoop, 3, "self-loop at vertex 1"),
+        ("dmdst 1\n3 3 0\n1 0\n2 1\n1 0\n", DuplicateEdge, 5, "duplicate edge (1, 0)"),
+        ("dmdst 1\n3 2 0\n1 0\n9 1\n", VertexOutOfRange, 4, "edge (9, 1) out of range for n=3"),
+        # several faults: the first edge in file order decides, range first
+        ("dmdst 1\n3 3 0\n1 0\n1 0\n9 9\n", DuplicateEdge, 4, "duplicate edge (1, 0)"),
+        ("dmdst 1\n3 3 0\n1 0\n9 9\n1 0\n", VertexOutOfRange, 4, "edge (9, 9) out of range for n=3"),
+        ("dmdst 1\n3 2 0\n1 0\n2 2\n", SelfLoop, 4, "self-loop at vertex 2"),
+    ],
+)
+def test_parse_reports_offending_line_in_canonical_text(text, kind, line, message):
+    assert graph_module._canonical_columns(text) is not None
+    with pytest.raises(kind) as info:
+        parse_graph(text)
+    assert info.value.line == line
+    assert str(info.value) == f"line {line}: {message}"
+
+
+def rewrite_as_lines(text: str, comment_every: int) -> tuple[str, dict[int, int]]:
+    """The same file in a form only the line tokenizer reads: comments,
+    blank lines, tabs and trailing spaces, CRLF, no final newline.  Also
+    returns the new line number of each original line."""
+    out: list[str] = ["# leading comment", ""]
+    line_of: dict[int, int] = {}
+    for i, line in enumerate(text.split("\n")[:-1], start=1):
+        if i % comment_every == 0:
+            out.extend(["  # a comment", "\t"])
+        line_of[i] = len(out) + 1
+        out.append((line if i == 1 else line.replace(" ", "\t ", 1)) + " \t")
+    return "\r\n".join(out), line_of
+
+
+def parse_outcome(text: str, line_of: dict[int, int] | None = None):
+    """("ok", fields) or (error type, line), the line mapped through line_of."""
+    try:
+        g = parse_graph(text)
+    except GraphFormatError as exc:
+        line = exc.line if line_of is None or exc.line is None else line_of[exc.line]
+        return type(exc), line
+    return "ok", (g.n, g.m, g.sink, g.out_edges, g.out_sets, g.rev_edges)
+
+
+@given(st.integers(4, 40), st.integers(0, 60), st.integers(0, 10 ** 6), st.integers(1, 7))
+def test_tokenizers_agree_on_valid_graphs(n, extra, seed, comment_every):
+    g = gen_random(n, min(extra, (n - 1) ** 2), seed)
+    text = serialize_graph(g)
+    lined, _ = rewrite_as_lines(text, comment_every)
+    assert graph_module._canonical_columns(text) is not None
+    assert graph_module._canonical_columns(lined) is None
+    assert parse_outcome(text) == parse_outcome(lined)
+    assert parse_graph(text) == g
+
+
+def inject(text: str, fault: str, pick: int) -> str:
+    """Canonical text with one fault on an edge line (or the header)."""
+    lines = text.split("\n")
+    n, m, sink = map(int, lines[1].split())
+    edges = len(lines) - 3  # m, unless a count fault changed the header
+    j = 2 + pick % edges
+    parts = lines[j].split()
+    u, v = parts[0], parts[-1]
+    lines[j] = {
+        "range": f"{u} {n + pick % 3}",
+        "negative": f"-1 {v}",
+        "self-loop": f"{u} {u}",
+        "duplicate": lines[2 + (pick // 7) % edges],
+        "one-token": u,
+        "three-token": f"{u} {v} {v}",
+        "zero-padded": f"00{u} {v}",
+        "plus-sign": f"+{u} {v}",
+        "arabic-indic": f"{u} {v}".replace("1", "\u0661"),
+        "superscript": f"{u} {v}".replace("2", "\u00b2"),
+    }.get(fault, lines[j])
+    if fault == "count":
+        lines[1] = f"{n} {m + (1 if pick % 2 else -1)} {sink}"
+    return "\n".join(lines)
+
+
+FAULTS = [
+    "range", "negative", "self-loop", "duplicate", "one-token", "three-token",
+    "count", "zero-padded", "plus-sign", "arabic-indic", "superscript",
+]
+
+
+@given(
+    st.integers(4, 20), st.integers(0, 30), st.integers(0, 10 ** 6),
+    st.lists(st.tuples(st.sampled_from(FAULTS), st.integers(0, 10 ** 6)), min_size=1, max_size=3),
+)
+def test_tokenizers_agree_on_faulted_text(n, extra, seed, faults):
+    text = serialize_graph(gen_random(n, min(extra, (n - 1) ** 2), seed))
+    for fault, pick in faults:
+        text = inject(text, fault, pick)
+    lined, line_of = rewrite_as_lines(text, 3)
+    assert parse_outcome(text, line_of) == parse_outcome(lined)
 
 
 def test_comments_and_whitespace_tolerated():
     text = "# header comment\ndmdst 1\n3 2 0   \n# mid comment\n1 0\n2 1  \n"
     assert parse_graph(text) == parse_graph(PATH3)
+    # a canonical magic line followed by a header that is not on line 2
+    for text in ("dmdst 1\n# a b\n3 2 0\n1 0\n2 1\n", "dmdst 1\n  \n3 2 0\n1 0\n2 1\n"):
+        assert parse_graph(text) == parse_graph(PATH3)
 
 
 def test_roundtrip_path_is_byte_identical():
@@ -106,6 +223,74 @@ def test_unreachable_set_empty_on_valid_graph():
 def test_unreachable_set_names_isolated_vertex():
     g = Digraph(3, 0, [(1, 0)], validate_reachability=False)
     assert unreachable_to_sink(g) == {2}
+
+
+@pytest.mark.parametrize(
+    "n, edges, stranded",
+    [
+        # the last vertex, behind a complete graph the walk finishes early on
+        (5, [(u, v) for u in range(4) for v in range(4) if u != v] + [(0, 4), (1, 4)], 4),
+        # the only vertex besides the sink
+        (2, [(0, 1)], 1),
+        (4, [(1, 0), (3, 0), (0, 2), (3, 2)], 2),
+    ],
+)
+def test_unreachable_names_stranded_vertex(n, edges, stranded):
+    g = Digraph(n, 0, edges, validate_reachability=False)
+    assert unreachable_to_sink(g) == {stranded}
+    with pytest.raises(TreeError, match=rf"\[{stranded}\] cannot reach sink"):
+        build_initial_tree(g)
+    with pytest.raises(SinkUnreachable) as info:
+        Digraph(n, 0, edges)
+    assert info.value.vertices == (stranded,)
+
+
+def edge_by_edge_fault(n: int, edges: list[tuple[int, int]]):
+    """The builder's checks as first written, one edge at a time: range,
+    then self-loop, then repeat.  (type, message) of the first fault."""
+    seen = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            return VertexOutOfRange, f"edge ({u}, {v}) out of range for n={n}"
+        if u == v:
+            return SelfLoop, f"self-loop at vertex {u}"
+        if (u, v) in seen:
+            return DuplicateEdge, f"duplicate edge ({u}, {v})"
+        seen.add((u, v))
+    return None
+
+
+def builder_outcome(n: int, edges: list[tuple[int, int]]):
+    try:
+        Digraph(n, 0, edges, validate_reachability=False)
+    except GraphFormatError as exc:
+        assert exc.line is None
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "edges, kind",
+    [
+        ([(1, 0), (1, 1), (9, 0)], SelfLoop),
+        ([(1, 0), (9, 0), (1, 1)], VertexOutOfRange),
+        ([(1, 0), (2, 0), (1, 0), (2, 2), (-1, 0)], DuplicateEdge),
+        ([(2, 1), (-1, 0), (1, 0), (1, 0)], VertexOutOfRange),
+        ([(9, 9)], VertexOutOfRange),
+        ([(1, 0), (2, 1), (2, 2), (1, 0)], SelfLoop),
+    ],
+)
+def test_builder_raises_first_fault_in_order(edges, kind):
+    assert builder_outcome(3, edges) == edge_by_edge_fault(3, edges)
+    assert builder_outcome(3, edges)[0] is kind
+
+
+@given(
+    st.integers(1, 6),
+    st.lists(st.tuples(st.integers(-2, 7), st.integers(-2, 7)), max_size=14),
+)
+def test_builder_matches_edge_by_edge_checks(n, edges):
+    assert builder_outcome(n, edges) == edge_by_edge_fault(n, edges)
 
 
 @given(st.integers(0, 10 ** 6))

@@ -170,8 +170,8 @@ def test_run_on_path_returns_immediately():
     assert report.parent == [-1, 0, 1, 2, 3, 4]
 
 
-def test_path_stalls_without_psi_or_path_search(monkeypatch):
-    """k = 1 on a path: the round stalls before any candidate is tried."""
+def count_candidate_work(monkeypatch) -> list[str]:
+    """Record each psi and find_improvement_path call by name."""
     calls = []
     for name in ("psi", "find_improvement_path"):
         fn = getattr(dmdst.local_search, name)
@@ -181,12 +181,32 @@ def test_path_stalls_without_psi_or_path_search(monkeypatch):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(dmdst.local_search, name, counted)
+    return calls
+
+
+def test_path_stalls_without_psi_or_path_search(monkeypatch):
+    """k = 1 on a path: the round stalls before any candidate is tried."""
+    calls = count_candidate_work(monkeypatch)
     report = run_local_search(gen_path(2000))
     assert calls == []
     assert (report.delta_initial, report.delta_final, report.iterations) == (1, 1, 0)
     assert report.exit_reason == "stalled"
     assert report.certificate is None and report.lower_bound is None
     assert report.parent == [-1] + list(range(1999))
+
+
+def test_class_two_stalls_without_psi_or_path_search(monkeypatch):
+    """k = 2 on a binary in-tree: the gate is 1/2 and every subtree holds a
+    leaf (psi >= 1), so the round stalls before any candidate is tried."""
+    n = 255
+    g = Digraph(n, 0, [(v, (v - 1) // 2) for v in range(1, n)])
+    assert choose_k(build_initial_tree(g), 2) == 2
+    calls = count_candidate_work(monkeypatch)
+    report = run_local_search(g)
+    assert calls == []
+    assert (report.delta_initial, report.delta_final, report.iterations) == (2, 2, 0)
+    assert report.exit_reason == "stalled"
+    assert report.parent == [-1] + [(v - 1) // 2 for v in range(1, n)]
 
 
 def test_path_search_reuses_the_gated_subtree(corpus_results, monkeypatch):

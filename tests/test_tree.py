@@ -14,15 +14,43 @@ from dmdst import (
     gen_path,
     gen_random,
     run_augmenting_search,
+    parse_graph,
     run_local_search,
+    serialize_graph,
     tree_from_parents,
 )
 from dmdst.tree import CutSink, EmptyDegreeClass, InTree, NotAnEdge
-from conftest import all_picks_unrelated_children, brute_unrelated
+from conftest import (
+    all_picks_unrelated_children,
+    brute_unrelated,
+    full_bfs_parents,
+    random_corpus,
+)
 
 
 def path_with_chord():
     return Digraph(3, 0, [(1, 0), (2, 1), (2, 0)])
+
+
+def pool_shape_samples() -> list[Digraph]:
+    """A few graphs of each benchmark pool shape: sparse random (m = 3n),
+    dense random (m = 30n..60n) and complete, blockers, in-stars, paths."""
+    return [
+        gen_random(500, 1001, 1), gen_random(650, 1301, 2),
+        gen_random(100, 30 * 100 - 99, 3), gen_random(200, 60 * 200 - 199, 4),
+        gen_complete(100), gen_complete(200),
+        gen_blocker(25, 30, 5), gen_blocker(6, 10, 6), gen_blocker(30, 60, 7),
+        gen_instar(40), gen_instar(400), gen_path(100), gen_path(2000),
+    ]
+
+
+def test_initial_tree_matches_full_bfs():
+    graphs = random_corpus() + pool_shape_samples()
+    # parsed text lists each reversed edge list in file order, not in
+    # generation order, so the BFS meets vertices in another order
+    graphs += [parse_graph(serialize_graph(g)) for g in graphs]
+    for g in graphs:
+        assert build_initial_tree(g).parent == full_bfs_parents(g)
 
 
 def test_initial_tree_on_path():
