@@ -26,7 +26,7 @@ from fractions import Fraction
 from .certificate import extract_augment_certificate
 from .config import Config
 from .graph import Digraph
-from .local_search import AdjustDelta, StalePath, choose_k
+from .local_search import AdjustDelta, StalePath, choose_k, rewrite_and_audit
 from .report import SolveReport
 from .search import Stall, search
 from .tree import InTree, build_initial_tree
@@ -79,7 +79,7 @@ class LayeredState:
 
 
 def subtree_potential(t: InTree, u: int, base: int) -> int:
-    return sum(base ** t.deg(v) for v in t.subtree_iter(u))
+    return sum(base ** t.deg(v) for v in t.subtree(u))
 
 
 def potential_budget(cfg: Config, i: int, k: int) -> Fraction:
@@ -277,33 +277,22 @@ def apply_augmenting_path(
 ) -> AdjustDelta:
     """Run the cut-and-append rewrite segment by segment and audit it.
 
-    Requires the final endpoint at degree <= k-2.  Only segment vertices
-    and the old parents of rerouted ones change degree, so the audit covers
-    exactly those: the tree invariants hold there
-    (InTree.validate_changed), the degree-k class lost exactly one member,
-    no class above k grew, middle endpoints kept their degree, and the
-    final endpoint gained at most two children (at most one unless it also
-    sat inside an earlier subtree).  The recorded potential change uses
-    potential_base (the search passes its base c).
+    Requires the final endpoint at degree <= k-2.  After the audited
+    rewrite (rewrite_and_audit), the degree-k class lost exactly one
+    member, no class above k grew, middle endpoints kept their degree, and
+    the final endpoint gained at most two children (at most one unless it
+    also sat inside an earlier subtree).  The recorded potential change
+    uses potential_base (the search passes its base c).
     """
     k = p.k
-    final = p.segments[-1][-1]
+    segs = p.segments
+    final = segs[-1][-1]
     if t.deg(final) > k - 2:
         raise StalePath(f"final endpoint {final} has degree {t.deg(final)} > {k - 2}")
-    rerouted = [a for seg in p.segments for a in seg[:-1]]
-    old_parents = [t.parent[a] for a in rerouted]
-    on_path = {v for s in p.segments for v in s}
-    touched = sorted(on_path.union(old_parents))
-    before = {v: t.deg(v) for v in touched}
-    counts_before = t.degree_counts()
-    phi_before = t.potential(potential_base)
-    first_parent = old_parents[0]
+    first_parent = t.parent[segs[0][0]]
     assert first_parent is not None
-    for seg in p.segments:
-        for a, b in zip(seg, seg[1:]):
-            t.cut_and_append(a, b)
-    bad = t.validate_changed(rerouted, old_parents)
-    assert not bad, f"tree invalid after augmenting adjustment: {bad[:3]}"
+    counts_before = t.degree_counts()
+    delta = rewrite_and_audit(t, k, segs, potential_base)
     counts_after = t.degree_counts()
     assert counts_after.get(k, 0) == counts_before.get(k, 0) - 1, (
         "degree-k class must shrink by exactly one"
@@ -313,18 +302,16 @@ def apply_augmenting_path(
             assert counts_after.get(d, 0) <= counts_before.get(d, 0), (
                 f"degree class {d} > k grew"
             )
-    starts = {s[0] for s in p.segments}
-    ends = [s[-1] for s in p.segments]
-    assert t.deg(first_parent) == before[first_parent] - 1
+    ends = [s[-1] for s in segs]
+    assert delta.gain(first_parent) == -1
     for v in ends[:-1]:
-        assert t.deg(v) == before[v], f"middle endpoint {v} changed degree"
-    assert t.deg(final) <= before[final] + 2
+        assert delta.gain(v) == 0, f"middle endpoint {v} changed degree"
+    assert delta.gain(final) <= 2
     assert t.deg(final) <= k - 1
-    for v in on_path - starts - set(ends):
-        assert t.deg(v) <= before[v] + 1, f"interior {v} gained more than one child"
-    phi_after = t.potential(potential_base)
-    changed = {v: (before[v], t.deg(v)) for v in touched if t.deg(v) != before[v]}
-    return AdjustDelta(k, changed, phi_before, phi_after)
+    starts = {s[0] for s in segs}
+    for v in {v for s in segs for v in s} - starts - set(ends):
+        assert delta.gain(v) <= 1, f"interior {v} gained more than one child"
+    return delta
 
 
 def run_augmenting_search(

@@ -1,10 +1,10 @@
-"""Command-line interface: generate, solve, verify, bench.
+"""Command-line interface: generate, solve, verify.
 
 Exit codes: 0 success, 1 failed verification, 2 bad input (parse or
-validation errors, a malformed report, an invalid bench matrix), 3
-internal error: any other exception, such as a failed assertion, a broken
-tree or a certificate that does not verify, is a bug, never a recoverable
-state.
+validation errors, a malformed report, an instance over the exact
+oracle's limit), 3 internal error: any other exception, such as a failed
+assertion, a broken tree or a certificate that does not verify, is a bug,
+never a recoverable state.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .augmenting import run_augmenting_search
 from .certificate import verify_blocking
 from .config import Config
 from .generators import gen_blocker, gen_complete, gen_instar, gen_path, gen_random
-from .graph import Digraph, GraphFormatError, load_graph, save_graph, serialize_graph
+from .graph import Digraph, GraphFormatError, load_graph, serialize_graph
 from .local_search import run_local_search
 from .oracle import TooLarge, exact_min_degree
 from .report import SolveReport
@@ -125,79 +125,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_list(text: str, cast) -> list:
-    return [cast(part) for part in text.split(",") if part]
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    families = _parse_list(args.families, str)
-    sizes = _parse_list(args.sizes, int)
-    seeds = _parse_list(args.seeds, int)
-    algos = _parse_list(args.algos, str)
-    if not families or not sizes or not seeds or not algos:
-        print("bench: empty matrix", file=sys.stderr)
-        return 2
-    for fam in families:
-        if fam not in FAMILIES:
-            print(f"bench: unknown family {fam!r}", file=sys.stderr)
-            return 2
-    for algo in algos:
-        if algo not in ALGOS:
-            print(f"bench: unknown algorithm {algo!r}", file=sys.stderr)
-            return 2
-    rows = []
-    for fam in families:
-        for n in sizes:
-            for seed in seeds:
-                g = _generate(fam, n, seed, args.extra_edges, args.k, args.fanout)
-                oracle_delta: int | None = None
-                if g.n <= EXACT_LIMIT:
-                    oracle_delta, _ = exact_min_degree(g, limit=EXACT_LIMIT)
-                for algo in algos:
-                    if algo == "exact" and g.n > EXACT_LIMIT:
-                        continue
-                    cfg = Config.for_graph(g, profile=args.profile, epsilon=args.epsilon)
-                    report = _solve(g, algo, cfg, trace=False)
-                    floor = 1.0
-                    if report.lower_bound is not None:
-                        floor = max(floor, float(report.lower_bound))
-                    if oracle_delta is not None:
-                        floor = max(floor, float(oracle_delta))
-                    rows.append(
-                        {
-                            "family": fam,
-                            "n": g.n,
-                            "m": g.m,
-                            "seed": seed,
-                            "algo": algo,
-                            "delta": report.delta_final,
-                            "lower_bound": None
-                            if report.lower_bound is None
-                            else [
-                                report.lower_bound.numerator,
-                                report.lower_bound.denominator,
-                            ],
-                            "gap": report.delta_final / floor,
-                            "wall_time_ms": report.wall_time_ms,
-                            "report": report.to_dict(),
-                        }
-                    )
-    if args.json:
-        sys.stdout.write(json.dumps(rows, sort_keys=True, indent=2) + "\n")
-    else:
-        header = f"{'family':<9} {'n':>4} {'seed':>5} {'algo':<8} {'delta':>5} {'lower':>7} {'gap':>6} {'ms':>8}"
-        print(header)
-        print("-" * len(header))
-        for r in rows:
-            lb = r["lower_bound"]
-            lb_text = "-" if lb is None else (f"{lb[0]}" if lb[1] == 1 else f"{lb[0]}/{lb[1]}")
-            print(
-                f"{r['family']:<9} {r['n']:>4} {r['seed']:>5} {r['algo']:<8} "
-                f"{r['delta']:>5} {lb_text:>7} {r['gap']:>6.2f} {r['wall_time_ms']:>8.1f}"
-            )
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dmdst",
@@ -228,19 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("graph")
     p_verify.add_argument("report")
     p_verify.set_defaults(func=cmd_verify)
-
-    p_bench = sub.add_parser("bench", help="run an instance x algorithm matrix")
-    p_bench.add_argument("--families", default="path,instar", help="comma-separated")
-    p_bench.add_argument("--sizes", default="10,50", help="comma-separated")
-    p_bench.add_argument("--seeds", default="0", help="comma-separated")
-    p_bench.add_argument("--algos", default="local,augment", help="comma-separated")
-    p_bench.add_argument("--profile", choices=("paper", "practical"), default="practical")
-    p_bench.add_argument("--epsilon", type=float, default=0.1)
-    p_bench.add_argument("--extra-edges", type=int, default=None)
-    p_bench.add_argument("--k", type=int, default=3)
-    p_bench.add_argument("--fanout", type=int, default=2)
-    p_bench.add_argument("--json", action="store_true")
-    p_bench.set_defaults(func=cmd_bench)
     return parser
 
 

@@ -169,23 +169,36 @@ def _edge_fault(
     return None
 
 
-def unreachable_to_sink(g: Digraph) -> set[int]:
-    """Vertices with no directed path to the sink (empty on a valid graph).
+def sink_bfs(g: Digraph) -> tuple[list[int | None], list[int]]:
+    """Breadth-first parents toward the sink over reversed edges, and the
+    vertices the walk never reached (ascending; empty on a valid graph).
 
-    One backward BFS from the sink over reversed edges; it stops once every
-    vertex is seen, which on a dense graph is after a few edge lists.
+    parent[v] is v's BFS predecessor, deterministic given the graph's edge
+    order, and None at the sink and at unreached vertices.  Parents are set
+    on first visit only, so the walk stops once every vertex is seen, which
+    on a dense graph is after a few edge lists.
     """
-    seen = [False] * g.n
-    seen[g.sink] = True
-    left = g.n - 1
-    queue = deque([g.sink])
+    n, sink = g.n, g.sink
+    parent: list[int | None] = [None] * n
+    parent[sink] = sink  # marks the sink seen during the walk
+    left = n - 1
+    queue = deque([sink])
     while queue and left:
-        for u in g.rev_edges[queue.popleft()]:
-            if not seen[u]:
-                seen[u] = True
+        v = queue.popleft()
+        for u in g.rev_edges[v]:
+            if parent[u] is None:
+                parent[u] = v
                 left -= 1
                 queue.append(u)
-    return {v for v in range(g.n) if not seen[v]} if left else set()
+    parent[sink] = None
+    if not left:
+        return parent, []
+    return parent, [v for v in range(n) if parent[v] is None and v != sink]
+
+
+def unreachable_to_sink(g: Digraph) -> set[int]:
+    """Vertices with no directed path to the sink (empty on a valid graph)."""
+    return set(sink_bfs(g)[1])
 
 
 def parse_graph(text: str | bytes) -> Digraph:

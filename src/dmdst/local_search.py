@@ -22,6 +22,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .certificate import extract_local_certificate
 from .config import Config
@@ -56,6 +57,37 @@ class AdjustDelta:
     @property
     def phi_drop(self) -> int:
         return self.phi_before - self.phi_after
+
+    def gain(self, v: int) -> int:
+        """Children v gained in the adjustment (negative if it lost some)."""
+        old, new = self.changed.get(v, (0, 0))
+        return new - old
+
+
+def rewrite_and_audit(
+    t: InTree, k: int, segments: Sequence[Sequence[int]], base: int
+) -> AdjustDelta:
+    """Reroute every segment vertex but the last onto its successor,
+    segment by segment, and audit the tree where the rewrite wrote.
+
+    Only the segment vertices and the old parents of the rerouted ones
+    change degree, so the audit covers exactly those: the tree invariants
+    hold there (InTree.validate_changed).  The returned delta records their
+    degree changes and the base-`base` potential before and after; each
+    solver asserts its own contract on it.
+    """
+    rerouted = [a for seg in segments for a in seg[:-1]]
+    old_parents = [t.parent[a] for a in rerouted]
+    touched = sorted({v for seg in segments for v in seg}.union(old_parents))
+    before = [t.deg(v) for v in touched]
+    phi_before = t.potential(base)
+    for seg in segments:
+        for a, b in zip(seg, seg[1:]):
+            t.cut_and_append(a, b)
+    bad = t.validate_changed(rerouted, old_parents)
+    assert not bad, f"tree invalid after adjustment: {bad[:3]}"
+    changed = {v: (d, t.deg(v)) for v, d in zip(touched, before) if t.deg(v) != d}
+    return AdjustDelta(k, changed, phi_before, t.potential(base))
 
 
 def argmax_degree_class(counts: dict[int, int], base: int | Fraction) -> int:
@@ -173,34 +205,20 @@ def _revalidate_improvement(t: InTree, p: ImprovementPath) -> None:
 def apply_improvement_path(t: InTree, p: ImprovementPath) -> AdjustDelta:
     """Reroute every path vertex but the last onto its path successor.
 
-    Only the path vertices and the old parents of the rerouted ones change
-    degree, so the audit covers exactly those: the tree invariants hold
-    there (InTree.validate_changed), the old parent of u has lost exactly
-    one child, and no path vertex other than u has gained more than one.
+    After the audited rewrite (rewrite_and_audit), the old parent of u has
+    lost exactly one child, no path vertex other than u has gained more
+    than one, and the base-2 potential has dropped.
     """
     _revalidate_improvement(t, p)
     vs = p.vertices
-    u = vs[0]
-    old_parent = t.parent[u]
+    old_parent = t.parent[vs[0]]
     assert old_parent is not None
-    rerouted = vs[:-1]
-    old_parents = [t.parent[a] for a in rerouted]
-    touched = sorted(set(vs).union(old_parents))
-    before = {v: t.deg(v) for v in touched}
-    phi_before = t.potential(2)
-    for a, b in zip(vs, vs[1:]):
-        t.cut_and_append(a, b)
-    bad = t.validate_changed(rerouted, old_parents)
-    assert not bad, f"tree invalid after improvement: {bad[:3]}"
-    phi_after = t.potential(2)
-    changed = {v: (before[v], t.deg(v)) for v in touched if t.deg(v) != before[v]}
-    assert t.deg(old_parent) == before[old_parent] - 1, "old parent must drop by 1"
-    on_path = set(vs)
-    for v, (old, new) in changed.items():
-        if v in on_path and v != u:
-            assert new <= old + 1, f"path vertex {v} gained more than one child"
-    assert phi_after < phi_before, "potential must strictly decrease"
-    return AdjustDelta(p.d, changed, phi_before, phi_after)
+    delta = rewrite_and_audit(t, p.d, [vs], 2)
+    assert delta.gain(old_parent) == -1, "old parent must drop by 1"
+    for v in vs[1:]:
+        assert delta.gain(v) <= 1, f"path vertex {v} gained more than one child"
+    assert delta.phi_after < delta.phi_before, "potential must strictly decrease"
+    return delta
 
 
 def run_local_search(

@@ -9,9 +9,9 @@ potential function and degree-class scans are cheap.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from .graph import Digraph
+from .graph import Digraph, sink_bfs
 
 
 class TreeError(Exception):
@@ -119,18 +119,6 @@ class InTree:
                     out.add(c)
                     stack.append(c)
         return out
-
-    def subtree_iter(self, u: int) -> Iterator[int]:
-        """Deterministic depth-first walk of subtree(u)."""
-        seen = {u}
-        stack = [u]
-        while stack:
-            v = stack.pop()
-            yield v
-            for c in reversed(self.children[v]):
-                if c not in seen:
-                    seen.add(c)
-                    stack.append(c)
 
     def is_ancestor(self, a: int, v: int) -> bool:
         """True iff a is v or an ancestor of v (i.e. v is inside subtree(a))."""
@@ -324,27 +312,12 @@ class InTree:
 def build_initial_tree(g: Digraph) -> InTree:
     """Breadth-first spanning tree from the sink over reversed edges.
 
-    Deterministic given the graph's edge order; parent(v) is v's BFS
-    predecessor, so the tree is as shallow as the graph allows.  The walk
-    stops once every vertex is seen: parents are set on first visit only,
-    so the rest of the walk could not change the tree.
+    parent(v) is v's BFS predecessor (graph.sink_bfs), so the tree is as
+    shallow as the graph allows and deterministic given its edge order.
     """
-    parent: list[int | None] = [None] * g.n
-    seen = [False] * g.n
-    seen[g.sink] = True
-    left = g.n - 1
-    queue = deque([g.sink])
-    while queue and left:
-        v = queue.popleft()
-        for u in g.rev_edges[v]:
-            if not seen[u]:
-                seen[u] = True
-                parent[u] = v
-                left -= 1
-                queue.append(u)
-    if left:
-        missing = [v for v in range(g.n) if not seen[v]]
-        raise TreeError(f"graph invariant broken: {missing} cannot reach sink")
+    parent, stranded = sink_bfs(g)
+    if stranded:
+        raise TreeError(f"graph invariant broken: {stranded} cannot reach sink")
     return InTree(g, parent)
 
 

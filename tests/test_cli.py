@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -217,54 +219,30 @@ def test_solve_reads_canonical_and_annotated_files_alike(tmp_path, capsys):
         assert reports[canonical] == reports[annotated]
 
 
-def test_bench_produces_expected_matrix(capsys):
-    code, stdout, _ = run_cli(
-        capsys,
-        "bench",
-        "--families", "path,instar",
-        "--sizes", "10,50",
-        "--seeds", "0",
-        "--algos", "local,augment",
-        "--json",
-    )
-    assert code == 0
-    rows = json.loads(stdout)
-    assert len(rows) == 8
-    path_rows = [r for r in rows if r["family"] == "path"]
-    assert all(r["gap"] == 1.0 for r in path_rows)
-    for row in rows:
-        report = SolveReport.from_dict(row["report"])
-        assert report.delta_final == row["delta"]
-
-
-def test_bench_includes_exact_only_at_desk_scale(capsys):
-    code, stdout, _ = run_cli(
-        capsys,
-        "bench",
-        "--families", "path",
-        "--sizes", "10,20",
-        "--seeds", "0",
-        "--algos", "exact",
-        "--json",
-    )
-    assert code == 0
-    rows = json.loads(stdout)
-    assert [r["n"] for r in rows] == [10]
-
-
-def test_bench_rejects_bad_matrix(capsys):
-    code, _, err = run_cli(capsys, "bench", "--families", "nope", "--json")
+def test_solve_exact_rejects_instance_over_oracle_limit(tmp_path, capsys):
+    path = write_instance(tmp_path, "p13", gen_path(13))
+    code, stdout, err = run_cli(capsys, "solve", path, "--algo", "exact")
     assert code == 2
-    assert "unknown family" in err
+    assert stdout == ""
+    assert "oracle limit is 12" in err
 
 
-def test_bench_text_table(capsys):
-    code, stdout, _ = run_cli(
-        capsys, "bench", "--families", "instar", "--sizes", "6", "--seeds", "0",
-        "--algos", "local",
-    )
-    assert code == 0
-    assert "family" in stdout and "instar" in stdout
+def test_retired_bench_subcommand_is_rejected(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bench"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    commands = [words[1:] for words in commands if words[:1] == ["dmdst"]]
+    assert commands
+    for argv in commands:
+        # a shell redirection ends the arguments
+        cli.build_parser().parse_args(argv[:argv.index(">")] if ">" in argv else argv)
 
 
 def test_serialize_graph_roundtrip_via_cli_generate(capsys, tmp_path):
