@@ -13,7 +13,10 @@ vertex set its exit search and unrelatedness check then use.
 
 Levels must grow by a (1+epsilon) factor each round; when they stop
 growing, the accumulated levels themselves form a blocking certificate.
-Potentials (base c = Config.base_c, an int) and budgets are exact.
+epsilon is Config.epsilon, an exact Fraction p/q, so the growth test
+(grown * q < (p + q) * previous) and the paper profile's level-size floor
+are integer comparisons; potentials (base c = Config.base_c, an int) and
+budgets are exact too.
 """
 
 from __future__ import annotations
@@ -78,17 +81,13 @@ class LayeredState:
         self.seen = set().union(*self.levels_V)
 
 
-def subtree_potential(t: InTree, u: int, base: int) -> int:
-    return sum(base ** t.deg(v) for v in t.subtree(u))
-
-
 def potential_budget(cfg: Config, i: int, k: int) -> Fraction:
     """Admission budget for a level-i start subtree: shrinks by 1/(1+eps).
 
-    Exactly 9/10 * eps / (1+eps)**i * c**(k-1), with eps = p/q the float's
-    exact value, built as one Fraction (one gcd, not one per operation).
+    Exactly 9/10 * eps / (1+eps)**i * c**(k-1), with eps = p/q =
+    cfg.epsilon, built as one Fraction (one gcd, not one per operation).
     """
-    p, q = cfg.epsilon.as_integer_ratio()
+    p, q = cfg.epsilon.numerator, cfg.epsilon.denominator
     return Fraction(9 * p * q ** i * cfg.base_c ** (k - 1), 10 * q * (p + q) ** i)
 
 
@@ -246,7 +245,7 @@ def validate_augmenting_path(
         subtrees.append(sub)
         if any(t.deg(w) >= k - 2 for w in sub):
             raise ValidationFailed(f"subtree of {u} contains a degree >= {k - 2} vertex")
-        if subtree_potential(t, u, cfg.base_c) > potential_budget(cfg, i, k):
+        if sum(cfg.base_c ** t.deg(w) for w in sub) > potential_budget(cfg, i, k):
             raise ValidationFailed(f"subtree of {u} over its potential budget")
     # (v) interiors stay inside their subtree, endpoint is the first outside
     for i, s in enumerate(segs):
@@ -272,17 +271,15 @@ def validate_augmenting_path(
         raise ValidationFailed(f"final endpoint {final} appears {occurrences} times")
 
 
-def apply_augmenting_path(
-    t: InTree, p: AugmentingPath, potential_base: int = 2
-) -> AdjustDelta:
+def apply_augmenting_path(t: InTree, p: AugmentingPath, cfg: Config) -> AdjustDelta:
     """Run the cut-and-append rewrite segment by segment and audit it.
 
     Requires the final endpoint at degree <= k-2.  After the audited
     rewrite (rewrite_and_audit), the degree-k class lost exactly one
-    member, no class above k grew, middle endpoints kept their degree, and
-    the final endpoint gained at most two children (at most one unless it
-    also sat inside an earlier subtree).  The recorded potential change
-    uses potential_base (the search passes its base c).
+    member, no class above k grew, middle endpoints kept their degree, the
+    final endpoint gained at most two children (at most one unless it
+    also sat inside an earlier subtree), and the base-c potential
+    (c = cfg.base_c) has strictly dropped.
     """
     k = p.k
     segs = p.segments
@@ -292,7 +289,7 @@ def apply_augmenting_path(
     first_parent = t.parent[segs[0][0]]
     assert first_parent is not None
     counts_before = t.degree_counts()
-    delta = rewrite_and_audit(t, k, segs, potential_base)
+    delta = rewrite_and_audit(t, k, segs, cfg.base_c)
     counts_after = t.degree_counts()
     assert counts_after.get(k, 0) == counts_before.get(k, 0) - 1, (
         "degree-k class must shrink by exactly one"
@@ -311,6 +308,7 @@ def apply_augmenting_path(
     starts = {s[0] for s in segs}
     for v in {v for s in segs for v in s} - starts - set(ends):
         assert delta.gain(v) <= 1, f"interior {v} gained more than one child"
+    assert delta.phi_after < delta.phi_before, "base-c potential must strictly decrease"
     return delta
 
 
@@ -327,6 +325,7 @@ def run_augmenting_search(
     """
     cfg = cfg or Config.for_graph(g)
     c = cfg.base_c
+    p, q = cfg.epsilon.numerator, cfg.epsilon.denominator
     layer_ceiling = 10.0 / cfg.epsilon * math.log2(max(g.n, 2))
     strict_size_bound = cfg.profile == "paper"
 
@@ -339,22 +338,20 @@ def run_augmenting_search(
             result = extend_layer(t, g, st, i, cfg)
             if isinstance(result, FoundEndpoint):
                 break
-            if strict_size_bound and k > 2 * c * c / cfg.epsilon ** 2:
-                floor = (k - 2 - c * c / cfg.epsilon) * len(st.levels_V[i - 1])
-                assert len(st.levels_U[-1]) >= floor
+            # k > 2c^2/eps^2 and |U_i| >= (k - 2 - c^2/eps) |V_{i-1}|, scaled by p^2 and p
+            if strict_size_bound and k * p * p > 2 * c * c * q * q:
+                floor = ((k - 2) * p - c * c * q) * len(st.levels_V[i - 1])
+                assert len(st.levels_U[-1]) * p >= floor
             st.levels_V.append(result)
             grown = sum(len(s) for s in st.levels_V)
             previous = grown - len(result)
-            if grown < (1.0 + cfg.epsilon) * previous:
+            if grown * q < (p + q) * previous:  # grown < (1 + eps) * previous
                 return Stall(
                     st, {"k": k, "layers": i, "applied": False, "phi": t.potential(c)}
                 )
         path = reconstruct_path(st, result, t)
         validate_augmenting_path(t, g, path, cfg)
-        delta = apply_augmenting_path(t, path, potential_base=c)
-        assert delta.phi_after < delta.phi_before, (
-            "base-c potential must strictly decrease"
-        )
+        delta = apply_augmenting_path(t, path, cfg)
         return {"k": k, "layers": i, "applied": True, "segments": len(path.segments),
                 "phi": delta.phi_before, "drop": delta.phi_drop}
 

@@ -26,7 +26,6 @@ from dmdst.augmenting import (
     extend_layer,
     potential_budget,
     reconstruct_path,
-    subtree_potential,
 )
 from conftest import (
     brute_first_exits,
@@ -86,7 +85,7 @@ def test_scan_budget_admits_exactly_its_floor():
     g = Digraph(23, 0, edges)
     t, cfg, st_ = layered_fixture_state(g, k=4)
     assert math.floor(potential_budget(cfg, 1, 4)) == 81
-    assert subtree_potential(t, 2, cfg.base_c) == 81
+    assert sum(cfg.base_c ** t.deg(v) for v in t.subtree(2)) == 81
     assert extend_layer(t, g, st_, 1, cfg) == set()
     assert st_.levels_U == [{2, 4, 5}]
 
@@ -226,7 +225,7 @@ def test_apply_single_segment_matches_improvement_semantics():
     cfg = Config.for_graph(g)
     validate_augmenting_path(t, g, path, cfg)
     before = degree_snapshot(t)
-    apply_augmenting_path(t, path)
+    apply_augmenting_path(t, path, cfg)
     after = degree_snapshot(t)
     assert after[1] == before[1] - 1
     assert after[5] == before[5] + 1
@@ -242,7 +241,7 @@ def test_apply_two_segment_fixture_postconditions():
     counts_before = t.degree_counts()
     before = degree_snapshot(t)
     phi_before = t.potential(cfg.base_c)
-    apply_augmenting_path(t, path)
+    apply_augmenting_path(t, path, cfg)
     counts_after = t.degree_counts()
     # degree-k class shrinks by one, nothing above k grows
     assert counts_after.get(3, 0) == counts_before[3] - 1
@@ -262,11 +261,14 @@ def test_subtree_potential_and_budget():
     g = two_segment_fixture()
     t = build_initial_tree(g)
     cfg = Config.for_graph(g)
-    assert subtree_potential(t, 2, cfg.base_c) == 1
-    assert subtree_potential(t, 7, cfg.base_c) == cfg.base_c + 1
+    # start subtrees: the leaf 2, and 7 with its child 8
+    assert t.subtree(2) == {2} and t.subtree(7) == {7, 8}
+    assert sum(cfg.base_c ** t.deg(v) for v in t.subtree(2)) == 1
+    assert sum(cfg.base_c ** t.deg(v) for v in t.subtree(7)) == cfg.base_c + 1
     budget = potential_budget(cfg, 1, 3)
     assert isinstance(budget, Fraction)
-    eps = Fraction(cfg.epsilon)
+    eps = Fraction(0.1)
+    assert cfg.epsilon == eps
     assert budget == Fraction(9, 10) * eps / (1 + eps) * cfg.base_c ** 2
 
 
@@ -309,6 +311,43 @@ def test_growth_guard_invariant_on_corpus(seed):
     assert report.delta_final <= report.delta_initial
     parents = report.parent
     assert parents.count(-1) == 1
+
+
+def test_tiny_epsilon_stalls_once_levels_stop_growing(monkeypatch):
+    """At eps = 1e-30, 1.0 + eps == 1.0 in floats, so a float growth test
+    never stops a round; the exact test stops it at the first level that
+    adds no vertex.  The scan is capped so a search that never stops fails
+    instead of hanging."""
+    scan = dmdst.augmenting.extend_layer
+    calls = 0
+
+    def capped(*args):
+        nonlocal calls
+        calls += 1
+        if calls > 1000:
+            raise RuntimeError("level scan ran 1000 times")
+        return scan(*args)
+
+    monkeypatch.setattr(dmdst.augmenting, "extend_layer", capped)
+    g = gen_random(30, 60, 7)
+    report = run_augmenting_search(g, Config.for_graph(g, epsilon=1e-30), trace=True)
+    assert report.exit_reason == "stalled"
+    assert (report.delta_initial, report.delta_final) == (8, 3)
+    assert report.lower_bound == Fraction(1, 2) and report.certificate.verified
+    assert not report.layers_trace[-1]["applied"]
+
+
+def test_growth_test_is_exact_at_ten_percent():
+    """Levels of 10 then 11 vertices grow by exactly 10%.  With eps the
+    float 0.1 read exactly (slightly above 1/10), 11 < (1 + eps) * 10 and
+    the round stalls after one layer; the float product 1.1 * 10 rounds to
+    11.0, which let the round go on to a second layer and certify 1/4."""
+    report = run_augmenting_search(gen_random(650, 1301, 4079), trace=True)
+    assert report.exit_reason == "stalled"
+    assert report.delta_final == 5
+    assert report.lower_bound == Fraction(1, 6) and report.certificate.verified
+    stall = report.layers_trace[-1]
+    assert (stall["applied"], stall["k"], stall["layers"]) == (False, 4, 1)
 
 
 def test_paper_profile_guarantee_requires_certificate_or_threshold():

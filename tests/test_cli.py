@@ -170,6 +170,22 @@ def test_augment_solves_high_degree_instar_exactly(tmp_path, capsys):
     assert out.strip() == "ok"
 
 
+@pytest.mark.parametrize("epsilon", ["1e-200", "1e-310"])
+@pytest.mark.parametrize("algo", ["local", "augment"])
+def test_paper_profile_solves_at_tiny_epsilon(tmp_path, capsys, algo, epsilon):
+    # 1/epsilon and the base c it forces are far past the float range
+    path = write_instance(tmp_path, "g", gen_random(30, 60, 7))
+    code, stdout, err = run_cli(
+        capsys, "solve", path, "--algo", algo, "--profile", "paper", "--epsilon", epsilon
+    )
+    assert code == 0, err
+    assert json.loads(stdout)["config"]["epsilon"] == float(epsilon)
+    report_file = tmp_path / "g.json"
+    report_file.write_text(stdout)
+    code, out, _ = run_cli(capsys, "verify", path, str(report_file))
+    assert (code, out.strip()) == (0, "ok")
+
+
 def test_solver_exception_exits_internal_error(tmp_path, capsys, monkeypatch):
     def broken(g, cfg=None, trace=False):
         raise ValidationFailed("injected")

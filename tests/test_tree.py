@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -262,20 +263,29 @@ def test_s_d_derived_query():
 
 
 def test_config_invariants():
-    for epsilon in (0.3, 0.0, float("inf")):  # rejected before 1/epsilon is taken
+    for epsilon in (0.3, 0.0, float("inf"), float("nan")):  # rejected before 1/epsilon is taken
         with pytest.raises(ValueError):
-            Config.for_n(10, epsilon=epsilon)
-    with pytest.raises(ValueError):
-        Config(epsilon=0.2, base_c=4.5)  # base_c <= 1/epsilon
-    cfg = Config.for_n(100, profile="paper")
-    assert cfg.base_c >= 4.0
-    assert cfg.base_c > 1 / Fraction(cfg.epsilon)
+            Config(10, epsilon=epsilon)
+    for derived in ("base_c", "stop_threshold_local", "stop_threshold_aug"):
+        with pytest.raises(TypeError):  # derived from n and epsilon, never passed
+            Config(100, **{derived: 10})
+    cfg = Config(100, profile="paper")
+    assert cfg.epsilon == Fraction(0.1)
+    assert cfg.base_c >= 4
+    assert cfg.base_c > 1 / cfg.epsilon
     assert cfg.base_c == 10
-    assert Config.for_n(100, epsilon=0.125).base_c == 9  # 1/epsilon exactly 8
+    assert Config(100, epsilon=0.125).base_c == 9  # 1/epsilon exactly 8
     assert cfg.stop_threshold_local == pytest.approx(34 * 6.643856, rel=1e-5)
-    practical = Config.for_n(100)
+    assert cfg.stop_threshold_aug == pytest.approx(2 * 6.643856 / math.log2(5), rel=1e-5)
+    practical = Config(100)
     assert practical.stop_threshold_local == 0.0
     assert practical.stop_threshold_aug == 0.0
+    # the report's config echo: five values, epsilon as the caller's float
+    assert practical.to_dict() == {
+        "epsilon": 0.1, "profile": "practical", "base_c": 10,
+        "stop_threshold_local": 0.0, "stop_threshold_aug": 0.0,
+    }
+    assert type(practical.to_dict()["epsilon"]) is float
 
 
 def _cycle(t):
