@@ -16,12 +16,18 @@ growing, the accumulated levels themselves form a blocking certificate.
 epsilon is Config.epsilon, an exact Fraction p/q, so the growth test
 (grown * q < (p + q) * previous) and the paper profile's level-size floor
 are integer comparisons; potentials (base c = Config.base_c, an int) and
-budgets are exact too.
+budgets (the exact floor of each rational budget) are ints too.
+
+Level 1 scans the children of N_k.  The driver keeps that list sorted
+across rounds for as long as the argmax class stays k: an applied path
+changes children and degrees only at the vertices it touches, so only
+their children can move in or out of the list.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -68,7 +74,9 @@ class FoundEndpoint:
 class LayeredState:
     """One round's levels at class k.  seen is the union of every blocker
     level found so far, covered the union of every admitted start's
-    subtree; extend_layer keeps both current."""
+    subtree; extend_layer keeps both current.  level1, when given, is the
+    ascending list of levels_V[0]'s children that level 1 scans, kept by
+    the driver across rounds; without it the scan sorts them afresh."""
 
     k: int
     levels_V: list[set[int]]
@@ -76,19 +84,21 @@ class LayeredState:
     pred: dict[int, tuple[int, tuple[int, ...]]] = field(default_factory=dict)
     seen: set[int] = field(init=False)
     covered: set[int] = field(default_factory=set)
+    level1: list[int] | None = None
 
     def __post_init__(self) -> None:
         self.seen = set().union(*self.levels_V)
 
 
-def potential_budget(cfg: Config, i: int, k: int) -> Fraction:
+def potential_budget(cfg: Config, i: int, k: int) -> int:
     """Admission budget for a level-i start subtree: shrinks by 1/(1+eps).
 
-    Exactly 9/10 * eps / (1+eps)**i * c**(k-1), with eps = p/q =
-    cfg.epsilon, built as one Fraction (one gcd, not one per operation).
+    The exact floor of 9/10 * eps / (1+eps)**i * c**(k-1), with eps = p/q =
+    cfg.epsilon, from one integer division.  Potentials are ints, so a
+    potential exceeds the floor exactly when it exceeds the rational budget.
     """
     p, q = cfg.epsilon.numerator, cfg.epsilon.denominator
-    return Fraction(9 * p * q ** i * cfg.base_c ** (k - 1), 10 * q * (p + q) ** i)
+    return 9 * p * q ** i * cfg.base_c ** (k - 1) // (10 * q * (p + q) ** i)
 
 
 def exit_set(
@@ -133,11 +143,11 @@ def extend_layer(
 ) -> FoundEndpoint | set[int]:
     """Scan level i: either find a terminal exit or assemble V_i.
 
-    The children of V_{i-1} are scanned in ascending id.  One walk of each
-    child's subtree decides whether it joins U_i as a start: clean (no
-    vertex of degree >= k-2, so segment interiors are low-degree) and
-    cheap (potential within the level's budget, an int sum, so
-    floor(budget) is exact).  The walk stops at the first vertex that
+    The children of V_{i-1} are scanned in ascending id (at level 1, st's
+    kept list when it has one).  One walk of each child's subtree decides
+    whether it joins U_i as a start: clean (no vertex of degree >= k-2, so
+    segment interiors are low-degree) and cheap (potential within the
+    level's integer budget).  The walk stops at the first vertex that
     breaks either rule; terms are positive, so a partial sum over the
     budget means the full one is over it too.  An admitted start must be
     unrelated to every earlier one, and its exits are explored at once:
@@ -146,13 +156,16 @@ def extend_layer(
     start discovered them (first discoverer wins).
     """
     k = st.k
-    budget = math.floor(potential_budget(cfg, i, k))
+    budget = potential_budget(cfg, i, k)
     powers = [cfg.base_c ** d for d in range(max(k - 2, 0))]
     children = t.children
     admitted: set[int] = set()
     st.levels_U.append(admitted)
     v_new: set[int] = set()
-    for u in sorted(c for v in st.levels_V[i - 1] for c in children[v]):
+    scan = st.level1
+    if i > 1 or scan is None:
+        scan = sorted(c for v in st.levels_V[i - 1] for c in children[v])
+    for u in scan:
         inside: set[int] = set()
         total = 0
         stack = [u]
@@ -322,15 +335,32 @@ def run_augmenting_search(
     layers as its certificate witness.  The base-c potential strictly
     decreases across applied adjustments, and the degree-class vector drops
     lexicographically, so the loop terminates.
+
+    The level-1 scan list (the sorted children of N_k) is built when k
+    changes and otherwise carried over.  Only the vertices a path touches
+    change their children or degree, and apply_augmenting_path's contract
+    leaves none of them at degree k but takes the first start's parent out
+    of N_k: so that parent's children before the rewrite leave the list,
+    and nothing joins it.  A length check each round guards this.
     """
     cfg = cfg or Config.for_graph(g)
     c = cfg.base_c
     p, q = cfg.epsilon.numerator, cfg.epsilon.denominator
     layer_ceiling = 10.0 / cfg.epsilon * math.log2(max(g.n, 2))
     strict_size_bound = cfg.profile == "paper"
+    kept_k = -1
+    level1: list[int] = []
 
     def attempt(t: InTree, k: int) -> dict | Stall:
-        st = LayeredState(k, [t.members(k)])
+        nonlocal kept_k, level1
+        children = t.children
+        members = t.members(k)
+        if k != kept_k:
+            kept_k = k
+            level1 = sorted(x for v in members for x in children[v])
+        # each member of N_k has k children: the list must hold k * |N_k|
+        assert len(level1) == k * len(members), "kept level-1 list out of step with N_k"
+        st = LayeredState(k, [members], level1=level1)
         i = 0
         while True:
             i += 1
@@ -351,7 +381,13 @@ def run_augmenting_search(
                 )
         path = reconstruct_path(st, result, t)
         validate_augmenting_path(t, g, path, cfg)
+        # the first start's parent, the one vertex leaving N_k
+        leaving = list(children[t.parent[path.segments[0][0]]])
         delta = apply_augmenting_path(t, path, cfg)
+        for x in leaving:
+            j = bisect_left(level1, x)
+            assert j < len(level1) and level1[j] == x, "kept level-1 list lost a child"
+            del level1[j]
         return {"k": k, "layers": i, "applied": True, "segments": len(path.segments),
                 "phi": delta.phi_before, "drop": delta.phi_drop}
 

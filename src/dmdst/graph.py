@@ -57,9 +57,14 @@ class SinkUnreachable(GraphFormatError):
 
 
 class Digraph:
-    """Immutable directed graph. Adjacency lists keep insertion order."""
+    """Immutable directed graph. Adjacency lists keep insertion order.
 
-    __slots__ = ("n", "m", "sink", "out_edges", "out_sets", "rev_edges")
+    sink_parent is the parent array of the reachability check's sink BFS
+    (sink_bfs), kept so that the start tree needs no second walk; it is
+    None when that check was skipped.
+    """
+
+    __slots__ = ("n", "m", "sink", "out_edges", "out_sets", "rev_edges", "sink_parent")
 
     def __init__(
         self,
@@ -119,10 +124,12 @@ class Digraph:
         self.out_edges = tuple(map(tuple, out))
         self.out_sets = out_sets
         self.rev_edges = tuple(map(tuple, rev))
+        self.sink_parent: tuple[int | None, ...] | None = None
         if validate_reachability:
-            stranded = unreachable_to_sink(self)
+            parent, stranded = sink_bfs(self)
             if stranded:
                 raise SinkUnreachable(stranded)
+            self.sink_parent = tuple(parent)
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.out_sets[u]

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .certificate import BlockingCertificate
 
@@ -13,6 +16,27 @@ SCHEMA_VERSION = 1
 
 class ReportFormatError(ValueError):
     """A report file is not a well-formed solve report: bad input."""
+
+
+@contextmanager
+def _any_int_length() -> Iterator[None]:
+    """Lift Python's limit on int <-> decimal string conversion for the
+    duration of one dump or load, then restore it.
+
+    Trace rows carry exact base-c potentials, which at a tiny epsilon
+    (c about 1/epsilon) run to thousands of digits.  Interpreters that
+    predate the limit have no setter and need no lift.
+    """
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        yield
+    finally:
+        set_limit(saved)
 
 
 @dataclass
@@ -67,7 +91,8 @@ class SolveReport:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        with _any_int_length():
+            return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
     @classmethod
     def from_dict(cls, d: dict) -> "SolveReport":
@@ -102,4 +127,6 @@ class SolveReport:
 
     @classmethod
     def from_json(cls, text: str) -> "SolveReport":
-        return cls.from_dict(json.loads(text))
+        with _any_int_length():
+            data = json.loads(text)
+        return cls.from_dict(data)

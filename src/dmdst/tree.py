@@ -2,8 +2,9 @@
 
 The tree is rooted at the graph's sink; every other vertex stores its
 parent.  deg(v) is the number of children of v (its tree in-degree), and a
-degree histogram keeps the member set of every degree class so the
-potential function and degree-class scans are cheap.
+degree histogram keeps the member set of every live (non-empty) degree
+class, so the potential function and degree-class scans cost O(live
+classes), however high the degree once was.
 """
 
 from __future__ import annotations
@@ -38,6 +39,11 @@ class InTree:
     transient non-tree states (parent cycles); callers assert validity at
     the end of each complete adjustment, with validate_changed over the
     vertices it touched (validate re-checks the whole tree).
+
+    _members maps each degree some vertex has now to the set of those
+    vertices: a class is dropped when its last member leaves, so the
+    histogram never holds an empty class (both validations report one
+    that it does hold).
     """
 
     __slots__ = ("g", "parent", "children", "_members", "max_deg")
@@ -55,7 +61,7 @@ class InTree:
         self._members: dict[int, set[int]] = {}
         for v in range(g.n):
             self._members.setdefault(len(self.children[v]), set()).add(v)
-        self.max_deg = max(len(c) for c in self.children)
+        self.max_deg = max(self._members)
 
     # -- degree bookkeeping ------------------------------------------------
 
@@ -68,7 +74,7 @@ class InTree:
         return set(self._members.get(d, ()))
 
     def degree_counts(self) -> dict[int, int]:
-        return {d: len(s) for d, s in sorted(self._members.items()) if s}
+        return {d: len(s) for d, s in sorted(self._members.items())}
 
     def vertices_with_deg_at_least(self, d: int) -> set[int]:
         """The set S_d, derived from the histogram member lists."""
@@ -79,13 +85,16 @@ class InTree:
         return out
 
     def _move_class(self, v: int, old: int, new: int) -> None:
-        self._members[old].discard(v)
-        self._members.setdefault(new, set()).add(v)
+        members = self._members
+        left = members[old]
+        left.discard(v)
+        if not left:
+            del members[old]
+        members.setdefault(new, set()).add(v)
         if new > self.max_deg:
             self.max_deg = new
-        elif old == self.max_deg:
-            while self.max_deg > 0 and not self._members.get(self.max_deg):
-                self.max_deg -= 1
+        elif old == self.max_deg and old not in members:
+            self.max_deg = max(members)
 
     # -- mutation ----------------------------------------------------------
 
@@ -180,7 +189,7 @@ class InTree:
 
     def potential(self, base: int) -> int:
         """Sum of base**deg(v) over all vertices, from the histogram."""
-        return sum((base ** d) * len(s) for d, s in self._members.items() if s)
+        return sum((base ** d) * len(s) for d, s in self._members.items())
 
     def parents_signed(self) -> list[int]:
         """Parent array with -1 at the sink (the serialized form)."""
@@ -240,10 +249,17 @@ class InTree:
                     bad.append(f"HistogramMismatch: {v} filed under degree {d}")
         if total != n:
             bad.append(f"HistogramMismatch: {total} vertices filed, expected {n}")
+        bad.extend(self._empty_classes())
         actual_max = max(len(c) for c in self.children)
         if self.max_deg != actual_max:
             bad.append(f"MaxDegMismatch: cached {self.max_deg}, actual {actual_max}")
         return bad
+
+    def _empty_classes(self) -> list[str]:
+        """A HistogramMismatch for each filed empty class: the histogram
+        holds live classes only, so that its reads cost O(live classes)."""
+        empty = sorted(d for d, s in self._members.items() if not s)
+        return [f"HistogramMismatch: empty degree class {d} filed" for d in empty]
 
     def validate_changed(
         self, rerouted: Iterable[int], old_parents: Iterable[int]
@@ -257,7 +273,7 @@ class InTree:
         Any new parent cycle contains a vertex whose parent changed, so a
         parent walk from each rerouted vertex finds it; walks stop at the
         sink or at a vertex an earlier walk already cleared.  Cost is
-        O(touched degrees + walk lengths + degree classes), not O(n).
+        O(touched degrees + walk lengths + live degree classes), not O(n).
         """
         g = self.g
         n = g.n
@@ -288,10 +304,11 @@ class InTree:
                 bad.append(f"ChildrenMismatch: duplicates under {v}")
             if v not in self._members.get(len(kids), ()):
                 bad.append(f"HistogramMismatch: {v} not filed under degree {len(kids)}")
-        total = sum(len(s) for s in self._members.values())
+        total = sum(map(len, self._members.values()))
         if total != n:
             bad.append(f"HistogramMismatch: {total} vertices filed, expected {n}")
-        top = max((d for d, s in self._members.items() if s), default=0)
+        bad.extend(self._empty_classes())
+        top = max(self._members, default=0)
         if self.max_deg != top:
             bad.append(f"MaxDegMismatch: cached {self.max_deg}, histogram top {top}")
         cleared = {g.sink}
@@ -313,11 +330,14 @@ def build_initial_tree(g: Digraph) -> InTree:
     """Breadth-first spanning tree from the sink over reversed edges.
 
     parent(v) is v's BFS predecessor (graph.sink_bfs), so the tree is as
-    shallow as the graph allows and deterministic given its edge order.
+    shallow as the graph allows and deterministic given its edge order.  A
+    graph whose reachability was checked already holds those parents.
     """
-    parent, stranded = sink_bfs(g)
-    if stranded:
-        raise TreeError(f"graph invariant broken: {stranded} cannot reach sink")
+    parent = g.sink_parent
+    if parent is None:
+        parent, stranded = sink_bfs(g)
+        if stranded:
+            raise TreeError(f"graph invariant broken: {stranded} cannot reach sink")
     return InTree(g, parent)
 
 

@@ -84,7 +84,7 @@ def test_scan_budget_admits_exactly_its_floor():
     edges += [(14, 3)] + [(v, v - 1) for v in range(15, 23)]  # 3 .. 22: 10 vertices
     g = Digraph(23, 0, edges)
     t, cfg, st_ = layered_fixture_state(g, k=4)
-    assert math.floor(potential_budget(cfg, 1, 4)) == 81
+    assert potential_budget(cfg, 1, 4) == 81
     assert sum(cfg.base_c ** t.deg(v) for v in t.subtree(2)) == 81
     assert extend_layer(t, g, st_, 1, cfg) == set()
     assert st_.levels_U == [{2, 4, 5}]
@@ -209,6 +209,35 @@ def test_scan_matches_brute_force_on_corpus(monkeypatch):
     assert min(tally.values()) > 0, tally
 
 
+def test_kept_level1_list_matches_fresh_sort(monkeypatch):
+    """At every level-1 scan of the random corpus, the blocker family and
+    a 2000-vertex sparse graph, the driver's kept list equals the sorted
+    children of N_k, and it was rebuilt exactly when k changed."""
+    scan = dmdst.augmenting.extend_layer
+    seen = {"tree": None, "k": None, "list": None}
+    tally = {"scans": 0, "rebuilds": 0, "k_changes": 0}
+
+    def checked(t, g, st_, i, cfg):
+        if i == 1:
+            assert st_.level1 == sorted(c for v in st_.levels_V[0] for c in t.children[v])
+            if t is not seen["tree"]:
+                seen.update(tree=t, k=None, list=None)
+            tally["scans"] += 1
+            tally["rebuilds"] += st_.level1 is not seen["list"]
+            tally["k_changes"] += st_.k != seen["k"]
+            seen.update(k=st_.k, list=st_.level1)
+        return scan(t, g, st_, i, cfg)
+
+    monkeypatch.setattr(dmdst.augmenting, "extend_layer", checked)
+    graphs = [gen_random(n, extra, seed) for n, extra, seed in random_corpus_specs()]
+    graphs += [gen_blocker(k, f, s) for k, f in ((3, 2), (6, 10), (25, 30)) for s in range(3)]
+    graphs.append(gen_random(2000, 4001, 1))
+    for g in graphs:
+        run_augmenting_search(g)
+    assert tally["rebuilds"] == tally["k_changes"]
+    assert tally["scans"] > tally["rebuilds"], tally  # some lists were carried over
+
+
 def test_validation_rejects_tampered_path():
     g = two_segment_fixture()
     t, cfg, _ = layered_fixture_state(g)
@@ -266,10 +295,10 @@ def test_subtree_potential_and_budget():
     assert sum(cfg.base_c ** t.deg(v) for v in t.subtree(2)) == 1
     assert sum(cfg.base_c ** t.deg(v) for v in t.subtree(7)) == cfg.base_c + 1
     budget = potential_budget(cfg, 1, 3)
-    assert isinstance(budget, Fraction)
+    assert isinstance(budget, int)
     eps = Fraction(0.1)
     assert cfg.epsilon == eps
-    assert budget == Fraction(9, 10) * eps / (1 + eps) * cfg.base_c ** 2
+    assert budget == math.floor(Fraction(9, 10) * eps / (1 + eps) * cfg.base_c ** 2)
 
 
 def test_run_on_path_returns_immediately():

@@ -1,9 +1,12 @@
 import json
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
 
+import dmdst.graph
+import dmdst.tree
 from dmdst import (
     Digraph,
     SolveReport,
@@ -16,6 +19,7 @@ from dmdst import (
 )
 from dmdst.augmenting import ValidationFailed
 from dmdst.cli import main
+from dmdst.graph import sink_bfs
 
 
 def run_cli(capsys, *argv):
@@ -184,6 +188,49 @@ def test_paper_profile_solves_at_tiny_epsilon(tmp_path, capsys, algo, epsilon):
     report_file.write_text(stdout)
     code, out, _ = run_cli(capsys, "verify", path, str(report_file))
     assert (code, out.strip()) == (0, "ok")
+
+
+def test_trace_at_tiny_epsilon_reports_and_verifies(tmp_path, capsys):
+    """At epsilon 1e-310, c is about 10**310, and the trace's exact base-c
+    potentials run past Python's 4300-digit int-to-string limit; the
+    report is still written and read back, and the limit is restored."""
+    path = str(tmp_path / "g")
+    code, _, _ = run_cli(
+        capsys, "generate", "--family", "random", "--n", "650", "--seed", "3", "--out", path
+    )
+    assert code == 0
+    # interpreters that predate the limit convert ints of any length
+    get_limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)
+    limit = get_limit()
+    code, stdout, err = run_cli(
+        capsys, "solve", path, "--algo", "augment", "--trace", "--epsilon", "1e-310"
+    )
+    assert code == 0, err
+    report = SolveReport.from_json(stdout)
+    assert max(row["phi"] for row in report.layers_trace) > 10 ** limit
+    report_file = tmp_path / "g.json"
+    report_file.write_text(stdout)
+    code, out, err = run_cli(capsys, "verify", path, str(report_file))
+    assert (code, out.strip()) == (0, "ok"), err
+    assert get_limit() == limit
+
+
+@pytest.mark.parametrize("algo", ["local", "augment", "exact"])
+def test_solve_walks_the_sink_bfs_once(tmp_path, capsys, monkeypatch, algo):
+    """Parsing checks reachability with one sink BFS; the start tree reuses
+    its parents instead of walking again."""
+    path = write_instance(tmp_path, "g", gen_random(11, 30, 4))
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return sink_bfs(g)
+
+    monkeypatch.setattr(dmdst.graph, "sink_bfs", counted)
+    monkeypatch.setattr(dmdst.tree, "sink_bfs", counted)
+    code, _, err = run_cli(capsys, "solve", path, "--algo", algo)
+    assert code == 0, err
+    assert len(calls) == 1
 
 
 def test_solver_exception_exits_internal_error(tmp_path, capsys, monkeypatch):

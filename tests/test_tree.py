@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -228,6 +229,24 @@ def test_potential_matches_per_vertex_sum(seed):
     )
 
 
+@given(st.integers(0, 10 ** 6))
+def test_histogram_files_live_classes_only(seed):
+    """After random reattachments along graph edges (cycles allowed), the
+    histogram holds exactly the degrees some vertex has, and the cached
+    maximum is the largest of them."""
+    n = 3 + seed % 9
+    g = gen_random(n, min(seed % 40, (n - 1) ** 2), seed)
+    t = build_initial_tree(g)
+    rng = random.Random(seed)
+    for _ in range(3 * n):
+        v = rng.choice([v for v in range(n) if v != g.sink])
+        t.cut_and_append(v, rng.choice(g.out_edges[v]))
+        degrees = {t.deg(v) for v in range(n)}
+        assert set(t._members) == degrees
+        assert t.max_deg == max(degrees)
+        assert t.degree_counts() == {d: len(t.members(d)) for d in sorted(degrees)}
+
+
 def test_validate_passes_on_initial_tree():
     assert build_initial_tree(gen_random(9, 12, 3)).validate() == []
 
@@ -310,6 +329,12 @@ def _wrong_class(t):
     return [3], [2]
 
 
+def _empty_class(t):
+    t.cut_and_append(3, 1)
+    t._members[3] = set()
+    return [3], [2]
+
+
 def _stale_max_deg(t):
     t.cut_and_append(3, 1)
     t.max_deg += 1
@@ -322,6 +347,7 @@ def _stale_max_deg(t):
         (_cycle, "CycleDetected"),
         (_non_edge, "NotAnEdge"),
         (_wrong_class, "HistogramMismatch"),
+        (_empty_class, "HistogramMismatch"),
         (_stale_max_deg, "MaxDegMismatch"),
     ],
 )
