@@ -11,6 +11,7 @@ from .augmenting import (
     AugmentingPath,
     LayeredState,
     apply_augmenting_path,
+    power_table,
     run_augmenting_search,
     validate_augmenting_path,
 )
@@ -77,6 +78,7 @@ __all__ = [
     "gen_random",
     "load_graph",
     "parse_graph",
+    "power_table",
     "psi",
     "run_augmenting_search",
     "run_local_search",

@@ -16,7 +16,9 @@ growing, the accumulated levels themselves form a blocking certificate.
 epsilon is Config.epsilon, an exact Fraction p/q, so the growth test
 (grown * q < (p + q) * previous) and the paper profile's level-size floor
 are integer comparisons; potentials (base c = Config.base_c, an int) and
-budgets (the exact floor of each rational budget) are ints too.
+budgets (the exact floor of each rational budget) are ints too.  The
+powers c**d that subtree potentials sum are computed once per solve
+(power_table), up to the start tree's Delta, which never rises.
 
 Level 1 scans the children of N_k.  The driver keeps that list sorted
 across rounds for as long as the argmax class stays k: an applied path
@@ -31,6 +33,8 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import mul
 
 from .certificate import extract_augment_certificate
 from .config import Config
@@ -72,14 +76,16 @@ class FoundEndpoint:
 
 @dataclass
 class LayeredState:
-    """One round's levels at class k.  seen is the union of every blocker
-    level found so far, covered the union of every admitted start's
-    subtree; extend_layer keeps both current.  level1, when given, is the
-    ascending list of levels_V[0]'s children that level 1 scans, kept by
-    the driver across rounds; without it the scan sorts them afresh."""
+    """One round's levels at class k.  powers[d] is c**d (power_table) for
+    every degree d below k-2.  seen is the union of every blocker level
+    found so far, covered the union of every admitted start's subtree;
+    extend_layer keeps both current.  level1, when given, is the ascending
+    list of levels_V[0]'s children that level 1 scans, kept by the driver
+    across rounds; without it the scan sorts them afresh."""
 
     k: int
     levels_V: list[set[int]]
+    powers: list[int]
     levels_U: list[set[int]] = field(default_factory=list)
     pred: dict[int, tuple[int, tuple[int, ...]]] = field(default_factory=dict)
     seen: set[int] = field(init=False)
@@ -88,6 +94,12 @@ class LayeredState:
 
     def __post_init__(self) -> None:
         self.seen = set().union(*self.levels_V)
+
+
+def power_table(cfg: Config, top: int) -> list[int]:
+    """[c**0, c**1, ..., c**top] for c = cfg.base_c: the base-c potential
+    term of every degree up to top."""
+    return list(accumulate(repeat(cfg.base_c, top), mul, initial=1))
 
 
 def potential_budget(cfg: Config, i: int, k: int) -> int:
@@ -113,7 +125,7 @@ def exit_set(
     the map holds every first exit.  Requires a clean subtree (no vertex of
     degree >= k-2), so interior vertices need no degree filter.
     """
-    assert all(t.deg(v) <= k - 3 for v in inside), "subtree not clean"
+    assert max(map(len, map(t.children.__getitem__, inside))) <= k - 3, "subtree not clean"
     pred: dict[int, int] = {u: u}
     exits: dict[int, tuple[int, ...]] = {}
     queue = deque([u])
@@ -157,7 +169,7 @@ def extend_layer(
     """
     k = st.k
     budget = potential_budget(cfg, i, k)
-    powers = [cfg.base_c ** d for d in range(max(k - 2, 0))]
+    powers = st.powers
     children = t.children
     admitted: set[int] = set()
     st.levels_U.append(admitted)
@@ -213,9 +225,10 @@ def reconstruct_path(st: LayeredState, endpoint: FoundEndpoint, t: InTree) -> Au
 
 
 def validate_augmenting_path(
-    t: InTree, g: Digraph, p: AugmentingPath, cfg: Config
+    t: InTree, g: Digraph, p: AugmentingPath, cfg: Config, powers: list[int]
 ) -> None:
-    """Check every definitional invariant; raise ValidationFailed on any break."""
+    """Check every definitional invariant; raise ValidationFailed on any break.
+    powers is power_table's c**d for every degree d below k-2."""
     k = p.k
     segs = p.segments
     if not segs:
@@ -253,12 +266,14 @@ def validate_augmenting_path(
         raise ValidationFailed(f"final endpoint {ends[-1]} above degree {k - 1}")
     # (iv) clean start subtrees + potential efficiency per level
     subtrees = []
+    children = t.children
     for i, u in enumerate(starts, start=1):
         sub = t.subtree(u)
         subtrees.append(sub)
-        if any(t.deg(w) >= k - 2 for w in sub):
+        degrees = list(map(len, map(children.__getitem__, sub)))
+        if max(degrees) >= k - 2:
             raise ValidationFailed(f"subtree of {u} contains a degree >= {k - 2} vertex")
-        if sum(cfg.base_c ** t.deg(w) for w in sub) > potential_budget(cfg, i, k):
+        if sum(map(powers.__getitem__, degrees)) > potential_budget(cfg, i, k):
             raise ValidationFailed(f"subtree of {u} over its potential budget")
     # (v) interiors stay inside their subtree, endpoint is the first outside
     for i, s in enumerate(segs):
@@ -342,6 +357,9 @@ def run_augmenting_search(
     leaves none of them at degree k but takes the first start's parent out
     of N_k: so that parent's children before the rewrite leave the list,
     and nothing joins it.  A length check each round guards this.
+
+    The first round sees the start tree and sizes the c**d table by its
+    Delta; each round asserts that k still fits, since Delta never rises.
     """
     cfg = cfg or Config.for_graph(g)
     c = cfg.base_c
@@ -350,9 +368,13 @@ def run_augmenting_search(
     strict_size_bound = cfg.profile == "paper"
     kept_k = -1
     level1: list[int] = []
+    powers: list[int] = []
 
     def attempt(t: InTree, k: int) -> dict | Stall:
-        nonlocal kept_k, level1
+        nonlocal kept_k, level1, powers
+        if not powers:
+            powers = power_table(cfg, t.max_deg)
+        assert k < len(powers), f"class {k} above the start tree's Delta"
         children = t.children
         members = t.members(k)
         if k != kept_k:
@@ -360,7 +382,7 @@ def run_augmenting_search(
             level1 = sorted(x for v in members for x in children[v])
         # each member of N_k has k children: the list must hold k * |N_k|
         assert len(level1) == k * len(members), "kept level-1 list out of step with N_k"
-        st = LayeredState(k, [members], level1=level1)
+        st = LayeredState(k, [members], powers, level1=level1)
         i = 0
         while True:
             i += 1
@@ -380,7 +402,7 @@ def run_augmenting_search(
                     st, {"k": k, "layers": i, "applied": False, "phi": t.potential(c)}
                 )
         path = reconstruct_path(st, result, t)
-        validate_augmenting_path(t, g, path, cfg)
+        validate_augmenting_path(t, g, path, cfg, powers)
         # the first start's parent, the one vertex leaving N_k
         leaving = list(children[t.parent[path.segments[0][0]]])
         delta = apply_augmenting_path(t, path, cfg)

@@ -18,7 +18,6 @@ worth 2**0 = 1.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -245,7 +244,8 @@ def run_local_search(
         members = t.members(k)
         # psi is an int, so psi > gate iff psi > floor(gate); for k >= 3
         # the gate 2**k / 8 is an int anyway.
-        gate = math.floor(cfg.psi_factor * (1 << k))
+        factor = cfg.psi_factor
+        gate = (1 << k) * factor.numerator // factor.denominator
         candidates = sorted(c for parent in members for c in t.children[parent])
         for u in candidates:
             inside: set[int] = set()

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterator
 
 from .certificate import BlockingCertificate
@@ -37,6 +39,73 @@ def _any_int_length() -> Iterator[None]:
         yield
     finally:
         set_limit(saved)
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _encode(value: object, out: list[str], nl: str) -> None:
+    """Append value's text as json.dumps(value, sort_keys=True, indent=2)
+    writes it, for a value whose own line opens with nl (a newline and
+    that line's indent).  Dict keys must be strs, as every report's are:
+    quoting any other key raises TypeError.
+
+    The standard library runs that dump in its pure-Python encoder, since
+    the C one has no indent.  Here a list of plain ints, a parent array
+    or a certificate side, is one join; bools, whose type is not int,
+    take the general path and are written as true/false.
+    """
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(_float_text(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        if set(map(type, value)) == {int}:
+            out.append("[" + inner + ("," + inner).join(map(str, value)) + nl + "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _encode(item, out, inner)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            item = value[key]
+            # plain ints, the bulk of trace rows, skip the recursion
+            if type(item) is int:
+                out.append(sep + _quote(key) + ": " + str(item))
+            else:
+                out.append(sep + _quote(key) + ": ")
+                _encode(item, out, inner)
+            sep = "," + inner
+        out.append(nl + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 @dataclass
@@ -91,8 +160,13 @@ class SolveReport:
         return out
 
     def to_json(self) -> str:
+        """The report as json.dumps(self.to_dict(), sort_keys=True,
+        indent=2) + "\n" would write it, byte for byte."""
+        out: list[str] = []
         with _any_int_length():
-            return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+            _encode(self.to_dict(), out, "\n")
+        out.append("\n")
+        return "".join(out)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SolveReport":

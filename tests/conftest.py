@@ -183,7 +183,13 @@ def all_picks_unrelated_children(t: InTree, d: int) -> set[int]:
     """InTree.unrelated_children by its first definition: members of N_d
     by increasing depth, each testing every current pick for ancestry and
     evicting the one found, then adding all its children."""
-    depth = t.depths()
+    depth = {t.g.sink: 0}
+    queue = deque([t.g.sink])
+    while queue:
+        v = queue.popleft()
+        for c in t.children[v]:
+            depth[c] = depth[v] + 1
+            queue.append(c)
     picks: set[int] = set()
     for u in sorted((v for v in range(t.g.n) if t.deg(v) == d), key=lambda v: (depth[v], v)):
         blockers = [w for w in picks if t.is_ancestor(w, u)]

@@ -25,6 +25,7 @@ from dmdst.augmenting import (
     exit_set,
     extend_layer,
     potential_budget,
+    power_table,
     reconstruct_path,
 )
 from conftest import (
@@ -55,7 +56,7 @@ def two_segment_fixture() -> Digraph:
 def layered_fixture_state(g, k=3):
     t = build_initial_tree(g)
     cfg = Config.for_graph(g)
-    return t, cfg, LayeredState(k, [t.members(k)])
+    return t, cfg, LayeredState(k, [t.members(k)], power_table(cfg, t.max_deg))
 
 
 def test_eligible_starts_takes_clean_leaf_subtrees():
@@ -139,8 +140,9 @@ def test_extend_layer_finds_endpoint_immediately():
     g = two_segment_fixture()
     t = build_initial_tree(g)
     # pretend the blocker is level 0: its clean child 6 escapes to 8
-    st_ = LayeredState(3, [{5}])
-    result = extend_layer(t, g, st_, 1, Config.for_graph(g))
+    cfg = Config.for_graph(g)
+    st_ = LayeredState(3, [{5}], power_table(cfg, t.max_deg))
+    result = extend_layer(t, g, st_, 1, cfg)
     assert isinstance(result, FoundEndpoint)
     assert (result.u, result.exit) == (6, 8)
     assert st_.levels_U == [{6}]
@@ -164,7 +166,7 @@ def test_reconstruct_two_segments_and_validate():
     assert isinstance(result, FoundEndpoint)
     path = reconstruct_path(st_, result, t)
     assert path.segments == ((2, 5), (6, 8))
-    validate_augmenting_path(t, g, path, cfg)
+    validate_augmenting_path(t, g, path, cfg, st_.powers)
 
 
 def test_scan_matches_brute_force_on_corpus(monkeypatch):
@@ -240,11 +242,11 @@ def test_kept_level1_list_matches_fresh_sort(monkeypatch):
 
 def test_validation_rejects_tampered_path():
     g = two_segment_fixture()
-    t, cfg, _ = layered_fixture_state(g)
+    t, cfg, st_ = layered_fixture_state(g)
     with pytest.raises(ValidationFailed):
-        validate_augmenting_path(t, g, AugmentingPath(3, ((2, 5), (7, 8))), cfg)
+        validate_augmenting_path(t, g, AugmentingPath(3, ((2, 5), (7, 8))), cfg, st_.powers)
     with pytest.raises(ValidationFailed):
-        validate_augmenting_path(t, g, AugmentingPath(3, ((4, 1),)), cfg)
+        validate_augmenting_path(t, g, AugmentingPath(3, ((4, 1),)), cfg, st_.powers)
 
 
 def test_apply_single_segment_matches_improvement_semantics():
@@ -252,7 +254,7 @@ def test_apply_single_segment_matches_improvement_semantics():
     t = build_initial_tree(g)
     path = AugmentingPath(3, ((2, 5),))
     cfg = Config.for_graph(g)
-    validate_augmenting_path(t, g, path, cfg)
+    validate_augmenting_path(t, g, path, cfg, power_table(cfg, t.max_deg))
     before = degree_snapshot(t)
     apply_augmenting_path(t, path, cfg)
     after = degree_snapshot(t)

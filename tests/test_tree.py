@@ -180,7 +180,7 @@ def test_unrelated_children_degree_one():
 
 
 def test_unrelated_children_matches_all_picks_reference(corpus_results):
-    """Every class d >= 2 of the corpus's start, local and augment trees,
+    """Every class d >= 1 of the corpus's start, local and augment trees,
     and of blocker-family trees, against the all-picks definition."""
     results, _ = corpus_results
     graphs = [(r.g, r.local, r.augment) for r in results]
@@ -194,7 +194,7 @@ def test_unrelated_children_matches_all_picks_reference(corpus_results):
         trees += [tree_from_parents(g, rep.parent) for rep in (local, augment)]
         for t in trees:
             for d in t.degree_counts():
-                if d < 2:
+                if d < 1:
                     continue
                 picks = t.unrelated_children(d)
                 assert picks == all_picks_unrelated_children(t, d), (d, t.parent)
@@ -202,6 +202,67 @@ def test_unrelated_children_matches_all_picks_reference(corpus_results):
                 evicting += len(picks) < sum(t.deg(u) for u in t.members(d))
     assert checked > 1000
     assert evicting > 100
+
+
+def deep_trees() -> list[InTree]:
+    """A path; a caterpillar (a spine with one leaf off each spine vertex,
+    so every spine vertex but the last has degree 2); brooms (a long
+    handle ending in a fan of bristles, one with a second fan halfway)."""
+    trees = [build_initial_tree(gen_path(300))]
+    spine = 150
+    edges = [(v, v - 1) for v in range(1, spine)]
+    edges += [(spine + v, v) for v in range(spine)]
+    trees.append(build_initial_tree(Digraph(2 * spine, 0, edges)))
+    for fans in ((199,), (99, 199)):
+        edges = [(v, v - 1) for v in range(1, 200)]
+        for at in fans:
+            edges += [(v, at) for v in range(len(edges) + 1, len(edges) + 31)]
+        trees.append(build_initial_tree(Digraph(len(edges) + 1, 0, edges)))
+    return trees
+
+
+def test_unrelated_children_on_deep_trees_matches_all_picks_reference():
+    for t in deep_trees():
+        assert not t.validate()
+        for d in t.degree_counts():
+            if d >= 1:
+                assert t.unrelated_children(d) == all_picks_unrelated_children(t, d), d
+
+
+class CountingList(list):
+    """A list that counts its item reads and fails past a budget, so a
+    quadratic walk fails fast instead of running to the end."""
+
+    def __init__(self, items, budget):
+        super().__init__(items)
+        self.budget = budget
+        self.reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        assert self.reads <= self.budget, f"more than {self.budget} reads"
+        return super().__getitem__(i)
+
+
+def test_unrelated_children_reads_the_tree_a_linear_number_of_times():
+    """On a path every vertex but the leaf is in class 1: a walk from
+    each member to the sink reads about n**2 / 2 parents.  Reads of the
+    parent and children arrays together stay within 10 n."""
+    n = 4000
+    t = build_initial_tree(gen_path(n))
+    t.parent = CountingList(t.parent, 10 * n)
+    t.children = CountingList(t.children, 10 * n)
+    assert t.unrelated_children(1) == {n - 1}
+    assert t.parent.reads + t.children.reads <= 10 * n
+
+
+def test_local_search_on_a_long_path_stalls_without_certificate():
+    """Delta 1 is the optimum; the stall at class 1 has no witness of
+    degree <= -1, so no certificate."""
+    report = run_local_search(gen_path(20000))
+    assert report.iterations == 0
+    assert report.exit_reason == "stalled"
+    assert report.certificate is None and report.lower_bound is None
 
 
 def test_unrelated_children_rejects_empty_class():

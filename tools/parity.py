@@ -7,9 +7,9 @@
 
 For each seed, each pool of benchmark/workloads.py (read, never changed)
 and each instance in it, both solvers run on the instance's graph text as
-`dmdst solve --trace` would, with the default config.  Each report, as its
-JSON text minus wall_time_ms (the one field that varies between runs),
-gives one line:
+`dmdst solve --trace` would, with the default config.  Each report, as the
+text SolveReport.to_json writes with wall_time_ms (the one field that
+varies between runs) set to zero, gives one line:
 
     <pool> <seed> <index> <label> <algorithm> <sha256>
 
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import sys
 from pathlib import Path
 
@@ -45,10 +44,9 @@ def main(argv: list[str] | None = None) -> int:
             for i, spec in enumerate(specs(seed)):
                 g = parse_graph(serialize_graph(spec.build(generators)))
                 for algo, solve in solvers:
-                    report = solve(g, Config.for_graph(g), trace=True).to_dict()
-                    del report["wall_time_ms"]
-                    text = json.dumps(report, sort_keys=True, indent=2)
-                    digest = hashlib.sha256(text.encode()).hexdigest()
+                    report = solve(g, Config.for_graph(g), trace=True)
+                    report.wall_time_ms = 0.0
+                    digest = hashlib.sha256(report.to_json().encode()).hexdigest()
                     print(pool, seed, i, spec.label, algo, digest, flush=True)
     return 0
 
