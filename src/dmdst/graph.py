@@ -7,15 +7,17 @@ sink is reachable from all vertices.
 
 Both ways in, Digraph(n, sink, edges) and parse_graph, go through one
 builder over two int columns, whose range, self-loop and duplicate checks
-run in bulk.  parse_graph reads text in exactly the canonical form that
-serialize_graph writes in bulk (one json call for the whole body) and any
-other text line by line; an invalid file raises the same error type on the
-same line either way.
+run in bulk.  parse_graph reads text in the canonical form that
+serialize_graph writes in bulk (one json call for the whole body), also
+when comment lines, blank lines, trailing whitespace or CRLF line endings
+surround it, and any other text line by line; an invalid file raises the
+same error type on the same line either way.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from collections import deque
 from typing import Iterable, Iterator, Sequence
 
@@ -221,15 +223,62 @@ def parse_graph(text: str | bytes) -> Digraph:
     whitespace are tolerated.
 
     Text exactly in the canonical form serialize_graph writes is read in
-    bulk; anything else is read line by line.  Both feed the same builder,
-    and an invalid file raises the same error on the same line either way.
+    bulk.  Otherwise the comment and blank lines are dropped and trailing
+    whitespace (CRLF's '\r' too) is stripped, keeping each remaining
+    line's original number; if what remains is canonical, it is read in
+    bulk as well, and anything else is read line by line.  Each way feeds
+    the same builder, and an invalid file raises the same error on the
+    same line whichever way reads it.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    n, sink, us, vs, lines = _canonical_columns(text) or _line_columns(text)
+    columns = _canonical_columns(text)
+    if columns is None:
+        numbers, content = _content_lines(text)
+        columns = _canonical_columns(content, numbers) or _line_columns(numbers, content)
+    n, sink, us, vs, edge_lines = columns
     g = Digraph.__new__(Digraph)
-    g._build(n, sink, us, vs, lines, True)
+    g._build(n, sink, us, vs, edge_lines, True)
     return g
+
+
+def _content_lines(text: str) -> tuple[Sequence[int], str]:
+    """Every line of text that is neither blank nor a comment ('#' after
+    optional whitespace), trailing whitespace stripped and each ending in
+    a newline, with the number of each in text, counted from 1 as
+    str.splitlines splits it.
+
+    The lines are split, stripped and joined again at C speed; only the
+    lines to drop are then looked at one by one: in the join, a blank line
+    is an empty segment and a comment holds a '#', and str.find reaches
+    both.
+    """
+    joined = "\n".join(map(str.rstrip, text.splitlines())) + "\n"
+    dropped = [0] if joined[0] == "\n" else []
+    p = joined.find("\n\n")
+    while p >= 0:
+        dropped.append(p + 1)
+        p = joined.find("\n\n", p + 1)
+    p = joined.find("#")
+    while p >= 0:
+        start = joined.rfind("\n", 0, p) + 1
+        if not joined[start:p].strip():
+            dropped.append(start)
+        p = joined.find("#", joined.find("\n", p))
+    if not dropped:
+        return range(1, joined.count("\n") + 1), joined
+    dropped.sort()
+    numbers: list[int] = []
+    kept: list[str] = []
+    pos, line = 0, 1
+    for start in dropped:
+        skipped = line + joined.count("\n", pos, start)
+        numbers.extend(range(line, skipped))
+        kept.append(joined[pos:start])
+        pos, line = joined.index("\n", start) + 1, skipped + 1
+    numbers.extend(range(line, line + joined.count("\n", pos)))
+    kept.append(joined[pos:])
+    return numbers, "".join(kept)
 
 
 def _read_header(header: str, lineno: int) -> tuple[int, int, int]:
@@ -250,15 +299,19 @@ def _read_header(header: str, lineno: int) -> tuple[int, int, int]:
 
 _Columns = tuple[int, int, Sequence[int], Sequence[int], Sequence[int]]
 
+# Line numbers of text read as it stands: line i is line i.
+_EVERY_LINE = range(1, sys.maxsize)
 
-def _canonical_columns(text: str) -> _Columns | None:
+
+def _canonical_columns(text: str, numbers: Sequence[int] = _EVERY_LINE) -> _Columns | None:
     """(n, sink, us, vs, lines) of text in serialize_graph's exact form,
     else None.
 
     The body must be m lines of two ASCII digit runs joined by one space,
     each ending in a newline; json then converts it in one call, and
-    rejects leading zeros (those files take the line path).  Edge i is on
-    line i + 3.
+    rejects leading zeros (those files take the line path).  Line i of
+    text is line numbers[i - 1] of the file, so edge i is on line
+    numbers[i + 2].
     """
     magic, _, rest = text.partition("\n")
     header, newline, body = rest.partition("\n")
@@ -270,7 +323,7 @@ def _canonical_columns(text: str) -> _Columns | None:
         and all(f.isascii() and f.isdigit() for f in fields)
     ):
         return None
-    n, m, sink = _read_header(header, 2)
+    n, m, sink = _read_header(header, numbers[1])
     if not body.isascii():
         return None
     skeleton = body.encode("ascii").translate(None, b"0123456789")
@@ -280,17 +333,13 @@ def _canonical_columns(text: str) -> _Columns | None:
         nums = json.loads("[" + body.replace("\n", ",").replace(" ", ",")[:-1] + "]")
     except ValueError:
         return None
-    return n, sink, nums[0::2], nums[1::2], range(3, m + 3)
+    return n, sink, nums[0::2], nums[1::2], numbers[2 : m + 2]
 
 
-def _line_columns(text: str) -> _Columns:
-    """(n, sink, us, vs, lines) of any text, read line by line."""
-    rows: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip()
-        if not line or line.lstrip().startswith("#"):
-            continue
-        rows.append((lineno, line))
+def _line_columns(numbers: Sequence[int], content: str) -> _Columns:
+    """(n, sink, us, vs, lines) of any file, read line by line from its
+    content lines and their numbers (_content_lines)."""
+    rows = list(zip(numbers, content.split("\n")[:-1]))
     if not rows or rows[0][1] != MAGIC:
         lineno = rows[0][0] if rows else 1
         raise MalformedHeader(f"expected magic line {MAGIC!r}", lineno)

@@ -8,12 +8,17 @@ vertex while only letting path vertices gain a single child, so the
 potential sum(2**deg(v)) drops by at least psi_factor * 2**k = 2**(k-3)
 every time.
 
-A round pays only for the candidates it tries: one walk of each
-candidate's subtree computes its gate value (psi) and collects the vertex
-set that its path search (find_improvement_path) then reuses.  A class
-below 2 stalls at once, since no path vertex can have degree <= k-2 there,
-and so does class 2, whose gate 1/2 no subtree passes: each holds a leaf,
-worth 2**0 = 1.
+A round pays only for the candidates that can move.  Every path vertex
+after the start has degree <= k-2, so a candidate with no out-neighbour of
+degree <= k-2 has no path, whatever its gate value: a scan of its
+out-edges (the first-hop test) skips it before any subtree walk.  The
+skip is exact and the scan stays in ascending order, so each round picks
+the same candidate and path as without it.  For a candidate that passes,
+one walk of its subtree computes its gate value (psi) and collects the
+vertex set that its path search (find_improvement_path) then reuses.  A
+class below 2 stalls at once, since no path vertex can have degree <= k-2
+there, and so does class 2, whose gate 1/2 no subtree passes: each holds
+a leaf, worth 2**0 = 1.
 """
 
 from __future__ import annotations
@@ -246,8 +251,16 @@ def run_local_search(
         # the gate 2**k / 8 is an int anyway.
         factor = cfg.psi_factor
         gate = (1 << k) * factor.numerator // factor.denominator
-        candidates = sorted(c for parent in members for c in t.children[parent])
+        children, out_edges, low = t.children, g.out_edges, k - 2
+        candidates = sorted(c for parent in members for c in children[parent])
         for u in candidates:
+            # First hop: every path vertex after u has degree <= k-2, so a
+            # u with no such out-neighbour has no path, whatever its psi.
+            for y in out_edges[u]:
+                if len(children[y]) <= low:
+                    break
+            else:
+                continue
             inside: set[int] = set()
             psi_u = psi(t, u, k, gate, inside)
             if psi_u > gate:

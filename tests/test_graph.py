@@ -105,17 +105,21 @@ def test_parse_reports_offending_line_in_canonical_text(text, kind, line, messag
     assert str(info.value) == f"line {line}: {message}"
 
 
-def rewrite_as_lines(text: str, comment_every: int) -> tuple[str, dict[int, int]]:
-    """The same file in a form only the line tokenizer reads: comments,
-    blank lines, tabs and trailing spaces, CRLF, no final newline.  Also
-    returns the new line number of each original line."""
+def rewrite_as_lines(text: str, comment_every: int, inner_tabs: bool = True) -> tuple[str, dict[int, int]]:
+    """The same file with comments, blank lines, trailing spaces and tabs,
+    CRLF and no final newline, all of which the bulk reader strips; with
+    inner_tabs, each edge line also gets a tab inside, which only the line
+    tokenizer reads.  Also returns the new line number of each original
+    line."""
     out: list[str] = ["# leading comment", ""]
     line_of: dict[int, int] = {}
     for i, line in enumerate(text.split("\n")[:-1], start=1):
         if i % comment_every == 0:
             out.extend(["  # a comment", "\t"])
         line_of[i] = len(out) + 1
-        out.append((line if i == 1 else line.replace(" ", "\t ", 1)) + " \t")
+        if inner_tabs and i != 1:
+            line = line.replace(" ", "\t ", 1)
+        out.append(line + " \t")
     return "\r\n".join(out), line_of
 
 
@@ -134,9 +138,10 @@ def test_tokenizers_agree_on_valid_graphs(n, extra, seed, comment_every):
     g = gen_random(n, min(extra, (n - 1) ** 2), seed)
     text = serialize_graph(g)
     lined, _ = rewrite_as_lines(text, comment_every)
+    annotated, _ = rewrite_as_lines(text, comment_every, inner_tabs=False)
     assert graph_module._canonical_columns(text) is not None
     assert graph_module._canonical_columns(lined) is None
-    assert parse_outcome(text) == parse_outcome(lined)
+    assert parse_outcome(text) == parse_outcome(lined) == parse_outcome(annotated)
     assert parse_graph(text) == g
 
 
@@ -159,6 +164,7 @@ def inject(text: str, fault: str, pick: int) -> str:
         "plus-sign": f"+{u} {v}",
         "arabic-indic": f"{u} {v}".replace("1", "\u0661"),
         "superscript": f"{u} {v}".replace("2", "\u00b2"),
+        "inline-hash": f"{u} {v} # not a comment",
     }.get(fault, lines[j])
     if fault == "count":
         lines[1] = f"{n} {m + (1 if pick % 2 else -1)} {sink}"
@@ -168,6 +174,7 @@ def inject(text: str, fault: str, pick: int) -> str:
 FAULTS = [
     "range", "negative", "self-loop", "duplicate", "one-token", "three-token",
     "count", "zero-padded", "plus-sign", "arabic-indic", "superscript",
+    "inline-hash",
 ]
 
 
@@ -179,8 +186,68 @@ def test_tokenizers_agree_on_faulted_text(n, extra, seed, faults):
     text = serialize_graph(gen_random(n, min(extra, (n - 1) ** 2), seed))
     for fault, pick in faults:
         text = inject(text, fault, pick)
-    lined, line_of = rewrite_as_lines(text, 3)
-    assert parse_outcome(text, line_of) == parse_outcome(lined)
+    for inner_tabs in (True, False):
+        lined, line_of = rewrite_as_lines(text, 3, inner_tabs)
+        assert parse_outcome(text, line_of) == parse_outcome(lined)
+
+
+@pytest.mark.parametrize(
+    "end", ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\r\n", " \n", "\t\n", "\x1f\n"]
+)
+def test_lines_end_where_splitlines_ends_them(end):
+    """Every line break str.splitlines knows ends a line, and trailing
+    whitespace is stripped, also in text that ends in a newline."""
+    assert parse_graph(end.join(["dmdst 1", "3 2 0", "1 0", "2 1"]) + "\n") == parse_graph(PATH3)
+    with pytest.raises(DuplicateEdge) as info:
+        parse_graph(end.join(["# c", "dmdst 1", "3 3 0", "1 0", "2 1", "1 0"]) + "\n")
+    assert info.value.line == 6
+
+
+def test_a_hash_after_an_edge_is_not_a_comment():
+    with pytest.raises(MalformedHeader) as info:
+        parse_graph("# c\ndmdst 1\n3 2 0\n1 0 # note\n2 1\n")
+    assert info.value.line == 4
+
+
+def forbid_line_reader(monkeypatch) -> None:
+    def fail(*args):
+        raise AssertionError("text went to the line tokenizer")
+
+    monkeypatch.setattr(graph_module, "_line_columns", fail)
+
+
+def test_annotated_canonical_text_is_read_in_bulk(corpus_results, monkeypatch):
+    """Comments, blank lines, trailing whitespace and CRLF around canonical
+    text leave the bulk reader in charge, and the graph the same."""
+    forbid_line_reader(monkeypatch)
+    results, _ = corpus_results
+    for s in results:
+        text = serialize_graph(s.g)
+        variants = [
+            "# a comment\n" + text,
+            text.replace("\n", "\r\n"),
+            text.replace("\n", "\n \n\n"),
+            "\n  \n" + text.replace("\n", "\n# between\n", 3) + "  # trailing\n\n",
+            rewrite_as_lines(text, 2, inner_tabs=False)[0],
+        ]
+        for variant in variants:
+            assert parse_outcome(variant) == parse_outcome(text), (s.name, variant)
+
+
+@pytest.mark.parametrize(
+    "text, kind, line",
+    [
+        ("# c\ndmdst 1\n3 3 0\n1 0\n# c\n2 1\n1 0\n", DuplicateEdge, 7),
+        ("dmdst 1\r\n3 2 0\r\n\r\n  # c\r\n1 0\r\n5 1\r\n", VertexOutOfRange, 6),
+        ("dmdst 1\n# c\n\n3 2 0  \n2 2\n1 0\n", SelfLoop, 5),
+        ("# c\ndmdst 1\n\n3 2 5\n1 0\n2 1\n", VertexOutOfRange, 4),
+    ],
+)
+def test_fault_below_a_comment_reports_its_original_line(text, kind, line, monkeypatch):
+    forbid_line_reader(monkeypatch)
+    with pytest.raises(kind) as info:
+        parse_graph(text)
+    assert info.value.line == line
 
 
 def test_comments_and_whitespace_tolerated():

@@ -10,6 +10,7 @@ from dmdst import (
     Config,
     Digraph,
     build_initial_tree,
+    gen_blocker,
     choose_k,
     find_improvement_path,
     apply_improvement_path,
@@ -170,15 +171,16 @@ def test_run_on_path_returns_immediately():
     assert report.parent == [-1, 0, 1, 2, 3, 4]
 
 
-def count_candidate_work(monkeypatch) -> list[str]:
-    """Record each psi and find_improvement_path call by name."""
+def count_candidate_work(monkeypatch) -> list[tuple[str, object]]:
+    """Record each psi and find_improvement_path call as (name, result)."""
     calls = []
     for name in ("psi", "find_improvement_path"):
         fn = getattr(dmdst.local_search, name)
 
         def counted(*args, _fn=fn, _name=name, **kwargs):
-            calls.append(_name)
-            return _fn(*args, **kwargs)
+            result = _fn(*args, **kwargs)
+            calls.append((_name, result))
+            return result
 
         monkeypatch.setattr(dmdst.local_search, name, counted)
     return calls
@@ -209,23 +211,125 @@ def test_class_two_stalls_without_psi_or_path_search(monkeypatch):
     assert report.parent == [-1] + [(v - 1) // 2 for v in range(1, n)]
 
 
+def candidate_without_exit() -> Digraph:
+    """Sink 0 with children 1..5, a leaf 6 below 1, and leaves 7..10 below
+    2.  At k = 5, candidate 1 passes the first hop (to its own child 6) and
+    the gate (psi = 2 + 1 <= 4), but every edge leaving its subtree lands
+    on 0 or 2, of degrees 5 and 4 > k - 2."""
+    edges = [(v, 0) for v in range(1, 6)] + [(v, 2) for v in range(7, 11)]
+    edges += [(1, 6), (1, 2), (6, 1), (6, 2)]
+    return Digraph(11, 0, edges)
+
+
 def test_path_search_reuses_the_gated_subtree(corpus_results, monkeypatch):
     """The vertex set psi collected is exactly subtree(u) whenever the
-    path search runs, and reusing it leaves every corpus report as is."""
+    path search runs, and reusing it leaves every corpus report as is;
+    a search that finds no exit is checked too."""
     search = dmdst.local_search.find_improvement_path
-    searched = []
+    found = []
 
     def checked(t, g, u, d, inside):
         assert inside == t.subtree(u), u
-        searched.append(u)
-        return search(t, g, u, d, inside)
+        path = search(t, g, u, d, inside)
+        found.append(path is not None)
+        return path
 
     monkeypatch.setattr(dmdst.local_search, "find_improvement_path", checked)
     results, _ = corpus_results
     for s in results:
         report = run_local_search(s.g, Config.for_graph(s.g), trace=True)
         assert report_without_timing(report) == report_without_timing(s.local), s.name
-    assert len(searched) > sum(s.local.iterations for s in results)
+    assert found.count(True) == sum(s.local.iterations for s in results)
+    del found[:]
+    g = candidate_without_exit()
+    t = build_initial_tree(g)
+    assert (choose_k(t, 2), t.parent[1], t.children[1], psi(t, 1, 5)) == (5, 0, [6], 3)
+    report = run_local_search(g)
+    assert found == [False]
+    assert (report.delta_final, report.iterations, report.exit_reason) == (5, 0, "stalled")
+
+
+def reference_rounds(g: Digraph) -> list[tuple[int, tuple[int, ...]]]:
+    """(k, path) of every round of a scan without the first-hop test: psi,
+    then the path search, on every candidate in ascending order.  Each
+    round also checks that every candidate the first-hop test would skip
+    has no improvement path."""
+    t = build_initial_tree(g)
+    rounds = []
+    while t.max_deg > 0:
+        k = choose_k(t, 2)
+        if k <= 2:
+            break
+        gate = 2 ** k // 8
+        chosen = None
+        for u in sorted(c for p in t.members(k) for c in t.children[p]):
+            if not any(t.deg(y) <= k - 2 for y in g.out_edges[u]):
+                assert find_improvement_path(t, g, u, k, t.subtree(u)) is None, u
+            if chosen is None and psi(t, u, k) <= gate:
+                chosen = find_improvement_path(t, g, u, k, t.subtree(u))
+        if chosen is None:
+            break
+        rounds.append((k, chosen.vertices))
+        apply_improvement_path(t, chosen)
+    return rounds
+
+
+def solver_rounds(g: Digraph, monkeypatch) -> list[tuple[int, tuple[int, ...]]]:
+    """(k, path) of every improvement run_local_search applies."""
+    applied = []
+    apply = dmdst.local_search.apply_improvement_path
+
+    def recorded(t, p):
+        applied.append((p.d, p.vertices))
+        return apply(t, p)
+
+    monkeypatch.setattr(dmdst.local_search, "apply_improvement_path", recorded)
+    report = run_local_search(g)
+    monkeypatch.undo()
+    assert report.iterations == len(applied)
+    return applied
+
+
+def test_first_hop_skip_is_exact_on_the_corpus(corpus_results, monkeypatch):
+    """Every round picks the same candidate and path as a scan without the
+    first-hop test, and every candidate the test skips has no path."""
+    results, _ = corpus_results
+    applied = 0
+    for s in results:
+        rounds = reference_rounds(s.g)
+        assert solver_rounds(s.g, monkeypatch) == rounds, s.name
+        applied += len(rounds)
+    assert applied == sum(s.local.iterations for s in results) > 0
+
+
+@st.composite
+def small_digraphs(draw) -> Digraph:
+    """A digraph on 3..9 vertices whose sink 0 every vertex reaches: each
+    v >= 1 has an edge to some smaller vertex, plus any extra edges."""
+    n = draw(st.integers(3, 9))
+    edges = {(v, draw(st.integers(0, v - 1))) for v in range(1, n)}
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges |= {(u, v) for u, v in draw(st.sets(pairs, max_size=3 * n)) if u != v}
+    return Digraph(n, 0, sorted(edges))
+
+
+@given(small_digraphs())
+def test_first_hop_skip_is_exact_on_small_digraphs(g):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert solver_rounds(g, monkeypatch) == reference_rounds(g)
+
+
+def test_first_hop_skips_blocked_candidates_before_psi(monkeypatch):
+    """On a blocker instance every round walks one subtree and runs one
+    path search, the one that applies; without the first-hop test it made
+    1,012 psi calls and 982 path searches that found nothing."""
+    calls = count_candidate_work(monkeypatch)
+    report = run_local_search(gen_blocker(30, 60, 1009))
+    psi_calls = [r for name, r in calls if name == "psi"]
+    searches = [r for name, r in calls if name == "find_improvement_path"]
+    assert len(psi_calls) == report.iterations == 28
+    assert len(searches) == 28 and None not in searches
+    assert (report.delta_initial, report.delta_final) == (30, 30)
 
 
 def test_run_improves_star_with_ham_path():
