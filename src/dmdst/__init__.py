@@ -32,7 +32,6 @@ from .graph import (
     parse_graph,
     save_graph,
     serialize_graph,
-    unreachable_to_sink,
 )
 from .local_search import (
     AdjustDelta,
@@ -85,7 +84,6 @@ __all__ = [
     "save_graph",
     "serialize_graph",
     "tree_from_parents",
-    "unreachable_to_sink",
     "validate_augmenting_path",
     "verify_blocking",
 ]

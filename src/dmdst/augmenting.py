@@ -79,18 +79,18 @@ class LayeredState:
     """One round's levels at class k.  powers[d] is c**d (power_table) for
     every degree d below k-2.  seen is the union of every blocker level
     found so far, covered the union of every admitted start's subtree;
-    extend_layer keeps both current.  level1, when given, is the ascending
-    list of levels_V[0]'s children that level 1 scans, kept by the driver
-    across rounds; without it the scan sorts them afresh."""
+    extend_layer keeps both current.  level1 is the ascending list of
+    levels_V[0]'s children that level 1 scans, kept by the driver across
+    rounds."""
 
     k: int
     levels_V: list[set[int]]
     powers: list[int]
+    level1: list[int]
     levels_U: list[set[int]] = field(default_factory=list)
     pred: dict[int, tuple[int, tuple[int, ...]]] = field(default_factory=dict)
     seen: set[int] = field(init=False)
     covered: set[int] = field(default_factory=set)
-    level1: list[int] | None = None
 
     def __post_init__(self) -> None:
         self.seen = set().union(*self.levels_V)
@@ -156,7 +156,7 @@ def extend_layer(
     """Scan level i: either find a terminal exit or assemble V_i.
 
     The children of V_{i-1} are scanned in ascending id (at level 1, st's
-    kept list when it has one).  One walk of each child's subtree decides
+    kept list).  One walk of each child's subtree decides
     whether it joins U_i as a start: clean (no vertex of degree >= k-2, so
     segment interiors are low-degree) and cheap (potential within the
     level's integer budget).  The walk stops at the first vertex that
@@ -174,8 +174,9 @@ def extend_layer(
     admitted: set[int] = set()
     st.levels_U.append(admitted)
     v_new: set[int] = set()
-    scan = st.level1
-    if i > 1 or scan is None:
+    if i == 1:
+        scan = st.level1
+    else:
         scan = sorted(c for v in st.levels_V[i - 1] for c in children[v])
     for u in scan:
         inside: set[int] = set()
@@ -382,7 +383,7 @@ def run_augmenting_search(
             level1 = sorted(x for v in members for x in children[v])
         # each member of N_k has k children: the list must hold k * |N_k|
         assert len(level1) == k * len(members), "kept level-1 list out of step with N_k"
-        st = LayeredState(k, [members], powers, level1=level1)
+        st = LayeredState(k, [members], powers, level1)
         i = 0
         while True:
             i += 1

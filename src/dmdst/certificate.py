@@ -53,12 +53,21 @@ class BlockingCertificate:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BlockingCertificate":
+        """Raises TypeError on a side that is not a list of int vertices."""
         return cls(
-            U=frozenset(d["U"]),
-            B=frozenset(d["B"]),
+            U=_vertex_set(d["U"]),
+            B=_vertex_set(d["B"]),
             k=int(d["k"]),
             verified=bool(d.get("verified", False)),
         )
+
+
+def _vertex_set(side: list) -> frozenset[int]:
+    """A certificate side's vertices, which must be ints (not bools)."""
+    bad = next((v for v in side if type(v) is not int), None)
+    if bad is not None:
+        raise TypeError(f"certificate vertex {bad!r} is not an int")
+    return frozenset(side)
 
 
 def _reach_avoiding(g: Digraph, start: int, blocked: frozenset[int]) -> set[int]:

@@ -28,7 +28,6 @@ from .tree import build_initial_tree, tree_from_parents
 
 FAMILIES = ("random", "path", "instar", "complete", "blocker")
 ALGOS = ("local", "augment", "exact")
-EXACT_LIMIT = 12
 
 
 def _generate(family: str, n: int, seed: int, extra_edges: int | None,
@@ -55,7 +54,7 @@ def _solve(g: Digraph, algo: str, cfg: Config, trace: bool) -> SolveReport:
     if algo == "exact":
         start = time.perf_counter()
         delta0 = build_initial_tree(g).max_deg
-        best, tree = exact_min_degree(g, limit=EXACT_LIMIT)
+        best, tree = exact_min_degree(g)
         return solve_report(
             "exact", g, cfg, tree, start, delta0,
             lower_bound=Fraction(best), guarantee="proved", exit_reason="exact",
@@ -92,7 +91,7 @@ def _verify_report(g: Digraph, report: SolveReport) -> str | None:
         tree = tree_from_parents(g, report.parent)
     except Exception as exc:  # malformed array indices
         return f"ShapeMismatch: {exc}"
-    bad = tree.validate(g)
+    bad = tree.validate()
     if bad:
         return bad[0]
     if tree.max_deg != report.delta_final:

@@ -2,16 +2,18 @@
 
 Vertices are dense 0-based integers.  An edge u -> v means "u may choose v
 as its parent", so spanning in-trees toward the sink are assembled from
-parent choices along these edges.  Every valid graph guarantees that the
-sink is reachable from all vertices.
+parent choices along these edges.  Every Digraph, built or parsed, is
+checked to reach the sink from all vertices; one that does not raises
+SinkUnreachable, whose vertices name the stranded ones.
 
 Both ways in, Digraph(n, sink, edges) and parse_graph, go through one
 builder over two int columns, whose range, self-loop and duplicate checks
-run in bulk.  parse_graph reads text in the canonical form that
-serialize_graph writes in bulk (one json call for the whole body), also
-when comment lines, blank lines, trailing whitespace or CRLF line endings
-surround it, and any other text line by line; an invalid file raises the
-same error type on the same line either way.
+run in bulk, before the reachability check.  parse_graph reads text in
+the canonical form that serialize_graph writes in bulk (one json call for
+the whole body), also when comment lines, blank lines, trailing
+whitespace or CRLF line endings surround it, and any other text line by
+line; an invalid file raises the same error type on the same line either
+way.
 """
 
 from __future__ import annotations
@@ -62,24 +64,14 @@ class Digraph:
     """Immutable directed graph. Adjacency lists keep insertion order.
 
     sink_parent is the parent array of the reachability check's sink BFS
-    (sink_bfs), kept so that the start tree needs no second walk; it is
-    None when that check was skipped.
+    (sink_bfs), kept so that the start tree needs no second walk.
     """
 
     __slots__ = ("n", "m", "sink", "out_edges", "out_sets", "rev_edges", "sink_parent")
 
-    def __init__(
-        self,
-        n: int,
-        sink: int,
-        edges: Iterable[tuple[int, int]],
-        validate_reachability: bool = True,
-    ) -> None:
+    def __init__(self, n: int, sink: int, edges: Iterable[tuple[int, int]]) -> None:
         pairs = list(edges)
-        self._build(
-            n, sink, [u for u, _ in pairs], [v for _, v in pairs], None,
-            validate_reachability,
-        )
+        self._build(n, sink, [u for u, _ in pairs], [v for _, v in pairs], None)
 
     def _build(
         self,
@@ -88,7 +80,6 @@ class Digraph:
         us: Sequence[int],
         vs: Sequence[int],
         lines: Sequence[int] | None,
-        validate_reachability: bool,
     ) -> None:
         """The one edge builder, over the edge columns us[i] -> vs[i].
 
@@ -96,6 +87,8 @@ class Digraph:
         fails does _edge_fault scan the edges in order for the first
         offending one, so the error is the one a check of each edge in turn
         would raise (on line lines[i] for edge i, when lines are given).
+        A graph that passes them then has its sink BFS walked, which raises
+        SinkUnreachable on any vertex it leaves stranded.
         """
         if n < 1:
             raise MalformedHeader(f"vertex count must be >= 1, got {n}")
@@ -126,12 +119,10 @@ class Digraph:
         self.out_edges = tuple(map(tuple, out))
         self.out_sets = out_sets
         self.rev_edges = tuple(map(tuple, rev))
-        self.sink_parent: tuple[int | None, ...] | None = None
-        if validate_reachability:
-            parent, stranded = sink_bfs(self)
-            if stranded:
-                raise SinkUnreachable(stranded)
-            self.sink_parent = tuple(parent)
+        parent, stranded = sink_bfs(self)
+        if stranded:
+            raise SinkUnreachable(stranded)
+        self.sink_parent: tuple[int | None, ...] = tuple(parent)
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.out_sets[u]
@@ -205,11 +196,6 @@ def sink_bfs(g: Digraph) -> tuple[list[int | None], list[int]]:
     return parent, [v for v in range(n) if parent[v] is None and v != sink]
 
 
-def unreachable_to_sink(g: Digraph) -> set[int]:
-    """Vertices with no directed path to the sink (empty on a valid graph)."""
-    return set(sink_bfs(g)[1])
-
-
 def parse_graph(text: str | bytes) -> Digraph:
     """Parse the line-oriented graph format into a validated Digraph.
 
@@ -238,7 +224,7 @@ def parse_graph(text: str | bytes) -> Digraph:
         columns = _canonical_columns(content, numbers) or _line_columns(numbers, content)
     n, sink, us, vs, edge_lines = columns
     g = Digraph.__new__(Digraph)
-    g._build(n, sink, us, vs, edge_lines, True)
+    g._build(n, sink, us, vs, edge_lines)
     return g
 
 

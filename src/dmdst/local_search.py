@@ -119,20 +119,15 @@ def choose_k(t: InTree, base: int | Fraction) -> int:
     return argmax_degree_class(t.degree_counts(), base)
 
 
-def psi(
-    t: InTree, u: int, k: int, limit: Fraction | int | None = None,
-    inside: set[int] | None = None,
-) -> int:
+def psi(t: InTree, u: int, k: int, limit: int, inside: set[int]) -> int:
     """Potential mass of subtree(u) restricted to degrees <= k-2.
 
-    With a limit, returns the partial sum as soon as it exceeds the limit:
-    every term is positive, so that sum and the full one are both above it.
-    The walk adds every vertex it reaches to inside, so a sum within the
-    limit leaves inside equal to subtree(u)'s vertex set, ready for
+    Returns the partial sum as soon as it exceeds limit: every term is
+    positive, so that sum and the full one are both above it.  The walk
+    adds every vertex it reaches to inside, so a sum within the limit
+    leaves inside equal to subtree(u)'s vertex set, ready for
     find_improvement_path.
     """
-    if inside is None:
-        inside = set()
     children = t.children
     total = 0
     stack = [u]
@@ -144,7 +139,7 @@ def psi(
         d = len(kids)
         if d <= k - 2:
             total += 1 << d
-            if limit is not None and total > limit:
+            if total > limit:
                 return total
     return total
 

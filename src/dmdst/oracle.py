@@ -13,7 +13,10 @@ from typing import Iterator
 from .graph import Digraph
 from .tree import InTree, tree_from_parents
 
+# Largest instances each entry point takes, and the most trees enumerated.
+EXACT_LIMIT = 12
 ENUMERATION_LIMIT = 9
+ENUMERATION_CAP = 10 ** 6
 
 
 class TooLarge(ValueError):
@@ -75,14 +78,16 @@ def _feasible(g: Digraph, bound: int) -> list[int] | None:
     return None
 
 
-def exact_min_degree(g: Digraph, limit: int = 12) -> tuple[int, InTree]:
+def exact_min_degree(g: Digraph) -> tuple[int, InTree]:
     """Least achievable max in-degree, with a witness tree.
 
     Binary search on the bound; each feasibility probe prunes harder than
-    a direct minimization would.
+    a direct minimization would.  The witness is the tree of the last
+    feasible probe, the one that set hi to the final bound; only when no
+    probe found a tree is the final bound probed for one.
     """
-    if g.n > limit:
-        raise TooLarge(g.n, limit)
+    if g.n > EXACT_LIMIT:
+        raise TooLarge(g.n, EXACT_LIMIT)
     if g.n == 1:
         return 0, InTree(g, [None])
     lo, hi = 1, g.n - 1
@@ -95,25 +100,18 @@ def exact_min_degree(g: Digraph, limit: int = 12) -> tuple[int, InTree]:
             hi = mid
         else:
             lo = mid + 1
-    if witness is None or max_in_degree(witness, g.n) > lo:
+    if witness is None:
         witness = _feasible(g, lo)
         assert witness is not None, "spanning tree must exist on a valid graph"
     tree = tree_from_parents(g, witness)
-    assert not tree.validate(g)
+    assert not tree.validate()
     assert tree.max_deg == lo
     return lo, tree
 
 
-def max_in_degree(parent: list[int], n: int) -> int:
-    counts = [0] * n
-    for v in range(n):
-        if parent[v] >= 0:
-            counts[parent[v]] += 1
-    return max(counts)
-
-
-def enumerate_spanning_intrees(g: Digraph, cap: int = 10 ** 6) -> Iterator[InTree]:
-    """Yield every spanning in-tree rooted at the sink, up to cap.
+def enumerate_spanning_intrees(g: Digraph) -> Iterator[InTree]:
+    """Yield every spanning in-tree rooted at the sink; raise TooLarge
+    past ENUMERATION_CAP of them.
 
     Depth-first product of parent choices in vertex order, pruning any
     assignment that closes a cycle; the order is deterministic.
@@ -129,8 +127,8 @@ def enumerate_spanning_intrees(g: Digraph, cap: int = 10 ** 6) -> Iterator[InTre
         nonlocal produced
         if idx == len(vertices):
             produced += 1
-            if produced > cap:
-                raise TooLarge(produced, cap)
+            if produced > ENUMERATION_CAP:
+                raise TooLarge(produced, ENUMERATION_CAP)
             yield tree_from_parents(g, parent)
             return
         v = vertices[idx]

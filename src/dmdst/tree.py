@@ -9,9 +9,9 @@ classes), however high the degree once was.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .graph import Digraph, sink_bfs
+from .graph import Digraph
 
 
 class TreeError(Exception):
@@ -47,7 +47,7 @@ class InTree:
 
     __slots__ = ("g", "parent", "children", "_members", "max_deg")
 
-    def __init__(self, g: Digraph, parent: list[int | None]) -> None:
+    def __init__(self, g: Digraph, parent: Sequence[int | None]) -> None:
         if len(parent) != g.n:
             raise TreeError(f"parent array length {len(parent)} != n={g.n}")
         self.g = g
@@ -207,9 +207,10 @@ class InTree:
 
     # -- validation ----------------------------------------------------------
 
-    def validate(self, g: Digraph | None = None) -> list[str]:
-        """All invariant violations against g (empty list means valid)."""
-        g = g or self.g
+    def validate(self) -> list[str]:
+        """All invariant violations against the tree's graph (empty list
+        means valid)."""
+        g = self.g
         bad: list[str] = []
         n = g.n
         if len(self.parent) != n:
@@ -340,15 +341,10 @@ def build_initial_tree(g: Digraph) -> InTree:
     """Breadth-first spanning tree from the sink over reversed edges.
 
     parent(v) is v's BFS predecessor (graph.sink_bfs), so the tree is as
-    shallow as the graph allows and deterministic given its edge order.  A
-    graph whose reachability was checked already holds those parents.
+    shallow as the graph allows and deterministic given its edge order.
+    Every Digraph holds those parents from its reachability check.
     """
-    parent = g.sink_parent
-    if parent is None:
-        parent, stranded = sink_bfs(g)
-        if stranded:
-            raise TreeError(f"graph invariant broken: {stranded} cannot reach sink")
-    return InTree(g, parent)
+    return InTree(g, g.sink_parent)
 
 
 def tree_from_parents(g: Digraph, parents: Iterable[int]) -> InTree:

@@ -63,7 +63,7 @@ def test_criterion_1_oracle_optimality_floor(corpus_results):
         assert r.oracle_delta is not None
         for report in (r.local, r.augment):
             tree = tree_from_parents(r.g, report.parent)
-            assert tree.validate(r.g) == [], r.name
+            assert tree.validate() == [], r.name
             assert report.delta_final == tree.max_deg
             assert report.delta_final >= r.oracle_delta, r.name
             if report.certificate is not None:
@@ -322,7 +322,7 @@ def test_criterion_10_scale_smoke():
         timings[name] = time.perf_counter() - start
         assert timings[name] < 10.0, f"{name} took {timings[name]:.1f}s"
         tree = tree_from_parents(g, report.parent)
-        assert tree.validate(g) == []
+        assert tree.validate() == []
         rows = report.potential_trace or report.layers_trace
         for row in rows:
             if row.get("applied", True):

@@ -53,10 +53,17 @@ def two_segment_fixture() -> Digraph:
     return Digraph(10, 0, edges)
 
 
+def level1_state(t, cfg, k, level0):
+    """A fresh LayeredState at class k, with the sorted level-1 list the
+    driver keeps: the children of level 0."""
+    level1 = sorted(c for v in level0 for c in t.children[v])
+    return LayeredState(k, [level0], power_table(cfg, t.max_deg), level1)
+
+
 def layered_fixture_state(g, k=3):
     t = build_initial_tree(g)
     cfg = Config.for_graph(g)
-    return t, cfg, LayeredState(k, [t.members(k)], power_table(cfg, t.max_deg))
+    return t, cfg, level1_state(t, cfg, k, t.members(k))
 
 
 def test_eligible_starts_takes_clean_leaf_subtrees():
@@ -141,7 +148,7 @@ def test_extend_layer_finds_endpoint_immediately():
     t = build_initial_tree(g)
     # pretend the blocker is level 0: its clean child 6 escapes to 8
     cfg = Config.for_graph(g)
-    st_ = LayeredState(3, [{5}], power_table(cfg, t.max_deg))
+    st_ = level1_state(t, cfg, 3, {5})
     result = extend_layer(t, g, st_, 1, cfg)
     assert isinstance(result, FoundEndpoint)
     assert (result.u, result.exit) == (6, 8)

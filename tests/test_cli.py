@@ -6,7 +6,6 @@ from pathlib import Path
 import pytest
 
 import dmdst.graph
-import dmdst.tree
 from dmdst import (
     Digraph,
     SolveReport,
@@ -143,10 +142,39 @@ def _drop_certificate_k(data):
     return data
 
 
+def _certificate_vertex(side, vertex):
+    """The report with its certificate's first vertex on side replaced."""
+
+    def corrupt(data):
+        data["certificate"][side][0] = vertex
+        return data
+
+    return corrupt
+
+
+def _certificate_extra_vertex(side, vertex):
+    """The report with vertex appended to its certificate's side."""
+
+    def corrupt(data):
+        data["certificate"][side].append(vertex)
+        return data
+
+    return corrupt
+
+
+NON_INT_VERTICES = [(side, v) for side in "UB" for v in ("a", 1.5, True)]
+# U is [1, 2, 3, 4]; each value equals a vertex already on it.
+EQUAL_NON_INT_VERTICES = [True, 2.0]
+
+
 @pytest.mark.parametrize(
     "corrupt",
-    [_drop_parent, _zero_bound_denominator, _drop_certificate_k, lambda data: [data]],
-    ids=["missing-parent", "zero-denominator", "certificate-without-k", "top-level-list"],
+    [_drop_parent, _zero_bound_denominator, _drop_certificate_k, lambda data: [data]]
+    + [_certificate_vertex(side, v) for side, v in NON_INT_VERTICES]
+    + [_certificate_extra_vertex("U", v) for v in EQUAL_NON_INT_VERTICES],
+    ids=["missing-parent", "zero-denominator", "certificate-without-k", "top-level-list"]
+    + [f"certificate-{side}-{v!r}" for side, v in NON_INT_VERTICES]
+    + [f"certificate-U-extra-{v!r}" for v in EQUAL_NON_INT_VERTICES],
 )
 def test_verify_rejects_malformed_report_as_bad_input(tmp_path, capsys, corrupt):
     path = write_instance(tmp_path, "g", Digraph(5, 0, [(v, 0) for v in range(1, 5)]))
@@ -227,7 +255,6 @@ def test_solve_walks_the_sink_bfs_once(tmp_path, capsys, monkeypatch, algo):
         return sink_bfs(g)
 
     monkeypatch.setattr(dmdst.graph, "sink_bfs", counted)
-    monkeypatch.setattr(dmdst.tree, "sink_bfs", counted)
     code, _, err = run_cli(capsys, "solve", path, "--algo", algo)
     assert code == 0, err
     assert len(calls) == 1

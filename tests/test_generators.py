@@ -12,9 +12,9 @@ from dmdst import (
     run_augmenting_search,
     run_local_search,
     serialize_graph,
-    unreachable_to_sink,
 )
 from dmdst.generators import SplitMix64, TooManyEdges
+from dmdst.graph import sink_bfs
 
 
 def test_splitmix_stream_is_fixed():
@@ -30,7 +30,7 @@ def test_splitmix_stream_is_fixed():
 def test_backbone_only_instance():
     g = gen_random(5, 0, 7)
     assert g.m == 4
-    assert unreachable_to_sink(g) == set()
+    assert sink_bfs(g)[1] == []
 
 
 def test_identical_seed_identical_bytes():
@@ -61,7 +61,7 @@ def test_blocker_params_validated():
 @given(st.integers(0, 10 ** 6))
 def test_blocker_output_valid_for_all_seeds(seed):
     g = gen_blocker(3, 2, seed)
-    assert unreachable_to_sink(g) == set()
+    assert sink_bfs(g)[1] == []
     assert g.n == 12
 
 
@@ -86,7 +86,7 @@ def test_blocker_gap_between_solvers_and_oracle():
 @given(st.integers(0, 10 ** 6))
 def test_blocker_larger_parameters_still_valid(seed):
     g = gen_blocker(4, 3, seed)
-    assert unreachable_to_sink(g) == set()
+    assert sink_bfs(g)[1] == []
     t = build_initial_tree(g)
     assert t.validate() == []
     assert t.max_deg == 4

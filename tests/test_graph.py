@@ -1,14 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from dmdst import (
-    Digraph,
-    build_initial_tree,
-    gen_random,
-    parse_graph,
-    serialize_graph,
-    unreachable_to_sink,
-)
+from dmdst import Digraph, gen_random, parse_graph, serialize_graph
 from dmdst import graph as graph_module
 from dmdst.graph import (
     DuplicateEdge,
@@ -17,8 +10,8 @@ from dmdst.graph import (
     SelfLoop,
     SinkUnreachable,
     VertexOutOfRange,
+    sink_bfs,
 )
-from dmdst.tree import TreeError
 
 PATH3 = "dmdst 1\n3 2 0\n1 0\n2 1\n"
 
@@ -284,12 +277,15 @@ def test_roundtrip_structural_over_seeds(seed):
 
 
 def test_unreachable_set_empty_on_valid_graph():
-    assert unreachable_to_sink(parse_graph(PATH3)) == set()
+    g = parse_graph(PATH3)
+    assert sink_bfs(g) == ([None, 0, 1], [])
+    assert g.sink_parent == (None, 0, 1)
 
 
 def test_unreachable_set_names_isolated_vertex():
-    g = Digraph(3, 0, [(1, 0)], validate_reachability=False)
-    assert unreachable_to_sink(g) == {2}
+    with pytest.raises(SinkUnreachable) as info:
+        Digraph(3, 0, [(1, 0)])
+    assert info.value.vertices == (2,)
 
 
 @pytest.mark.parametrize(
@@ -303,11 +299,7 @@ def test_unreachable_set_names_isolated_vertex():
     ],
 )
 def test_unreachable_names_stranded_vertex(n, edges, stranded):
-    g = Digraph(n, 0, edges, validate_reachability=False)
-    assert unreachable_to_sink(g) == {stranded}
-    with pytest.raises(TreeError, match=rf"\[{stranded}\] cannot reach sink"):
-        build_initial_tree(g)
-    with pytest.raises(SinkUnreachable) as info:
+    with pytest.raises(SinkUnreachable, match=rf"vertices \[{stranded}\]$") as info:
         Digraph(n, 0, edges)
     assert info.value.vertices == (stranded,)
 
@@ -328,8 +320,12 @@ def edge_by_edge_fault(n: int, edges: list[tuple[int, int]]):
 
 
 def builder_outcome(n: int, edges: list[tuple[int, int]]):
+    """The builder's edge fault, or None when there is none: reachability
+    is checked after the edge checks, so SinkUnreachable means none."""
     try:
-        Digraph(n, 0, edges, validate_reachability=False)
+        Digraph(n, 0, edges)
+    except SinkUnreachable:
+        return None
     except GraphFormatError as exc:
         assert exc.line is None
         return type(exc), str(exc)
@@ -364,7 +360,7 @@ def test_builder_matches_edge_by_edge_checks(n, edges):
 def test_generator_output_always_reaches_sink(seed):
     n = 3 + seed % 7
     g = gen_random(n, min(seed % 9, (n - 1) ** 2), seed)
-    assert unreachable_to_sink(g) == set()
+    assert sink_bfs(g)[1] == []
 
 
 def test_out_edges_clean_after_parse():

@@ -33,6 +33,11 @@ def star_with_escape(with_chord: bool = True) -> Digraph:
     return Digraph(6, 0, edges)
 
 
+def full_psi(t, u: int, k: int) -> int:
+    """psi(t, u, k) summed in full: no subtree's sum exceeds the potential."""
+    return psi(t, u, k, t.potential(2), set())
+
+
 def instar_with_ham_path(n: int) -> Digraph:
     edges = [(v, 0) for v in range(1, n)]
     edges.extend((v + 1, v) for v in range(1, n - 1))
@@ -131,15 +136,15 @@ def test_psi_boundary_and_leaf():
     # exactly the default gate at k = 5.
     g = Digraph(6, 0, [(1, 0)] + [(v, 1) for v in range(2, 6)])
     t = build_initial_tree(g)
-    assert psi(t, 1, 5) == 4
-    assert Fraction(psi(t, 1, 5)) <= Fraction(1, 8) * 2 ** 5
-    assert psi(t, 2, 3) == 1  # leaf
+    assert full_psi(t, 1, 5) == 4
+    assert Fraction(full_psi(t, 1, 5)) <= Fraction(1, 8) * 2 ** 5
+    assert full_psi(t, 2, 3) == 1  # leaf
 
 
 def test_psi_excludes_high_degree_vertices():
     g = instar_with_ham_path(6)
     t = build_initial_tree(g)
-    assert psi(t, 1, 2) == 1  # only the leaf itself qualifies at k=2
+    assert full_psi(t, 1, 2) == 1  # only the leaf itself qualifies at k=2
 
 
 @given(st.integers(0, 10 ** 6))
@@ -153,7 +158,7 @@ def test_psi_matches_subtree_enumeration(seed):
                 2 ** t.deg(v) for v in t.subtree(u) if t.deg(v) <= k - 2
             )
             inside: set[int] = set()
-            assert psi(t, u, k, None, inside) == expected
+            assert psi(t, u, k, t.potential(2), inside) == expected
             assert inside == t.subtree(u)
             for limit in (0, Fraction(3, 2), expected - 1, expected):
                 inside = set()
@@ -243,7 +248,7 @@ def test_path_search_reuses_the_gated_subtree(corpus_results, monkeypatch):
     del found[:]
     g = candidate_without_exit()
     t = build_initial_tree(g)
-    assert (choose_k(t, 2), t.parent[1], t.children[1], psi(t, 1, 5)) == (5, 0, [6], 3)
+    assert (choose_k(t, 2), t.parent[1], t.children[1], full_psi(t, 1, 5)) == (5, 0, [6], 3)
     report = run_local_search(g)
     assert found == [False]
     assert (report.delta_final, report.iterations, report.exit_reason) == (5, 0, "stalled")
@@ -265,7 +270,7 @@ def reference_rounds(g: Digraph) -> list[tuple[int, tuple[int, ...]]]:
         for u in sorted(c for p in t.members(k) for c in t.children[p]):
             if not any(t.deg(y) <= k - 2 for y in g.out_edges[u]):
                 assert find_improvement_path(t, g, u, k, t.subtree(u)) is None, u
-            if chosen is None and psi(t, u, k) <= gate:
+            if chosen is None and full_psi(t, u, k) <= gate:
                 chosen = find_improvement_path(t, g, u, k, t.subtree(u))
         if chosen is None:
             break
