@@ -53,11 +53,15 @@ class BlockingCertificate:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BlockingCertificate":
-        """Raises TypeError on a side that is not a list of int vertices."""
+        """Raises TypeError on a side that is not a list of int vertices,
+        or on a k that is not an int (bools included)."""
+        k = d["k"]
+        if type(k) is not int:
+            raise TypeError(f"certificate k {k!r} is not an int")
         return cls(
             U=_vertex_set(d["U"]),
             B=_vertex_set(d["B"]),
-            k=int(d["k"]),
+            k=k,
             verified=bool(d.get("verified", False)),
         )
 
@@ -70,17 +74,9 @@ def _vertex_set(side: list) -> frozenset[int]:
     return frozenset(side)
 
 
-def _reach_avoiding(g: Digraph, start: int, blocked: frozenset[int]) -> set[int]:
-    """Vertices reachable from start without entering any blocked vertex."""
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        x = queue.popleft()
-        for y in g.out_edges[x]:
-            if y not in seen and y not in blocked:
-                seen.add(y)
-                queue.append(y)
-    return seen
+# verify_blocking's owner marks besides a witness, which marks what it
+# reaches with its own (non-negative) vertex number
+_FREE, _BLOCKED, _SINK = -1, -2, -3
 
 
 def verify_blocking(g: Digraph, cert: BlockingCertificate) -> bool:
@@ -88,22 +84,35 @@ def verify_blocking(g: Digraph, cert: BlockingCertificate) -> bool:
 
     In the vertex-deleted graph G - B the sink must be unreachable from
     every u in U, and the reachability sets of distinct U vertices must be
-    pairwise disjoint.
+    pairwise disjoint.  One walk checks both: an owner array, with B
+    pre-filled as never entered, records the witness that reached each
+    vertex.  Witnesses go in increasing order; each fails if an earlier
+    one owns it, or if its search from it reaches the sink or a vertex
+    another witness owns.  Reads only g.n, g.sink and g.out_edges.
     """
     U, B = cert.U, cert.B
     if not U or not B or (U & B) or g.sink in U:
         return False
     if any(not 0 <= v < g.n for v in U | B):
         return False
-    owner: dict[int, int] = {}
+    owner = [_FREE] * g.n
+    owner[g.sink] = _SINK
+    for b in B:  # a sink in B is never entered, like any B vertex
+        owner[b] = _BLOCKED
+    out_edges = g.out_edges
     for u in sorted(U):
-        reach = _reach_avoiding(g, u, B)
-        if g.sink in reach:
+        if owner[u] != _FREE:
             return False
-        for x in reach:
-            if x in owner:
-                return False
-            owner[x] = u
+        owner[u] = u
+        stack = [u]
+        while stack:
+            for y in out_edges[stack.pop()]:
+                o = owner[y]
+                if o == _FREE:
+                    owner[y] = u
+                    stack.append(y)
+                elif o != u and o != _BLOCKED:  # the sink or another's
+                    return False
     return True
 
 

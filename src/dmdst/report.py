@@ -108,6 +108,15 @@ def _encode(value: object, out: list[str], nl: str) -> None:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+def _parent_array(parent: list) -> list[int]:
+    """A report's parent array, whose entries must be ints (not bools)."""
+    parent = list(parent)
+    if not set(map(type, parent)) <= {int}:  # screened at C speed
+        bad = next(p for p in parent if type(p) is not int)
+        raise TypeError(f"parent entry {bad!r} is not an int")
+    return parent
+
+
 @dataclass
 class SolveReport:
     algorithm: str
@@ -188,7 +197,7 @@ class SolveReport:
                 iterations=d["iterations"],
                 potential_trace=d.get("potential_trace"),
                 layers_trace=d.get("layers_trace"),
-                parent=list(d["parent"]),
+                parent=_parent_array(d["parent"]),
                 wall_time_ms=d["wall_time_ms"],
                 config=d.get("config", {}),
                 guarantee=d["guarantee"],

@@ -5,6 +5,10 @@ parent.  deg(v) is the number of children of v (its tree in-degree), and a
 degree histogram keeps the member set of every live (non-empty) degree
 class, so the potential function and degree-class scans cost O(live
 classes), however high the degree once was.
+
+parent_violations checks a bare parent array against its graph.
+InTree.validate runs it on the tree's own array, and `dmdst verify` on a
+report's, with no InTree built.
 """
 
 from __future__ import annotations
@@ -209,43 +213,13 @@ class InTree:
 
     def validate(self) -> list[str]:
         """All invariant violations against the tree's graph (empty list
-        means valid)."""
+        means valid): parent_violations on the parent array, then the
+        children lists, the degree histogram and the cached max degree."""
         g = self.g
-        bad: list[str] = []
         n = g.n
-        if len(self.parent) != n:
-            return [f"ShapeMismatch: parent array has {len(self.parent)} entries for n={n}"]
-        for v in range(n):
-            p = self.parent[v]
-            if v == g.sink:
-                if p is not None:
-                    bad.append(f"SinkHasParent: sink {v} has parent {p}")
-                continue
-            if p is None:
-                bad.append(f"MissingParent: vertex {v} has no parent")
-            elif not 0 <= p < n:
-                bad.append(f"ParentOutOfRange: vertex {v} -> {p}")
-            elif not g.has_edge(v, p):
-                bad.append(f"NotAnEdge: tree edge ({v}, {p}) missing from graph")
-        # Parent chains must reach the sink without repeating a vertex.
-        state = [0] * n  # 0 unseen, 1 on current walk, 2 settled
-        state[g.sink] = 2
-        for v in range(n):
-            if state[v]:
-                continue
-            walk = []
-            cur: int | None = v
-            while cur is not None and state[cur] == 0:
-                state[cur] = 1
-                walk.append(cur)
-                cur = self.parent[cur] if 0 <= cur < n else None
-            if cur is None or state[cur] == 1:
-                bad.append(f"CycleDetected: parent walk from {v} never reaches sink")
-                for w in walk:
-                    state[w] = 2
-            else:
-                for w in walk:
-                    state[w] = 2
+        bad = parent_violations(g, self.parent)
+        if len(self.parent) != n:  # ShapeMismatch, reported alone
+            return bad
         for v in range(n):
             for c in self.children[v]:
                 if self.parent[c] != v:
@@ -345,6 +319,57 @@ def build_initial_tree(g: Digraph) -> InTree:
     Every Digraph holds those parents from its reachability check.
     """
     return InTree(g, g.sink_parent)
+
+
+def parent_violations(g: Digraph, parent: Sequence[int | None]) -> list[str]:
+    """Every violation of a spanning in-tree of g in a parent array (None
+    at the sink; empty list means valid), with no tree built.
+
+    A wrong length is reported alone.  Otherwise each vertex in order is
+    checked for its parent: none at the sink, an in-range out-neighbor
+    everywhere else.  Then a parent walk from each vertex not yet reached
+    must reach the sink without repeating a vertex; a walk stops at a
+    missing or out-of-range parent, which also fails it.
+    """
+    n = g.n
+    if len(parent) != n:
+        return [f"ShapeMismatch: parent array has {len(parent)} entries for n={n}"]
+    sink = g.sink
+    bad: list[str] = []
+    # A C-speed screen first: neither None nor an out-of-range parent is in
+    # any out-set, so n - 1 hits and no parent at the sink mean no faults.
+    hits = sum(map(frozenset.__contains__, g.out_sets, parent))
+    if hits != n - 1 or parent[sink] is not None:
+        for v in range(n):
+            p = parent[v]
+            if v == sink:
+                if p is not None:
+                    bad.append(f"SinkHasParent: sink {v} has parent {p}")
+                continue
+            if p is None:
+                bad.append(f"MissingParent: vertex {v} has no parent")
+            elif not 0 <= p < n:
+                bad.append(f"ParentOutOfRange: vertex {v} -> {p}")
+            elif not g.has_edge(v, p):
+                bad.append(f"NotAnEdge: tree edge ({v}, {p}) missing from graph")
+    # Parent chains must reach the sink without repeating a vertex.  The
+    # walk from v marks what it visits with v + 1 and fails on a missing or
+    # out-of-range parent or on its own mark.  It stops with no report at
+    # the sink or at an earlier walk's vertex, whose verdict is already in.
+    mark = [0] * n
+    mark[sink] = -1
+    for v in range(n):
+        if mark[v]:
+            continue
+        here = v + 1
+        cur: int | None = v
+        while cur is not None and not mark[cur]:
+            mark[cur] = here
+            p = parent[cur]
+            cur = p if p is not None and 0 <= p < n else None
+        if cur is None or mark[cur] == here:
+            bad.append(f"CycleDetected: parent walk from {v} never reaches sink")
+    return bad
 
 
 def tree_from_parents(g: Digraph, parents: Iterable[int]) -> InTree:

@@ -7,6 +7,7 @@ so the tests never check the library against itself.
 
 from __future__ import annotations
 
+import itertools
 import json
 import time
 from collections import deque
@@ -197,6 +198,28 @@ def all_picks_unrelated_children(t: InTree, d: int) -> set[int]:
         picks.difference_update(blockers)
         picks.update(t.children[u])
     return picks
+
+
+def blocks_by_reach_sets(g: Digraph, U: frozenset[int], B: frozenset[int]) -> bool:
+    """verify_blocking by its first definition: one reach set in G - B per
+    witness, then no set may hold the sink and no two sets may meet."""
+    if not U or not B or U & B or g.sink in U:
+        return False
+    if any(not 0 <= v < g.n for v in U | B):
+        return False
+    reach = []
+    for u in U:
+        seen = {u}
+        queue = deque([u])
+        while queue:
+            for y in g.out_edges[queue.popleft()]:
+                if y not in B and y not in seen:
+                    seen.add(y)
+                    queue.append(y)
+        reach.append(seen)
+    if any(g.sink in r for r in reach):
+        return False
+    return all(a.isdisjoint(b) for a, b in itertools.combinations(reach, 2))
 
 
 def fraction_det(mat: list[list[Fraction]]) -> Fraction:

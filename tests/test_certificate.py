@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from dmdst import (
     exact_min_degree,
     extract_augment_certificate,
     extract_local_certificate,
+    gen_blocker,
     gen_instar,
     gen_path,
     gen_random,
@@ -19,6 +21,7 @@ from dmdst import (
     verify_blocking,
 )
 from dmdst.certificate import EmptyWitness
+from conftest import blocks_by_reach_sets
 
 
 def test_instar_certificate_is_tight():
@@ -153,3 +156,36 @@ def test_certificate_json_roundtrip():
     assert again == cert
     d = cert.to_dict()
     assert d["bound_num"] == 4 and d["bound_den"] == 1
+
+
+def _mutants(cert: BlockingCertificate, n: int, rng: random.Random):
+    """Seeded (U, B) variations: a B vertex dropped or moved elsewhere, a
+    U vertex added, a U vertex moved into B."""
+    b = rng.choice(sorted(cert.B))
+    u = rng.choice(sorted(cert.U))
+    x = rng.randrange(n)
+    yield cert.U, cert.B - {b}
+    yield cert.U, (cert.B - {b}) | {x}
+    yield cert.U | {x}, cert.B
+    yield cert.U - {u}, cert.B | {u}
+
+
+def test_one_walk_verify_matches_reach_set_reference(corpus_results):
+    results, _ = corpus_results
+    solved = [(r.g, rep) for r in results for rep in (r.local, r.augment)]
+    for s in range(4):  # larger blockers, whose witnesses share more edges
+        g = gen_blocker(12, 15, s)
+        solved += [(g, run_local_search(g)), (g, run_augmenting_search(g))]
+    rng = random.Random(13)
+    verdicts = []
+    for g, report in solved:
+        cert = report.certificate
+        if cert is None:
+            continue
+        assert verify_blocking(g, cert) and blocks_by_reach_sets(g, cert.U, cert.B)
+        for _ in range(3):
+            for U, B in _mutants(cert, g.n, rng):
+                verdict = verify_blocking(g, BlockingCertificate(U, B, cert.k))
+                assert verdict == blocks_by_reach_sets(g, U, B), (g.n, sorted(U), sorted(B))
+                verdicts.append(verdict)
+    assert True in verdicts and False in verdicts

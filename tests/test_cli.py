@@ -1,24 +1,30 @@
 import json
 import shlex
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import dmdst.graph
 from dmdst import (
     Digraph,
     SolveReport,
+    build_initial_tree,
     cli,
     gen_instar,
     gen_path,
     gen_random,
+    run_local_search,
     save_graph,
     serialize_graph,
+    tree_from_parents,
 )
 from dmdst.augmenting import ValidationFailed
 from dmdst.cli import main
 from dmdst.graph import sink_bfs
+from dmdst.tree import InTree
 
 
 def run_cli(capsys, *argv):
@@ -90,6 +96,19 @@ def test_solve_then_verify_roundtrip(tmp_path, capsys):
         assert out.strip() == "ok"
 
 
+def test_solve_then_verify_one_vertex_graph(tmp_path, capsys):
+    """The lone sink is a tree of degree 0: verify counts no parent for it."""
+    path = write_instance(tmp_path, "g", Digraph(1, 0, []))
+    for algo in ("local", "augment", "exact"):
+        code, stdout, err = run_cli(capsys, "solve", path, "--algo", algo)
+        assert code == 0, err
+        assert json.loads(stdout)["delta_final"] == 0
+        report_file = tmp_path / f"r-{algo}.json"
+        report_file.write_text(stdout)
+        code, out, err = run_cli(capsys, "verify", path, str(report_file))
+        assert (code, out) == (0, "ok\n"), err
+
+
 def test_verify_flags_corrupted_parent(tmp_path, capsys):
     path = write_instance(tmp_path, "g", instar_with_chords(8))
     _, stdout, _ = run_cli(capsys, "solve", path, "--algo", "local")
@@ -127,6 +146,99 @@ def test_verify_flags_emptied_blocking_set(tmp_path, capsys):
     assert "BlockingCertificateInvalid" in err
 
 
+def test_verify_flags_out_of_range_parent(tmp_path, capsys):
+    path = write_instance(tmp_path, "g", instar_with_chords(8))
+    _, stdout, _ = run_cli(capsys, "solve", path, "--algo", "augment")
+    data = json.loads(stdout)
+    data["parent"][3] = 10**6
+    report_file = tmp_path / "bad.json"
+    report_file.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "verify", path, str(report_file))
+    assert (code, out) == (1, "")
+    assert err == "ParentOutOfRange: vertex 3 -> 1000000\n"
+
+
+def test_verify_builds_no_solver_tree(corpus_results, tmp_path, capsys, monkeypatch):
+    """`dmdst verify` reads the report's arrays directly: every corpus
+    report still verifies with InTree construction broken."""
+    results, _ = corpus_results
+
+    def broken(self, g, parent):
+        raise AssertionError("verify built an InTree")
+
+    monkeypatch.setattr(InTree, "__init__", broken)
+    graph_file = tmp_path / "g"
+    report_file = tmp_path / "r.json"
+    for r in results:
+        graph_file.write_text(serialize_graph(r.g))
+        for report in (r.local, r.augment):
+            report_file.write_text(report.to_json())
+            code, out, err = run_cli(capsys, "verify", str(graph_file), str(report_file))
+            assert (code, out) == (0, "ok\n"), (r.name, err)
+
+
+@st.composite
+def signed_parent_arrays(draw):
+    """A small graph, a report solved on it, and the report's signed
+    parent array with a few entries rewritten: ints in [-2, n + 2], 10**6,
+    self-parents and two-vertex cycles."""
+    seed = draw(st.integers(0, 300))
+    n = 4 + seed % 6
+    g = gen_random(n, min(seed % 13, (n - 1) ** 2), seed)
+    parent = build_initial_tree(g).parents_signed()
+    for _ in range(draw(st.integers(1, 3))):
+        v = draw(st.integers(0, n - 1))
+        kind = draw(st.sampled_from(["value", "huge", "self", "swap"]))
+        if kind == "value":
+            parent[v] = draw(st.integers(-2, n + 2))
+        elif kind == "huge":
+            parent[v] = 10**6
+        elif kind == "self":
+            parent[v] = v
+        else:
+            w = draw(st.integers(0, n - 1))
+            parent[v], parent[w] = w, v
+    return g, parent, draw(st.integers(0, 1))
+
+
+@given(signed_parent_arrays())
+def test_verify_report_reads_parent_array_as_tree_validate(case):
+    """_verify_report never raises.  Wherever tree_from_parents builds a
+    tree it gives that tree's first validate() violation, or checks the
+    tree degree; where an entry at or above n breaks the constructor it
+    names the first faulty vertex, ParentOutOfRange when that is the entry
+    (SinkHasParent at the sink)."""
+    g, parent, delta_offset = case
+    report = replace(run_local_search(g), certificate=None, lower_bound=None)
+    try:
+        tree = tree_from_parents(g, parent)
+    except IndexError:
+        tree = None
+    if tree is not None:
+        delta = tree.max_deg + delta_offset
+        got = cli._verify_report(g, replace(report, parent=parent, delta_final=delta))
+        expected = (tree.validate() or [None])[0]
+        if expected is None and delta_offset:
+            expected = f"DeltaMismatch: tree degree {tree.max_deg}, report says {delta}"
+        assert got == expected
+        return
+    got = cli._verify_report(g, replace(report, parent=parent))
+    first = next(v for v, p in enumerate(parent) if p >= g.n)
+
+    def fine(v, p):
+        if v == g.sink:
+            return p < 0
+        return 0 <= p < g.n and g.has_edge(v, p)
+
+    if all(fine(v, parent[v]) for v in range(first)):
+        if first == g.sink:
+            assert got == f"SinkHasParent: sink {first} has parent {parent[first]}"
+        else:
+            assert got == f"ParentOutOfRange: vertex {first} -> {parent[first]}"
+    else:
+        assert got.split(":")[0] in {"SinkHasParent", "MissingParent", "NotAnEdge"}
+
+
 def _drop_parent(data):
     del data["parent"]
     return data
@@ -162,19 +274,44 @@ def _certificate_extra_vertex(side, vertex):
     return corrupt
 
 
+def _parent_entry(value):
+    """The report with parent[3] replaced."""
+
+    def corrupt(data):
+        data["parent"][3] = value
+        return data
+
+    return corrupt
+
+
+def _certificate_k(value):
+    def corrupt(data):
+        data["certificate"]["k"] = value
+        return data
+
+    return corrupt
+
+
 NON_INT_VERTICES = [(side, v) for side in "UB" for v in ("a", 1.5, True)]
 # U is [1, 2, 3, 4]; each value equals a vertex already on it.
 EQUAL_NON_INT_VERTICES = [True, 2.0]
+# True and 2.0 compare equal to the vertices 1 and 2
+NON_INT_PARENTS = ["x", 2.0, True]
+NON_INT_KS = [2.7, "3"]
 
 
 @pytest.mark.parametrize(
     "corrupt",
     [_drop_parent, _zero_bound_denominator, _drop_certificate_k, lambda data: [data]]
     + [_certificate_vertex(side, v) for side, v in NON_INT_VERTICES]
-    + [_certificate_extra_vertex("U", v) for v in EQUAL_NON_INT_VERTICES],
+    + [_certificate_extra_vertex("U", v) for v in EQUAL_NON_INT_VERTICES]
+    + [_parent_entry(v) for v in NON_INT_PARENTS]
+    + [_certificate_k(v) for v in NON_INT_KS],
     ids=["missing-parent", "zero-denominator", "certificate-without-k", "top-level-list"]
     + [f"certificate-{side}-{v!r}" for side, v in NON_INT_VERTICES]
-    + [f"certificate-U-extra-{v!r}" for v in EQUAL_NON_INT_VERTICES],
+    + [f"certificate-U-extra-{v!r}" for v in EQUAL_NON_INT_VERTICES]
+    + [f"parent-{v!r}" for v in NON_INT_PARENTS]
+    + [f"certificate-k-{v!r}" for v in NON_INT_KS],
 )
 def test_verify_rejects_malformed_report_as_bad_input(tmp_path, capsys, corrupt):
     path = write_instance(tmp_path, "g", Digraph(5, 0, [(v, 0) for v in range(1, 5)]))

@@ -21,7 +21,7 @@ from dmdst import (
     serialize_graph,
     tree_from_parents,
 )
-from dmdst.tree import CutSink, EmptyDegreeClass, InTree, NotAnEdge
+from dmdst.tree import CutSink, EmptyDegreeClass, InTree, NotAnEdge, parent_violations
 from conftest import (
     all_picks_unrelated_children,
     brute_unrelated,
@@ -368,6 +368,14 @@ def test_config_invariants():
     assert type(practical.to_dict()["epsilon"]) is float
 
 
+# What parent_violations reports; validate() adds ChildrenMismatch,
+# HistogramMismatch and MaxDegMismatch.
+PARENT_KINDS = (
+    "ShapeMismatch", "SinkHasParent", "MissingParent", "ParentOutOfRange",
+    "NotAnEdge", "CycleDetected",
+)
+
+
 def _cycle(t):
     t.cut_and_append(2, 3)  # 2 -> 3 -> 2
     return [2], [1]
@@ -420,4 +428,37 @@ def test_validate_changed_catches_injected_fault(inject, kind):
     rerouted, old_parents = inject(t)
     local = t.validate_changed(rerouted, old_parents)
     assert any(v.startswith(kind) for v in local), local
-    assert any(v.startswith(kind) for v in t.validate())
+    full = t.validate()
+    assert any(v.startswith(kind) for v in full)
+    assert parent_violations(g, t.parent) == [v for v in full if v.startswith(PARENT_KINDS)]
+
+
+def test_parent_violations_walk_stops_at_out_of_range_parent():
+    g = Digraph(4, 0, [(1, 0), (2, 1), (3, 2), (2, 3), (3, 1)])
+    assert parent_violations(g, [None, 0, 1, 2]) == []
+    assert parent_violations(g, [None, 0, 1, 10**6]) == [
+        "ParentOutOfRange: vertex 3 -> 1000000",
+        "CycleDetected: parent walk from 3 never reaches sink",
+    ]
+    assert parent_violations(g, [None, 0, -1, 2]) == [
+        "ParentOutOfRange: vertex 2 -> -1",
+        "CycleDetected: parent walk from 2 never reaches sink",
+    ]
+
+
+def test_parent_violations_reports_in_vertex_order_then_walks():
+    g = Digraph(4, 0, [(1, 0), (2, 1), (3, 2), (2, 3), (3, 1)])
+    assert parent_violations(g, [None, 0]) == [
+        "ShapeMismatch: parent array has 2 entries for n=4"
+    ]
+    assert parent_violations(g, [1, None, 3, 2]) == [
+        "SinkHasParent: sink 0 has parent 1",
+        "MissingParent: vertex 1 has no parent",
+        "CycleDetected: parent walk from 1 never reaches sink",
+        "CycleDetected: parent walk from 2 never reaches sink",
+    ]
+    assert parent_violations(g, [None, 0, 0, 3]) == [
+        "NotAnEdge: tree edge (2, 0) missing from graph",
+        "NotAnEdge: tree edge (3, 3) missing from graph",
+        "CycleDetected: parent walk from 3 never reaches sink",
+    ]
