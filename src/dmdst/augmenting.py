@@ -179,6 +179,8 @@ def extend_layer(
     else:
         scan = sorted(c for v in st.levels_V[i - 1] for c in children[v])
     for u in scan:
+        if len(children[u]) >= k - 2:
+            continue  # the walk's first step would reject u
         inside: set[int] = set()
         total = 0
         stack = [u]
@@ -309,6 +311,15 @@ def apply_augmenting_path(t: InTree, p: AugmentingPath, cfg: Config) -> AdjustDe
     final endpoint gained at most two children (at most one unless it
     also sat inside an earlier subtree), and the base-c potential
     (c = cfg.base_c) has strictly dropped.
+
+    The class contracts are read from the delta, not from histogram
+    snapshots: each class's net change is the number of touched vertices
+    that entered it minus the number that left it, by their (old, new)
+    degrees.  Degrees are len(children), and only touched vertices changed
+    children; the audit has checked that each touched vertex is filed
+    under its degree and that the histogram holds n vertices, so this is
+    the change degree_counts() would show.  Cost is O(touched + sum of
+    deg(touched) + live classes), plus the audit's parent walks.
     """
     k = p.k
     segs = p.segments
@@ -317,17 +328,15 @@ def apply_augmenting_path(t: InTree, p: AugmentingPath, cfg: Config) -> AdjustDe
         raise StalePath(f"final endpoint {final} has degree {t.deg(final)} > {k - 2}")
     first_parent = t.parent[segs[0][0]]
     assert first_parent is not None
-    counts_before = t.degree_counts()
     delta = rewrite_and_audit(t, k, segs, cfg.base_c)
-    counts_after = t.degree_counts()
-    assert counts_after.get(k, 0) == counts_before.get(k, 0) - 1, (
-        "degree-k class must shrink by exactly one"
-    )
-    for d in set(counts_before) | set(counts_after):
+    net: dict[int, int] = {}
+    for old, new in delta.changed.values():
+        net[old] = net.get(old, 0) - 1
+        net[new] = net.get(new, 0) + 1
+    assert net.get(k, 0) == -1, "degree-k class must shrink by exactly one"
+    for d, gained in net.items():
         if d > k:
-            assert counts_after.get(d, 0) <= counts_before.get(d, 0), (
-                f"degree class {d} > k grew"
-            )
+            assert gained <= 0, f"degree class {d} > k grew"
     ends = [s[-1] for s in segs]
     assert delta.gain(first_parent) == -1
     for v in ends[:-1]:

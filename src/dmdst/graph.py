@@ -20,7 +20,10 @@ from __future__ import annotations
 
 import json
 import sys
+from bisect import bisect_right
 from collections import deque
+from itertools import repeat
+from operator import add
 from typing import Iterable, Iterator, Sequence
 
 MAGIC = "dmdst 1"
@@ -251,20 +254,50 @@ def _content_lines(text: str) -> tuple[Sequence[int], str]:
         if not joined[start:p].strip():
             dropped.append(start)
         p = joined.find("#", joined.find("\n", p))
+    total = joined.count("\n")
     if not dropped:
-        return range(1, joined.count("\n") + 1), joined
+        return range(1, total + 1), joined
     dropped.sort()
-    numbers: list[int] = []
+    # the line number of each dropped line, less the dropped lines before it
+    keys: list[int] = []
     kept: list[str] = []
     pos, line = 0, 1
     for start in dropped:
-        skipped = line + joined.count("\n", pos, start)
-        numbers.extend(range(line, skipped))
+        line += joined.count("\n", pos, start)
+        keys.append(line - len(keys))
         kept.append(joined[pos:start])
-        pos, line = joined.index("\n", start) + 1, skipped + 1
-    numbers.extend(range(line, line + joined.count("\n", pos)))
+        pos, line = joined.index("\n", start) + 1, line + 1
     kept.append(joined[pos:])
-    return numbers, "".join(kept)
+    return _LineNumbers(keys, range(1, total - len(keys) + 1)), "".join(kept)
+
+
+class _LineNumbers(Sequence[int]):
+    """The file line number of each content line c (counted from 1) in
+    positions, for text whose dropped lines give keys: dropped line j, on
+    line L_j, has j dropped lines and L_j - 1 - j content lines before it,
+    and its key is L_j - j.  Line c is line c + r of the file, r the count
+    of dropped lines before it: those with key <= c, one bisect.  A slice
+    is a view of positions.
+    """
+
+    __slots__ = ("_keys", "_positions")
+
+    def __init__(self, keys: list[int], positions: range) -> None:
+        self._keys = keys
+        self._positions = positions
+
+    def __len__(self) -> int:
+        return len(self._positions)
+
+    def __getitem__(self, i):
+        c = self._positions[i]
+        if isinstance(i, slice):
+            return _LineNumbers(self._keys, c)
+        return c + bisect_right(self._keys, c)
+
+    def __iter__(self) -> Iterator[int]:
+        positions = self._positions
+        return map(add, positions, map(bisect_right, repeat(self._keys), positions))
 
 
 def _read_header(header: str, lineno: int) -> tuple[int, int, int]:

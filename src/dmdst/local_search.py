@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .certificate import extract_local_certificate
 from .config import Config
@@ -49,7 +49,7 @@ class ImprovementPath:
     vertices: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AdjustDelta:
     """Per-vertex degree changes and potential drop of one adjustment."""
 
@@ -76,47 +76,63 @@ def rewrite_and_audit(
 
     Only the segment vertices and the old parents of the rerouted ones
     change degree, so the audit covers exactly those: the tree invariants
-    hold there (InTree.validate_changed).  The returned delta records their
-    degree changes and the base-`base` potential before and after; each
-    solver asserts its own contract on it.
+    hold there (InTree.validate_changed), each touched vertex filed in the
+    histogram under its len(children).  The returned delta records, from
+    one dict of the touched vertices' degrees before the rewrite, each
+    (old, new) degree that changed, and the base-`base` potential before
+    and after.  The potential after is the one before plus the changed
+    vertices' terms: every other vertex kept its children and its class,
+    and the audit has just checked the touched vertices' filing.  Each
+    solver asserts its own contract on the delta.  Cost is O(touched +
+    sum of deg(touched) + live classes), plus the audit's parent walks.
     """
+    children = t.children
     rerouted = [a for seg in segments for a in seg[:-1]]
-    old_parents = [t.parent[a] for a in rerouted]
-    touched = sorted({v for seg in segments for v in seg}.union(old_parents))
-    before = [t.deg(v) for v in touched]
+    old_parents = list(map(t.parent.__getitem__, rerouted))
+    before = {v: len(children[v]) for seg in segments for v in seg}
+    for v in old_parents:
+        before[v] = len(children[v])
     phi_before = t.potential(base)
     for seg in segments:
         for a, b in zip(seg, seg[1:]):
             t.cut_and_append(a, b)
     bad = t.validate_changed(rerouted, old_parents)
     assert not bad, f"tree invalid after adjustment: {bad[:3]}"
-    changed = {v: (d, t.deg(v)) for v, d in zip(touched, before) if t.deg(v) != d}
-    return AdjustDelta(k, changed, phi_before, t.potential(base))
+    changed = {}
+    phi_after = phi_before
+    for v, old in before.items():
+        new = len(children[v])
+        if new != old:
+            changed[v] = (old, new)
+            phi_after += base ** new - base ** old
+    return AdjustDelta(k, changed, phi_before, phi_after)
 
 
-def argmax_degree_class(counts: dict[int, int], base: int | Fraction) -> int:
-    """argmax over d of base**d * counts[d]; ties go to the larger d.
-    Exact: an integral base stays an int (cheaper powers), others are Fractions."""
-    if not isinstance(base, int):
-        base = Fraction(base)
-        if base.denominator == 1:
-            base = base.numerator
-    best_d = -1
-    best = -1
-    for d in sorted(counts):
-        if counts[d] <= 0:
-            continue
-        score = base ** d * counts[d]
-        if score >= best:
-            best = score
-            best_d = d
-    if best_d < 0:
+def argmax_degree_class(classes: Iterable[tuple[int, int]], base: int | Fraction) -> int:
+    """argmax of base**d * size over (d, size) pairs; ties go to the larger d.
+
+    Exact for any rational base p/q, in ints: with D the top class,
+    base**d * size ranks as p**d * (size * q**(D-d)) does.
+    """
+    p, q = base.numerator, base.denominator
+    if q != 1:
+        classes = list(classes)
+        top = max(classes, default=(0, 0))[0]
+        classes = [(d, size * q ** (top - d)) for d, size in classes]
+    best = best_d = -1
+    for d, size in classes:
+        score = p ** d * size
+        if score > best or (score == best and d > best_d):
+            best, best_d = score, d
+    if best <= 0:
         raise ValueError("empty degree histogram")
     return best_d
 
 
 def choose_k(t: InTree, base: int | Fraction) -> int:
-    return argmax_degree_class(t.degree_counts(), base)
+    """The argmax of base**d * |N_d| over the live classes of t's
+    histogram; ties go to the larger d."""
+    return argmax_degree_class(t.class_sizes(), base)
 
 
 def psi(t: InTree, u: int, k: int, limit: int, inside: set[int]) -> int:

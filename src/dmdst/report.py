@@ -108,6 +108,14 @@ def _encode(value: object, out: list[str], nl: str) -> None:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+def _int_field(d: dict, key: str) -> int:
+    """A report's int field, which must be an int (not a bool)."""
+    value = d[key]
+    if type(value) is not int:
+        raise TypeError(f"{key} {value!r} is not an int")
+    return value
+
+
 def _parent_array(parent: list) -> list[int]:
     """A report's parent array, whose entries must be ints (not bools)."""
     parent = list(parent)
@@ -179,7 +187,9 @@ class SolveReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SolveReport":
-        """Raises ReportFormatError on a missing key or a wrongly shaped value."""
+        """Raises ReportFormatError on a missing key or a wrongly shaped
+        value: n, m, delta_initial, delta_final, iterations and every
+        parent entry must be ints, and bools are not."""
         if not isinstance(d, dict):
             raise ReportFormatError(f"report must be a JSON object, not {type(d).__name__}")
         try:
@@ -188,13 +198,13 @@ class SolveReport:
             return cls(
                 algorithm=d["algorithm"],
                 profile=d["profile"],
-                n=d["n"],
-                m=d["m"],
-                delta_initial=d["delta_initial"],
-                delta_final=d["delta_final"],
+                n=_int_field(d, "n"),
+                m=_int_field(d, "m"),
+                delta_initial=_int_field(d, "delta_initial"),
+                delta_final=_int_field(d, "delta_final"),
                 lower_bound=None if lb is None else Fraction(lb["num"], lb["den"]),
                 certificate=None if cert is None else BlockingCertificate.from_dict(cert),
-                iterations=d["iterations"],
+                iterations=_int_field(d, "iterations"),
                 potential_trace=d.get("potential_trace"),
                 layers_trace=d.get("layers_trace"),
                 parent=_parent_array(d["parent"]),

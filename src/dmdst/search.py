@@ -43,6 +43,8 @@ def search(
     loop reached its threshold or the stall was certified.
     """
     start = time.perf_counter()
+    if base.denominator == 1:
+        base = base.numerator  # an integral base ranks classes in plain ints
     t = build(g)
     delta_initial = t.max_deg
     rows: list[dict] | None = [] if trace else None

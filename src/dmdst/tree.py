@@ -13,7 +13,7 @@ report's, with no InTree built.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .graph import Digraph
 
@@ -78,6 +78,12 @@ class InTree:
 
     def degree_counts(self) -> dict[int, int]:
         return {d: len(s) for d, s in sorted(self._members.items())}
+
+    def class_sizes(self) -> Iterator[tuple[int, int]]:
+        """(d, |N_d|) for every live class, unordered and uncopied: read it
+        before the tree changes."""
+        members = self._members
+        return zip(members, map(len, members.values()))
 
     def vertices_with_deg_at_least(self, d: int) -> set[int]:
         """The set S_d, derived from the histogram member lists."""
@@ -255,54 +261,69 @@ class InTree:
         adjustment that only re-parented the `rerouted` vertices, away from
         `old_parents`.  The touched set is those vertices, their old parents
         and their new parents; nothing else changed its parent or children.
-        Any new parent cycle contains a vertex whose parent changed, so a
-        parent walk from each rerouted vertex finds it; walks stop at the
-        sink or at a vertex an earlier walk already cleared.  Cost is
-        O(touched degrees + walk lengths + live degree classes), not O(n).
+        Each touched vertex, in ascending order, is checked for its parent
+        (as parent_violations checks it, plus being listed under it), its
+        children (each has it as parent, none twice) and its filing in the
+        histogram under len(children), the ground truth for its degree.
+        Then the histogram as a whole: n vertices filed, no empty class, the
+        cached max degree on top.  Any new parent cycle contains a vertex
+        whose parent changed, so a parent walk from each rerouted vertex
+        finds it; walks stop at the sink or at a vertex an earlier walk
+        already cleared.  A touched vertex's children are screened at C
+        speed, and looked at one by one only to name a fault.  Cost is
+        O(touched + sum of deg(touched) + walk lengths + live classes),
+        not O(n).
         """
         g = self.g
         n = g.n
+        sink = g.sink
+        out_sets = g.out_sets
+        parent = self.parent
+        children = self.children
+        members = self._members
         rerouted = list(rerouted)
         touched = set(rerouted)
         touched.update(old_parents)
-        touched.update(self.parent[v] for v in rerouted)
+        touched.update(map(parent.__getitem__, rerouted))
         touched.discard(None)
         bad: list[str] = []
         for v in sorted(touched):
-            p = self.parent[v]
-            if v == g.sink:
+            p = parent[v]
+            if v == sink:
                 if p is not None:
                     bad.append(f"SinkHasParent: sink {v} has parent {p}")
             elif p is None:
                 bad.append(f"MissingParent: vertex {v} has no parent")
             elif not 0 <= p < n:
                 bad.append(f"ParentOutOfRange: vertex {v} -> {p}")
-            elif not g.has_edge(v, p):
+            elif p not in out_sets[v]:
                 bad.append(f"NotAnEdge: tree edge ({v}, {p}) missing from graph")
-            elif v not in self.children[p]:
+            elif v not in children[p]:
                 bad.append(f"ChildrenMismatch: {v} missing under its parent {p}")
-            kids = self.children[v]
-            for c in kids:
-                if self.parent[c] != v:
-                    bad.append(f"ChildrenMismatch: {c} listed under {v}")
+            kids = children[v]
+            if list(map(parent.__getitem__, kids)).count(v) != len(kids):
+                for c in kids:
+                    if parent[c] != v:
+                        bad.append(f"ChildrenMismatch: {c} listed under {v}")
             if len(set(kids)) != len(kids):
                 bad.append(f"ChildrenMismatch: duplicates under {v}")
-            if v not in self._members.get(len(kids), ()):
+            if v not in members.get(len(kids), ()):
                 bad.append(f"HistogramMismatch: {v} not filed under degree {len(kids)}")
-        total = sum(map(len, self._members.values()))
+        total = sum(map(len, members.values()))
         if total != n:
             bad.append(f"HistogramMismatch: {total} vertices filed, expected {n}")
-        bad.extend(self._empty_classes())
-        top = max(self._members, default=0)
+        if not all(members.values()):
+            bad.extend(self._empty_classes())
+        top = max(members, default=0)
         if self.max_deg != top:
             bad.append(f"MaxDegMismatch: cached {self.max_deg}, histogram top {top}")
-        cleared = {g.sink}
+        cleared = {sink}
         for v in rerouted:
             walk: set[int] = set()
             cur: int | None = v
             while cur is not None and cur not in cleared and cur not in walk:
                 walk.add(cur)
-                p = self.parent[cur]
+                p = parent[cur]
                 cur = p if p is not None and 0 <= p < n else None
             if cur is None or cur in walk:
                 bad.append(f"CycleDetected: parent walk from {v} never reaches sink")

@@ -60,10 +60,8 @@ class Solved:
     augment: SolveReport
 
 
-@pytest.fixture(scope="session")
-def corpus_results() -> tuple[list[Solved], float]:
-    """Both solvers (practical, traced) plus the exact oracle over the
-    random corpus and the fixed families.  Returns (results, seconds)."""
+def corpus_instances() -> list[tuple[str, Digraph]]:
+    """(name, graph) of the random corpus and the fixed families."""
     instances: list[tuple[str, Digraph]] = []
     for n, e, s in random_corpus_specs():
         instances.append((f"random-n{n}-e{e}-s{s}", gen_random(n, e, s)))
@@ -72,9 +70,16 @@ def corpus_results() -> tuple[list[Solved], float]:
         instances.append((f"instar-{n}", gen_instar(n)))
     for s in range(20):
         instances.append((f"blocker-s{s}", gen_blocker(3, 2, s)))
+    return instances
+
+
+@pytest.fixture(scope="session")
+def corpus_results() -> tuple[list[Solved], float]:
+    """Both solvers (practical, traced) plus the exact oracle over the
+    random corpus and the fixed families.  Returns (results, seconds)."""
     start = time.perf_counter()
     out = []
-    for name, g in instances:
+    for name, g in corpus_instances():
         cfg = Config.for_graph(g)
         oracle_delta = exact_min_degree(g)[0] if g.n <= 12 else None
         local = run_local_search(g, cfg, trace=True)

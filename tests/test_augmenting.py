@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -268,6 +269,29 @@ def test_apply_single_segment_matches_improvement_semantics():
     assert after[1] == before[1] - 1
     assert after[5] == before[5] + 1
     assert all(before[v] == after[v] for v in (0, 2, 3, 4))
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ((4, 5), "degree class 5 > k grew"),
+        ((2, 3), "degree-k class must shrink by exactly one"),
+    ],
+)
+def test_apply_asserts_class_contracts_from_touched_degrees(monkeypatch, extra, message):
+    # One more touched vertex, moving between the classes in extra, breaks
+    # one class contract of the k = 3 adjustment (2, 5).
+    g = Digraph(6, 0, [(1, 0), (5, 0), (2, 1), (3, 1), (4, 1), (2, 5)])
+    t = build_initial_tree(g)
+    real = dmdst.augmenting.rewrite_and_audit
+
+    def with_extra(*args):
+        delta = real(*args)
+        return replace(delta, changed={**delta.changed, g.n: extra})
+
+    monkeypatch.setattr(dmdst.augmenting, "rewrite_and_audit", with_extra)
+    with pytest.raises(AssertionError, match=message):
+        apply_augmenting_path(t, AugmentingPath(3, ((2, 5),)), Config.for_graph(g))
 
 
 def test_apply_two_segment_fixture_postconditions():

@@ -298,6 +298,21 @@ EQUAL_NON_INT_VERTICES = [True, 2.0]
 # True and 2.0 compare equal to the vertices 1 and 2
 NON_INT_PARENTS = ["x", 2.0, True]
 NON_INT_KS = [2.7, "3"]
+# Each int field of the report as a str, a float and a bool: the first
+# two compare equal to, or read as, the right value.
+INT_FIELDS = ["n", "m", "delta_initial", "delta_final", "iterations"]
+NON_INT_FIELDS = [
+    (key, kind) for key in INT_FIELDS for kind in ("str", "float", "bool")
+] + [("iterations", "x")]
+
+
+def _int_field(key, kind):
+    def corrupt(data):
+        value = data[key]
+        data[key] = {"str": str(value), "float": float(value), "bool": True}.get(kind, kind)
+        return data
+
+    return corrupt
 
 
 @pytest.mark.parametrize(
@@ -306,12 +321,14 @@ NON_INT_KS = [2.7, "3"]
     + [_certificate_vertex(side, v) for side, v in NON_INT_VERTICES]
     + [_certificate_extra_vertex("U", v) for v in EQUAL_NON_INT_VERTICES]
     + [_parent_entry(v) for v in NON_INT_PARENTS]
-    + [_certificate_k(v) for v in NON_INT_KS],
+    + [_certificate_k(v) for v in NON_INT_KS]
+    + [_int_field(key, kind) for key, kind in NON_INT_FIELDS],
     ids=["missing-parent", "zero-denominator", "certificate-without-k", "top-level-list"]
     + [f"certificate-{side}-{v!r}" for side, v in NON_INT_VERTICES]
     + [f"certificate-U-extra-{v!r}" for v in EQUAL_NON_INT_VERTICES]
     + [f"parent-{v!r}" for v in NON_INT_PARENTS]
-    + [f"certificate-k-{v!r}" for v in NON_INT_KS],
+    + [f"certificate-k-{v!r}" for v in NON_INT_KS]
+    + [f"{key}-{kind}" for key, kind in NON_INT_FIELDS],
 )
 def test_verify_rejects_malformed_report_as_bad_input(tmp_path, capsys, corrupt):
     path = write_instance(tmp_path, "g", Digraph(5, 0, [(v, 0) for v in range(1, 5)]))
@@ -349,6 +366,20 @@ def test_paper_profile_solves_at_tiny_epsilon(tmp_path, capsys, algo, epsilon):
     )
     assert code == 0, err
     assert json.loads(stdout)["config"]["epsilon"] == float(epsilon)
+    report_file = tmp_path / "g.json"
+    report_file.write_text(stdout)
+    code, out, _ = run_cli(capsys, "verify", path, str(report_file))
+    assert (code, out.strip()) == (0, "ok")
+
+
+@pytest.mark.parametrize("algo", ["local", "augment"])
+def test_solve_at_odd_base_round_trips_through_verify(tmp_path, capsys, algo):
+    # epsilon 0.15 makes c = 7: the augmenting search ranks classes by 7/2
+    path = write_instance(tmp_path, "g", gen_random(30, 60, 7))
+    code, stdout, err = run_cli(capsys, "solve", path, "--algo", algo, "--epsilon", "0.15")
+    assert code == 0, err
+    data = json.loads(stdout)
+    assert data["config"]["base_c"] == 7 and data["iterations"] > 0
     report_file = tmp_path / "g.json"
     report_file.write_text(stdout)
     code, out, _ = run_cli(capsys, "verify", path, str(report_file))

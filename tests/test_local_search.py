@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import dmdst.augmenting
 import dmdst.local_search
 
 from dmdst import (
@@ -18,10 +19,16 @@ from dmdst import (
     gen_path,
     gen_random,
     psi,
+    run_augmenting_search,
     run_local_search,
 )
 from dmdst.local_search import StalePath, argmax_degree_class
-from conftest import brute_improvement_paths, degree_snapshot, report_without_timing
+from conftest import (
+    brute_improvement_paths,
+    corpus_instances,
+    degree_snapshot,
+    report_without_timing,
+)
 
 
 def star_with_escape(with_chord: bool = True) -> Digraph:
@@ -117,10 +124,88 @@ def test_apply_potential_change_matches_recomputation():
 
 
 def test_choose_k_direct_arithmetic():
-    assert argmax_degree_class({0: 5, 1: 3, 2: 1}, 2) == 1
-    assert argmax_degree_class({0: 1, 3: 1}, 2) == 3
+    assert argmax_degree_class({0: 5, 1: 3, 2: 1}.items(), 2) == 1
+    assert argmax_degree_class({0: 1, 3: 1}.items(), 2) == 3
     # tie at equal scores goes to the larger class
-    assert argmax_degree_class({1: 2, 2: 1}, 2) == 2
+    assert argmax_degree_class({1: 2, 2: 1}.items(), 2) == 2
+
+
+def reference_argmax(counts: dict[int, int], base) -> int:
+    """The largest d among the non-empty classes of greatest Fraction score."""
+    base = Fraction(base)
+    live = {d: size for d, size in counts.items() if size > 0}
+    best = max(base ** d * size for d, size in live.items())
+    return max(d for d, size in live.items() if base ** d * size == best)
+
+
+@st.composite
+def histograms_and_bases(draw):
+    """A degree histogram, empty classes allowed, and a base: 2, or c/2
+    for c = 7 or 10 (5 as an int and as an integral Fraction).  When
+    asked, two classes are made to tie above every other class's score."""
+    base = draw(st.sampled_from([2, Fraction(7, 2), Fraction(10, 2), 5]))
+    counts = draw(st.dictionaries(st.integers(0, 12), st.integers(0, 40), min_size=1))
+    if draw(st.booleans()):
+        lo = draw(st.integers(0, 10))
+        hi = lo + draw(st.integers(1, 4))
+        scale = draw(st.integers(1, 3)) * 10 ** 12
+        # base**lo * p**j * s == base**hi * q**j * s for base = p/q, j = hi - lo
+        p, q = Fraction(base).numerator, Fraction(base).denominator
+        counts[lo] = p ** (hi - lo) * scale
+        counts[hi] = q ** (hi - lo) * scale
+    return counts, base
+
+
+@given(histograms_and_bases())
+def test_argmax_degree_class_matches_reference_with_ties(case):
+    counts, base = case
+    if not any(counts.values()):
+        with pytest.raises(ValueError):
+            argmax_degree_class(counts.items(), base)
+    else:
+        assert argmax_degree_class(counts.items(), base) == reference_argmax(counts, base)
+
+
+def test_round_bookkeeping_matches_histogram_on_corpus(monkeypatch):
+    """On every corpus round of both solvers, at epsilon 0.1 (augment base
+    c/2 = 5) and 0.15 (c = 7, base 7/2): choose_k is the reference argmax
+    over degree_counts(), and each adjustment's per-class net change from
+    its touched vertices, and its potential after, equal what the
+    histogram shows."""
+    real_rewrite = dmdst.local_search.rewrite_and_audit
+    real_choose = dmdst.local_search.choose_k
+    seen = {"adjustments": 0, "bases": set()}
+
+    def checked_choose(t, base):
+        k = real_choose(t, base)
+        assert k == reference_argmax(t.degree_counts(), base)
+        seen["bases"].add(base)
+        return k
+
+    def checked_rewrite(t, k, segments, base):
+        before = t.degree_counts()
+        delta = real_rewrite(t, k, segments, base)
+        after = t.degree_counts()
+        net: dict[int, int] = {}
+        for old, new in delta.changed.values():
+            net[old] = net.get(old, 0) - 1
+            net[new] = net.get(new, 0) + 1
+        shown = {d: after.get(d, 0) - before.get(d, 0) for d in set(before) | set(after)}
+        assert {d: x for d, x in net.items() if x} == {d: x for d, x in shown.items() if x}
+        assert delta.phi_after == t.potential(base)
+        seen["adjustments"] += 1
+        return delta
+
+    for mod in (dmdst.local_search, dmdst.augmenting):
+        monkeypatch.setattr(mod, "choose_k", checked_choose)
+        monkeypatch.setattr(mod, "rewrite_and_audit", checked_rewrite)
+    for _, g in corpus_instances():
+        for epsilon in (0.1, 0.15):
+            cfg = Config.for_graph(g, epsilon=epsilon)
+            run_local_search(g, cfg)
+            run_augmenting_search(g, cfg)
+    assert seen["adjustments"] > 1000
+    assert {2, 5, Fraction(7, 2)} <= seen["bases"]
 
 
 @given(st.integers(0, 10 ** 6))

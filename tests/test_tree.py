@@ -410,10 +410,20 @@ def _stale_max_deg(t):
     return [3], [2]
 
 
+def _misfiled_child(t):
+    # Reroute 3 below 1, then list it under 2 instead: 2's children fail
+    # the C-speed screen, and the per-child loop names 3.
+    t.cut_and_append(3, 1)
+    t.children[1].remove(3)
+    t.children[2].append(3)
+    return [3], [2]
+
+
 @pytest.mark.parametrize(
     "inject, kind",
     [
         (_cycle, "CycleDetected"),
+        (_misfiled_child, "ChildrenMismatch"),
         (_non_edge, "NotAnEdge"),
         (_wrong_class, "HistogramMismatch"),
         (_empty_class, "HistogramMismatch"),
@@ -431,6 +441,19 @@ def test_validate_changed_catches_injected_fault(inject, kind):
     full = t.validate()
     assert any(v.startswith(kind) for v in full)
     assert parent_violations(g, t.parent) == [v for v in full if v.startswith(PARENT_KINDS)]
+
+
+def test_validate_changed_names_a_child_listed_under_the_wrong_vertex():
+    g = Digraph(4, 0, [(1, 0), (2, 1), (3, 2), (2, 3), (3, 1)])
+    t = InTree(g, [None, 0, 1, 2])
+    rerouted, old_parents = _misfiled_child(t)
+
+    def listed(bad):
+        return [v for v in bad if " listed under " in v]
+
+    expected = ["ChildrenMismatch: 3 listed under 2"]
+    assert listed(t.validate_changed(rerouted, old_parents)) == expected
+    assert listed(t.validate()) == expected
 
 
 def test_parent_violations_walk_stops_at_out_of_range_parent():
