@@ -11,7 +11,6 @@ from .augmenting import (
     AugmentingPath,
     LayeredState,
     apply_augmenting_path,
-    power_table,
     run_augmenting_search,
     validate_augmenting_path,
 )
@@ -44,6 +43,7 @@ from .local_search import (
 )
 from .oracle import enumerate_spanning_intrees, exact_min_degree
 from .report import SolveReport
+from .search import power_table, rank_table
 from .tree import InTree, build_initial_tree, tree_from_parents
 
 __version__ = "0.1.0"
@@ -79,6 +79,7 @@ __all__ = [
     "parse_graph",
     "power_table",
     "psi",
+    "rank_table",
     "run_augmenting_search",
     "run_local_search",
     "save_graph",

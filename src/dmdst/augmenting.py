@@ -16,9 +16,11 @@ growing, the accumulated levels themselves form a blocking certificate.
 epsilon is Config.epsilon, an exact Fraction p/q, so the growth test
 (grown * q < (p + q) * previous) and the paper profile's level-size floor
 are integer comparisons; potentials (base c = Config.base_c, an int) and
-budgets (the exact floor of each rational budget) are ints too.  The
-powers c**d that subtree potentials sum are computed once per solve
-(power_table), up to the start tree's Delta, which never rises.
+budgets (the exact floor of each rational budget) are ints too.  Both are
+read from per-solve tables: the powers c**d that subtree potentials sum
+are computed once (power_table), up to the start tree's Delta, which
+never rises, and each (level, class) budget is computed when a round
+first reaches it (level_budget), into one row per class up to that Delta.
 
 Level 1 scans the children of N_k.  The driver keeps that list sorted
 across rounds for as long as the argmax class stays k: an applied path
@@ -33,15 +35,15 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, repeat
-from operator import mul
+from itertools import chain
+from typing import Sequence
 
 from .certificate import extract_augment_certificate
 from .config import Config
 from .graph import Digraph
 from .local_search import AdjustDelta, StalePath, choose_k, rewrite_and_audit
 from .report import SolveReport
-from .search import Stall, search
+from .search import Stall, power_table, search
 from .tree import InTree, build_initial_tree
 
 
@@ -77,16 +79,18 @@ class FoundEndpoint:
 @dataclass
 class LayeredState:
     """One round's levels at class k.  powers[d] is c**d (power_table) for
-    every degree d below k-2.  seen is the union of every blocker level
-    found so far, covered the union of every admitted start's subtree;
-    extend_layer keeps both current.  level1 is the ascending list of
-    levels_V[0]'s children that level 1 scans, kept by the driver across
-    rounds."""
+    every degree d below k-2, and budgets is the solve's row of class k's
+    level budgets (level_budget).  seen is the union of every blocker
+    level found so far, covered the union of every admitted start's
+    subtree; extend_layer keeps both current.  level1 is the ascending
+    list of levels_V[0]'s children that level 1 scans, kept by the driver
+    across rounds."""
 
     k: int
     levels_V: list[set[int]]
     powers: list[int]
     level1: list[int]
+    budgets: list[int]
     levels_U: list[set[int]] = field(default_factory=list)
     pred: dict[int, tuple[int, tuple[int, ...]]] = field(default_factory=dict)
     seen: set[int] = field(init=False)
@@ -94,12 +98,6 @@ class LayeredState:
 
     def __post_init__(self) -> None:
         self.seen = set().union(*self.levels_V)
-
-
-def power_table(cfg: Config, top: int) -> list[int]:
-    """[c**0, c**1, ..., c**top] for c = cfg.base_c: the base-c potential
-    term of every degree up to top."""
-    return list(accumulate(repeat(cfg.base_c, top), mul, initial=1))
 
 
 def potential_budget(cfg: Config, i: int, k: int) -> int:
@@ -111,6 +109,15 @@ def potential_budget(cfg: Config, i: int, k: int) -> int:
     """
     p, q = cfg.epsilon.numerator, cfg.epsilon.denominator
     return 9 * p * q ** i * cfg.base_c ** (k - 1) // (10 * q * (p + q) ** i)
+
+
+def level_budget(cfg: Config, k: int, row: list[int], i: int) -> int:
+    """potential_budget(cfg, i, k), read from row, the solve's budgets of
+    class k by level (level i at row[i-1]); the levels up to i not yet in
+    row are computed and appended first."""
+    while len(row) < i:
+        row.append(potential_budget(cfg, len(row) + 1, k))
+    return row[i - 1]
 
 
 def exit_set(
@@ -125,7 +132,8 @@ def exit_set(
     the map holds every first exit.  Requires a clean subtree (no vertex of
     degree >= k-2), so interior vertices need no degree filter.
     """
-    assert max(map(len, map(t.children.__getitem__, inside))) <= k - 3, "subtree not clean"
+    children = t.children
+    assert max(map(len, map(children.__getitem__, inside))) <= k - 3, "subtree not clean"
     pred: dict[int, int] = {u: u}
     exits: dict[int, tuple[int, ...]] = {}
     queue = deque([u])
@@ -145,7 +153,7 @@ def exit_set(
                 path.append(u)
                 path.reverse()
                 exits[y] = tuple(path)
-                if t.deg(y) <= k - 2:
+                if len(children[y]) <= k - 2:
                     return exits
     return exits
 
@@ -168,7 +176,7 @@ def extend_layer(
     start discovered them (first discoverer wins).
     """
     k = st.k
-    budget = potential_budget(cfg, i, k)
+    budget = level_budget(cfg, k, st.budgets, i)
     powers = st.powers
     children = t.children
     admitted: set[int] = set()
@@ -177,7 +185,7 @@ def extend_layer(
     if i == 1:
         scan = st.level1
     else:
-        scan = sorted(c for v in st.levels_V[i - 1] for c in children[v])
+        scan = sorted(chain.from_iterable(map(children.__getitem__, st.levels_V[i - 1])))
     for u in scan:
         if len(children[u]) >= k - 2:
             continue  # the walk's first step would reject u
@@ -228,10 +236,12 @@ def reconstruct_path(st: LayeredState, endpoint: FoundEndpoint, t: InTree) -> Au
 
 
 def validate_augmenting_path(
-    t: InTree, g: Digraph, p: AugmentingPath, cfg: Config, powers: list[int]
+    t: InTree, g: Digraph, p: AugmentingPath, cfg: Config, powers: Sequence[int],
+    budgets: list[int],
 ) -> None:
     """Check every definitional invariant; raise ValidationFailed on any break.
-    powers is power_table's c**d for every degree d below k-2."""
+    powers is power_table's c**d for every degree d below k-2, budgets the
+    solve's row of class k's level budgets (level_budget)."""
     k = p.k
     segs = p.segments
     if not segs:
@@ -276,7 +286,7 @@ def validate_augmenting_path(
         degrees = list(map(len, map(children.__getitem__, sub)))
         if max(degrees) >= k - 2:
             raise ValidationFailed(f"subtree of {u} contains a degree >= {k - 2} vertex")
-        if sum(map(powers.__getitem__, degrees)) > potential_budget(cfg, i, k):
+        if sum(map(powers.__getitem__, degrees)) > level_budget(cfg, k, budgets, i):
             raise ValidationFailed(f"subtree of {u} over its potential budget")
     # (v) interiors stay inside their subtree, endpoint is the first outside
     for i, s in enumerate(segs):
@@ -302,15 +312,16 @@ def validate_augmenting_path(
         raise ValidationFailed(f"final endpoint {final} appears {occurrences} times")
 
 
-def apply_augmenting_path(t: InTree, p: AugmentingPath, cfg: Config) -> AdjustDelta:
+def apply_augmenting_path(t: InTree, p: AugmentingPath, powers: Sequence[int]) -> AdjustDelta:
     """Run the cut-and-append rewrite segment by segment and audit it.
 
     Requires the final endpoint at degree <= k-2.  After the audited
     rewrite (rewrite_and_audit), the degree-k class lost exactly one
     member, no class above k grew, middle endpoints kept their degree, the
     final endpoint gained at most two children (at most one unless it
-    also sat inside an earlier subtree), and the base-c potential
-    (c = cfg.base_c) has strictly dropped.
+    also sat inside an earlier subtree), and the base-c potential, read
+    from powers (c**d for every degree d the tree can reach), has strictly
+    dropped.
 
     The class contracts are read from the delta, not from histogram
     snapshots: each class's net change is the number of touched vertices
@@ -328,7 +339,7 @@ def apply_augmenting_path(t: InTree, p: AugmentingPath, cfg: Config) -> AdjustDe
         raise StalePath(f"final endpoint {final} has degree {t.deg(final)} > {k - 2}")
     first_parent = t.parent[segs[0][0]]
     assert first_parent is not None
-    delta = rewrite_and_audit(t, k, segs, cfg.base_c)
+    delta = rewrite_and_audit(t, k, segs, powers)
     net: dict[int, int] = {}
     for old, new in delta.changed.values():
         net[old] = net.get(old, 0) - 1
@@ -368,8 +379,9 @@ def run_augmenting_search(
     of N_k: so that parent's children before the rewrite leave the list,
     and nothing joins it.  A length check each round guards this.
 
-    The first round sees the start tree and sizes the c**d table by its
-    Delta; each round asserts that k still fits, since Delta never rises.
+    The first round sees the start tree and sizes the c**d table and the
+    budget table (one row per class) by its Delta; each round asserts that
+    k still fits, since Delta never rises.
     """
     cfg = cfg or Config.for_graph(g)
     c = cfg.base_c
@@ -379,20 +391,22 @@ def run_augmenting_search(
     kept_k = -1
     level1: list[int] = []
     powers: list[int] = []
+    budgets: list[list[int]] = []
 
     def attempt(t: InTree, k: int) -> dict | Stall:
-        nonlocal kept_k, level1, powers
+        nonlocal kept_k, level1, powers, budgets
         if not powers:
-            powers = power_table(cfg, t.max_deg)
+            powers = power_table(c, t.max_deg)
+            budgets = [[] for _ in powers]
         assert k < len(powers), f"class {k} above the start tree's Delta"
         children = t.children
         members = t.members(k)
         if k != kept_k:
             kept_k = k
-            level1 = sorted(x for v in members for x in children[v])
+            level1 = sorted(chain.from_iterable(map(children.__getitem__, members)))
         # each member of N_k has k children: the list must hold k * |N_k|
         assert len(level1) == k * len(members), "kept level-1 list out of step with N_k"
-        st = LayeredState(k, [members], powers, level1)
+        st = LayeredState(k, [members], powers, level1, budgets[k])
         i = 0
         while True:
             i += 1
@@ -412,10 +426,10 @@ def run_augmenting_search(
                     st, {"k": k, "layers": i, "applied": False, "phi": t.potential(c)}
                 )
         path = reconstruct_path(st, result, t)
-        validate_augmenting_path(t, g, path, cfg, powers)
+        validate_augmenting_path(t, g, path, cfg, powers, st.budgets)
         # the first start's parent, the one vertex leaving N_k
         leaving = list(children[t.parent[path.segments[0][0]]])
-        delta = apply_augmenting_path(t, path, cfg)
+        delta = apply_augmenting_path(t, path, powers)
         for x in leaving:
             j = bisect_left(level1, x)
             assert j < len(level1) and level1[j] == x, "kept level-1 list lost a child"

@@ -54,15 +54,19 @@ class BlockingCertificate:
     @classmethod
     def from_dict(cls, d: dict) -> "BlockingCertificate":
         """Raises TypeError on a side that is not a list of int vertices,
-        or on a k that is not an int (bools included)."""
+        on a k that is not an int (bools included), or on a verified flag
+        that is not a bool."""
         k = d["k"]
         if type(k) is not int:
             raise TypeError(f"certificate k {k!r} is not an int")
+        verified = d.get("verified", False)
+        if type(verified) is not bool:
+            raise TypeError(f"certificate verified flag {verified!r} is not a bool")
         return cls(
             U=_vertex_set(d["U"]),
             B=_vertex_set(d["B"]),
             k=k,
-            verified=bool(d.get("verified", False)),
+            verified=verified,
         )
 
 

@@ -88,8 +88,11 @@ def _verify_report(g: Digraph, report: SolveReport) -> str | None:
 
     Reads the report's parent array and certificate directly, with no
     solver tree built: the array against the graph and acyclicity
-    (parent_violations), the tree degree against delta_final, then the
-    certificate by plain reachability (verify_blocking).
+    (parent_violations), the tree degree against delta_final, the lower
+    bound against delta_final and its backing, then the certificate by
+    plain reachability (verify_blocking).  A local or augment bound must
+    come with its certificate; an exact report's bound is delta_final
+    itself and comes with none.
     """
     if report.n != g.n or report.m != g.m:
         return f"GraphMismatch: report says n={report.n} m={report.m}"
@@ -105,16 +108,22 @@ def _verify_report(g: Digraph, report: SolveReport) -> str | None:
             f"DeltaMismatch: tree degree {delta}, "
             f"report says {report.delta_final}"
         )
+    bound = report.lower_bound
+    if bound is not None and bound > report.delta_final:
+        return f"BoundMismatch: lower_bound {bound} above delta_final {report.delta_final}"
     cert = report.certificate
-    if cert is not None:
-        if not cert.verified:
-            return "CertificateUnverified: verified flag is false"
-        if not cert.U or not cert.B:
-            return "BlockingCertificateInvalid: empty witness or blocking set"
-        if report.lower_bound != cert.bound:
-            return "BoundMismatch: lower_bound differs from |U|/|B|"
-        if not verify_blocking(g, cert):
-            return "BlockingCertificateInvalid: (U, B) does not block"
+    if cert is None:
+        if bound is not None and report.algorithm in ("local", "augment"):
+            return "BoundMismatch: lower_bound without a certificate"
+        return None
+    if not cert.verified:
+        return "CertificateUnverified: verified flag is false"
+    if not cert.U or not cert.B:
+        return "BlockingCertificateInvalid: empty witness or blocking set"
+    if bound != cert.bound:
+        return "BoundMismatch: lower_bound differs from |U|/|B|"
+    if not verify_blocking(g, cert):
+        return "BlockingCertificateInvalid: (U, B) does not block"
     return None
 
 

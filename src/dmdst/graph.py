@@ -106,9 +106,11 @@ class Digraph:
         for u, v in zip(us, vs):
             out[u].append(v)
             rev[v].append(u)
-        # Through set(): a frozenset copied from a set gets a table sized to
-        # it, while one grown from a list can take twice the memory.
-        out_sets = tuple(map(frozenset, map(set, out)))
+        # Straight from the lists, in half the time of a copy through set().
+        # Up to 8 vertices both come out the same size; above that either
+        # can take twice the memory of the other (70 vertices: 2.3 KB from
+        # the list, 4.3 KB through set(); 399 vertices: 33.0 KB, 16.6 KB).
+        out_sets = tuple(map(frozenset, out))
         # A self-loop puts u in its own out-set; a repeated edge leaves a
         # set smaller than its list.
         if (

@@ -8,14 +8,18 @@ vertex while only letting path vertices gain a single child, so the
 potential sum(2**deg(v)) drops by at least psi_factor * 2**k = 2**(k-3)
 every time.
 
-A round pays only for the candidates that can move.  Every path vertex
-after the start has degree <= k-2, so a candidate with no out-neighbour of
-degree <= k-2 has no path, whatever its gate value: a scan of its
-out-edges (the first-hop test) skips it before any subtree walk.  The
-skip is exact and the scan stays in ascending order, so each round picks
-the same candidate and path as without it.  For a candidate that passes,
-one walk of its subtree computes its gate value (psi) and collects the
-vertex set that its path search (find_improvement_path) then reuses.  A
+A round pays only for the candidates that can move: two tests skip the
+rest before any subtree walk.  The degree screen, O(1), reads the
+candidate's own degree d: each of its d child subtrees holds a leaf,
+worth 2**0 = 1 to psi, and a candidate of degree <= k-2 adds 2**d itself,
+so psi >= 2**d + d (or >= d above k-2), and a candidate whose bound
+already exceeds the gate is skipped.  The first-hop test scans its
+out-edges: every path vertex after the start has degree <= k-2, so a
+candidate with no such out-neighbour has no path, whatever its gate value.
+Both skips are exact and the scan stays in ascending order, so each round
+picks the same candidate and path as without them.  For a candidate that
+passes, one walk of its subtree computes its gate value (psi) and collects
+the vertex set that its path search (find_improvement_path) then reuses.  A
 class below 2 stalls at once, since no path vertex can have degree <= k-2
 there, and so does class 2, whose gate 1/2 no subtree passes: each holds
 a leaf, worth 2**0 = 1.
@@ -25,14 +29,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .certificate import extract_local_certificate
 from .config import Config
 from .graph import Digraph
 from .report import SolveReport
-from .search import Stall, search
+from .search import Stall, power_table, search
 from .tree import InTree, build_initial_tree
 
 
@@ -69,7 +73,7 @@ class AdjustDelta:
 
 
 def rewrite_and_audit(
-    t: InTree, k: int, segments: Sequence[Sequence[int]], base: int
+    t: InTree, k: int, segments: Sequence[Sequence[int]], powers: Sequence[int]
 ) -> AdjustDelta:
     """Reroute every segment vertex but the last onto its successor,
     segment by segment, and audit the tree where the rewrite wrote.
@@ -79,12 +83,14 @@ def rewrite_and_audit(
     hold there (InTree.validate_changed), each touched vertex filed in the
     histogram under its len(children).  The returned delta records, from
     one dict of the touched vertices' degrees before the rewrite, each
-    (old, new) degree that changed, and the base-`base` potential before
-    and after.  The potential after is the one before plus the changed
-    vertices' terms: every other vertex kept its children and its class,
-    and the audit has just checked the touched vertices' filing.  Each
-    solver asserts its own contract on the delta.  Cost is O(touched +
-    sum of deg(touched) + live classes), plus the audit's parent walks.
+    (old, new) degree that changed, and the potential before and after,
+    read from the solver's power table: powers[d] is base**d for every
+    degree d the tree can reach.  The potential after is the one before
+    plus the changed vertices' terms: every other vertex kept its children
+    and its class, and the audit has just checked the touched vertices'
+    filing.  Each solver asserts its own contract on the delta.  Cost is
+    O(touched + sum of deg(touched) + live classes), plus the audit's
+    parent walks.
     """
     children = t.children
     rerouted = [a for seg in segments for a in seg[:-1]]
@@ -92,7 +98,7 @@ def rewrite_and_audit(
     before = {v: len(children[v]) for seg in segments for v in seg}
     for v in old_parents:
         before[v] = len(children[v])
-    phi_before = t.potential(base)
+    phi_before = sum(powers[d] * size for d, size in t.class_sizes())
     for seg in segments:
         for a, b in zip(seg, seg[1:]):
             t.cut_and_append(a, b)
@@ -104,24 +110,20 @@ def rewrite_and_audit(
         new = len(children[v])
         if new != old:
             changed[v] = (old, new)
-            phi_after += base ** new - base ** old
+            phi_after += powers[new] - powers[old]
     return AdjustDelta(k, changed, phi_before, phi_after)
 
 
-def argmax_degree_class(classes: Iterable[tuple[int, int]], base: int | Fraction) -> int:
+def argmax_degree_class(classes: Iterable[tuple[int, int]], ranks: Sequence[int]) -> int:
     """argmax of base**d * size over (d, size) pairs; ties go to the larger d.
 
-    Exact for any rational base p/q, in ints: with D the top class,
-    base**d * size ranks as p**d * (size * q**(D-d)) does.
+    ranks is the base's rank table (search.rank_table), which holds base**d
+    times one common positive factor, so the int score ranks[d] * size
+    orders the pairs exactly as base**d * size does.
     """
-    p, q = base.numerator, base.denominator
-    if q != 1:
-        classes = list(classes)
-        top = max(classes, default=(0, 0))[0]
-        classes = [(d, size * q ** (top - d)) for d, size in classes]
     best = best_d = -1
     for d, size in classes:
-        score = p ** d * size
+        score = ranks[d] * size
         if score > best or (score == best and d > best_d):
             best, best_d = score, d
     if best <= 0:
@@ -129,10 +131,10 @@ def argmax_degree_class(classes: Iterable[tuple[int, int]], base: int | Fraction
     return best_d
 
 
-def choose_k(t: InTree, base: int | Fraction) -> int:
+def choose_k(t: InTree, ranks: Sequence[int]) -> int:
     """The argmax of base**d * |N_d| over the live classes of t's
-    histogram; ties go to the larger d."""
-    return argmax_degree_class(t.class_sizes(), base)
+    histogram, by the base's rank table; ties go to the larger d."""
+    return argmax_degree_class(t.class_sizes(), ranks)
 
 
 def psi(t: InTree, u: int, k: int, limit: int, inside: set[int]) -> int:
@@ -171,6 +173,7 @@ def find_improvement_path(
     degree <= d-2.  Returns None when no such path exists, always so when
     d < 2.
     """
+    children = t.children
     pred: dict[int, int] = {u: u}
     queue = deque([u])
     while queue:
@@ -179,7 +182,7 @@ def find_improvement_path(
             if y in pred:
                 continue
             if y not in inside:
-                if t.deg(y) <= d - 2:
+                if len(children[y]) <= d - 2:
                     path = [y]
                     cur = x
                     while cur != u:
@@ -189,7 +192,7 @@ def find_improvement_path(
                     path.reverse()
                     return ImprovementPath(d, tuple(path))
                 continue
-            if t.deg(y) <= d - 2:
+            if len(children[y]) <= d - 2:
                 pred[y] = x
                 queue.append(y)
     return None
@@ -217,18 +220,21 @@ def _revalidate_improvement(t: InTree, p: ImprovementPath) -> None:
         raise StalePath(f"endpoint {w} is inside subtree({u})")
 
 
-def apply_improvement_path(t: InTree, p: ImprovementPath) -> AdjustDelta:
+def apply_improvement_path(
+    t: InTree, p: ImprovementPath, powers: Sequence[int]
+) -> AdjustDelta:
     """Reroute every path vertex but the last onto its path successor.
 
     After the audited rewrite (rewrite_and_audit), the old parent of u has
     lost exactly one child, no path vertex other than u has gained more
-    than one, and the base-2 potential has dropped.
+    than one, and the base-2 potential, read from powers (2**d for every
+    degree d the tree can reach), has dropped.
     """
     _revalidate_improvement(t, p)
     vs = p.vertices
     old_parent = t.parent[vs[0]]
     assert old_parent is not None
-    delta = rewrite_and_audit(t, p.d, [vs], 2)
+    delta = rewrite_and_audit(t, p.d, [vs], powers)
     assert delta.gain(old_parent) == -1, "old parent must drop by 1"
     for v in vs[1:]:
         assert delta.gain(v) <= 1, f"path vertex {v} gained more than one child"
@@ -249,9 +255,12 @@ def run_local_search(
     cfg = cfg or Config.for_graph(g)
     phi_floor = 8 * g.n * g.n
     applications = 0
+    powers: list[int] = []
 
     def attempt(t: InTree, k: int) -> dict | Stall:
-        nonlocal applications
+        nonlocal applications, powers
+        if not powers:
+            powers = power_table(2, t.max_deg)
         if k <= 2:
             # k < 2: no path vertex can have degree <= k-2 < 0.  k = 2: the
             # gate is 1/2, and every subtree holds a leaf, whose psi term is
@@ -263,8 +272,14 @@ def run_local_search(
         factor = cfg.psi_factor
         gate = (1 << k) * factor.numerator // factor.denominator
         children, out_edges, low = t.children, g.out_edges, k - 2
-        candidates = sorted(c for parent in members for c in children[parent])
+        candidates = sorted(chain.from_iterable(map(children.__getitem__, members)))
         for u in candidates:
+            # Degree screen: each of u's d child subtrees holds a leaf (psi
+            # term 1), and u adds 2**d when d <= k-2, so psi is at least
+            # this bound.
+            d = len(children[u])
+            if ((1 << d) + d if d <= low else d) > gate:
+                continue
             # First hop: every path vertex after u has degree <= k-2, so a
             # u with no such out-neighbour has no path, whatever its psi.
             for y in out_edges[u]:
@@ -279,7 +294,7 @@ def run_local_search(
             path = find_improvement_path(t, g, u, k, inside)
             if path is None:
                 continue
-            delta = apply_improvement_path(t, path)
+            delta = apply_improvement_path(t, path, powers)
             applications += 1
             # Accounting: the degree-k parent loses 2**(k-1) of potential,
             # the exit vertex gains at most 2**(k-2), subtree gains at most

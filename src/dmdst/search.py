@@ -5,12 +5,20 @@ argmax, apply adjustments whose potential strictly drops, and turn a stall
 into a blocking certificate.  A solver supplies only attempt(t, k), which
 applies one adjustment at class k and returns its trace row, or returns a
 Stall; the driver owns the rest.
+
+No round raises a base to a power.  The start tree's Delta never rises, so
+every degree a solve meets is at most that Delta, and each solve computes
+its powers once, in tables of that length: the driver's rank table, which
+the argmax reads, and each solver's power table (power_table), which its
+potential reads.
 """
 
 from __future__ import annotations
 
 import time
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import mul
 from typing import Callable, NamedTuple
 
 from .certificate import BlockingCertificate, EmptyWitness
@@ -29,30 +37,45 @@ class Stall(NamedTuple):
     row: dict | None = None
 
 
+def power_table(base: int, top: int) -> list[int]:
+    """[base**0, base**1, ..., base**top]."""
+    return list(accumulate(repeat(base, top), mul, initial=1))
+
+
+def rank_table(base: int | Fraction, top: int) -> list[int]:
+    """ranks[d] = p**d * q**(top-d) for base = p/q and d = 0..top: base**d
+    times the common factor q**top, so ints rank the classes exactly."""
+    p, q = base.numerator, base.denominator
+    ranks = power_table(p, top)
+    if q != 1:
+        ranks = list(map(mul, ranks, reversed(power_table(q, top))))
+    return ranks
+
+
 def search(
     g: Digraph, cfg: Config, algorithm: str, attempt: Callable[[InTree, int], dict | Stall],
-    *, build: Callable[[Digraph], InTree], choose_k: Callable[[InTree, int | Fraction], int],
+    *, build: Callable[[Digraph], InTree], choose_k: Callable[[InTree, list[int]], int],
     base: int | Fraction, threshold: float,
     extract: Callable[[InTree, Digraph, object], BlockingCertificate], trace: bool,
 ) -> SolveReport:
-    """Build the start tree, then attempt(t, choose_k(t, base)) while Delta
-    exceeds threshold, until a Stall.
+    """Build the start tree, then attempt(t, choose_k(t, ranks)) while Delta
+    exceeds threshold, until a Stall; ranks is the base's rank table up to
+    the start tree's Delta.
 
     The stall's certificate is extract(t, g, witness), or none when its
     witness set is empty.  The paper profile's guarantee is proved when the
     loop reached its threshold or the stall was certified.
     """
     start = time.perf_counter()
-    if base.denominator == 1:
-        base = base.numerator  # an integral base ranks classes in plain ints
     t = build(g)
     delta_initial = t.max_deg
+    ranks = rank_table(base, delta_initial)
     rows: list[dict] | None = [] if trace else None
     applications = 0
     certificate: BlockingCertificate | None = None
     exit_reason = "threshold"
     while t.max_deg > threshold:
-        outcome = attempt(t, choose_k(t, base))
+        outcome = attempt(t, choose_k(t, ranks))
         if not isinstance(outcome, Stall):
             applications += 1
             if rows is not None:

@@ -20,6 +20,7 @@ from dmdst import (
     Digraph,
     build_initial_tree,
     choose_k,
+    rank_table,
     enumerate_spanning_intrees,
     gen_blocker,
     gen_instar,
@@ -121,12 +122,12 @@ def improvement_fuzz():
     apply = dmdst.local_search.apply_improvement_path
     records = []
 
-    def recorded(t, path):
-        k = choose_k(t, 2)
+    def recorded(t, path, powers):
+        k = choose_k(t, rank_table(2, t.max_deg))
         old_parent = t.parent[path.vertices[0]]
         before = degree_snapshot(t)
         phi_before = t.potential(2)
-        delta = apply(t, path)
+        delta = apply(t, path, powers)
         records.append(
             (path, old_parent, before, degree_snapshot(t), phi_before, t.potential(2), k)
         )

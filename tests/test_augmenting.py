@@ -31,6 +31,7 @@ from dmdst.augmenting import (
 )
 from conftest import (
     brute_first_exits,
+    corpus_instances,
     degree_snapshot,
     random_corpus_specs,
     report_without_timing,
@@ -58,7 +59,7 @@ def level1_state(t, cfg, k, level0):
     """A fresh LayeredState at class k, with the sorted level-1 list the
     driver keeps: the children of level 0."""
     level1 = sorted(c for v in level0 for c in t.children[v])
-    return LayeredState(k, [level0], power_table(cfg, t.max_deg), level1)
+    return LayeredState(k, [level0], power_table(cfg.base_c, t.max_deg), level1, [])
 
 
 def layered_fixture_state(g, k=3):
@@ -174,7 +175,7 @@ def test_reconstruct_two_segments_and_validate():
     assert isinstance(result, FoundEndpoint)
     path = reconstruct_path(st_, result, t)
     assert path.segments == ((2, 5), (6, 8))
-    validate_augmenting_path(t, g, path, cfg, st_.powers)
+    validate_augmenting_path(t, g, path, cfg, st_.powers, st_.budgets)
 
 
 def test_scan_matches_brute_force_on_corpus(monkeypatch):
@@ -252,9 +253,13 @@ def test_validation_rejects_tampered_path():
     g = two_segment_fixture()
     t, cfg, st_ = layered_fixture_state(g)
     with pytest.raises(ValidationFailed):
-        validate_augmenting_path(t, g, AugmentingPath(3, ((2, 5), (7, 8))), cfg, st_.powers)
+        validate_augmenting_path(
+            t, g, AugmentingPath(3, ((2, 5), (7, 8))), cfg, st_.powers, st_.budgets
+        )
     with pytest.raises(ValidationFailed):
-        validate_augmenting_path(t, g, AugmentingPath(3, ((4, 1),)), cfg, st_.powers)
+        validate_augmenting_path(
+            t, g, AugmentingPath(3, ((4, 1),)), cfg, st_.powers, st_.budgets
+        )
 
 
 def test_apply_single_segment_matches_improvement_semantics():
@@ -262,9 +267,10 @@ def test_apply_single_segment_matches_improvement_semantics():
     t = build_initial_tree(g)
     path = AugmentingPath(3, ((2, 5),))
     cfg = Config.for_graph(g)
-    validate_augmenting_path(t, g, path, cfg, power_table(cfg, t.max_deg))
+    powers = power_table(cfg.base_c, t.max_deg)
+    validate_augmenting_path(t, g, path, cfg, powers, [])
     before = degree_snapshot(t)
-    apply_augmenting_path(t, path, cfg)
+    apply_augmenting_path(t, path, powers)
     after = degree_snapshot(t)
     assert after[1] == before[1] - 1
     assert after[5] == before[5] + 1
@@ -291,7 +297,7 @@ def test_apply_asserts_class_contracts_from_touched_degrees(monkeypatch, extra, 
 
     monkeypatch.setattr(dmdst.augmenting, "rewrite_and_audit", with_extra)
     with pytest.raises(AssertionError, match=message):
-        apply_augmenting_path(t, AugmentingPath(3, ((2, 5),)), Config.for_graph(g))
+        apply_augmenting_path(t, AugmentingPath(3, ((2, 5),)), power_table(10, t.max_deg))
 
 
 def test_apply_two_segment_fixture_postconditions():
@@ -303,7 +309,7 @@ def test_apply_two_segment_fixture_postconditions():
     counts_before = t.degree_counts()
     before = degree_snapshot(t)
     phi_before = t.potential(cfg.base_c)
-    apply_augmenting_path(t, path, cfg)
+    apply_augmenting_path(t, path, st_.powers)
     counts_after = t.degree_counts()
     # degree-k class shrinks by one, nothing above k grows
     assert counts_after.get(3, 0) == counts_before[3] - 1
@@ -332,6 +338,28 @@ def test_subtree_potential_and_budget():
     eps = Fraction(0.1)
     assert cfg.epsilon == eps
     assert budget == math.floor(Fraction(9, 10) * eps / (1 + eps) * cfg.base_c ** 2)
+
+
+def test_budget_table_matches_potential_budget_on_corpus(monkeypatch):
+    """Every budget a corpus solve reads, at epsilon 0.1 (c = 10) and 0.15
+    (c = 7), comes from its class's row of the solve's table, and each
+    row's entry for level i is potential_budget(cfg, i, k)."""
+    scan = dmdst.augmenting.extend_layer
+    rows = {}
+
+    def recorded(t, g, st_, i, cfg):
+        result = scan(t, g, st_, i, cfg)
+        assert len(st_.budgets) >= i
+        rows[id(st_.budgets)] = (cfg, st_.k, st_.budgets)
+        return result
+
+    monkeypatch.setattr(dmdst.augmenting, "extend_layer", recorded)
+    for _, g in corpus_instances():
+        for epsilon in (0.1, 0.15):
+            run_augmenting_search(g, Config.for_graph(g, epsilon=epsilon))
+    for cfg, k, row in rows.values():
+        assert row == [potential_budget(cfg, i, k) for i in range(1, len(row) + 1)]
+    assert len(rows) > 50 and max(len(row) for _, _, row in rows.values()) >= 2
 
 
 def test_run_on_path_returns_immediately():

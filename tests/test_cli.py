@@ -298,12 +298,22 @@ EQUAL_NON_INT_VERTICES = [True, 2.0]
 # True and 2.0 compare equal to the vertices 1 and 2
 NON_INT_PARENTS = ["x", 2.0, True]
 NON_INT_KS = [2.7, "3"]
+# the certificate's verified flag as a truthy str and an int
+NON_BOOL_VERIFIED = ["no", 1]
 # Each int field of the report as a str, a float and a bool: the first
 # two compare equal to, or read as, the right value.
 INT_FIELDS = ["n", "m", "delta_initial", "delta_final", "iterations"]
 NON_INT_FIELDS = [
     (key, kind) for key in INT_FIELDS for kind in ("str", "float", "bool")
 ] + [("iterations", "x")]
+
+
+def _certificate_verified(value):
+    def corrupt(data):
+        data["certificate"]["verified"] = value
+        return data
+
+    return corrupt
 
 
 def _int_field(key, kind):
@@ -322,12 +332,14 @@ def _int_field(key, kind):
     + [_certificate_extra_vertex("U", v) for v in EQUAL_NON_INT_VERTICES]
     + [_parent_entry(v) for v in NON_INT_PARENTS]
     + [_certificate_k(v) for v in NON_INT_KS]
+    + [_certificate_verified(v) for v in NON_BOOL_VERIFIED]
     + [_int_field(key, kind) for key, kind in NON_INT_FIELDS],
     ids=["missing-parent", "zero-denominator", "certificate-without-k", "top-level-list"]
     + [f"certificate-{side}-{v!r}" for side, v in NON_INT_VERTICES]
     + [f"certificate-U-extra-{v!r}" for v in EQUAL_NON_INT_VERTICES]
     + [f"parent-{v!r}" for v in NON_INT_PARENTS]
     + [f"certificate-k-{v!r}" for v in NON_INT_KS]
+    + [f"certificate-verified-{v!r}" for v in NON_BOOL_VERIFIED]
     + [f"{key}-{kind}" for key, kind in NON_INT_FIELDS],
 )
 def test_verify_rejects_malformed_report_as_bad_input(tmp_path, capsys, corrupt):
@@ -342,6 +354,38 @@ def test_verify_rejects_malformed_report_as_bad_input(tmp_path, capsys, corrupt)
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def _without_certificate(data):
+    data["certificate"] = None
+    return data
+
+
+def _bound_above_delta(data):
+    data["lower_bound"] = {"num": 7, "den": 1}
+    return data
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_without_certificate, _bound_above_delta,
+     lambda data: _bound_above_delta(_without_certificate(data))],
+    ids=["no-certificate", "bound-above-delta", "no-certificate-bound-above-delta"],
+)
+def test_verify_flags_lower_bound_that_nothing_backs(tmp_path, capsys, corrupt):
+    """An augment report's bound (9/5 under Delta 3) with its certificate
+    dropped, or raised above the tree's own degree, fails verification."""
+    path = str(tmp_path / "g.dmdst")
+    run_cli(capsys, "generate", "--family", "blocker", "--k", "4", "--fanout", "3",
+            "--seed", "1", "--out", path)
+    _, stdout, _ = run_cli(capsys, "solve", path, "--algo", "augment")
+    data = json.loads(stdout)
+    assert (data["lower_bound"], data["delta_final"]) == ({"num": 9, "den": 5}, 3)
+    report_file = tmp_path / "bad.json"
+    report_file.write_text(json.dumps(corrupt(data)))
+    code, out, err = run_cli(capsys, "verify", path, str(report_file))
+    assert (code, out) == (1, "")
+    assert err.startswith("BoundMismatch: ")
 
 
 def test_augment_solves_high_degree_instar_exactly(tmp_path, capsys):

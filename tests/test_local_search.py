@@ -18,7 +18,9 @@ from dmdst import (
     gen_instar,
     gen_path,
     gen_random,
+    power_table,
     psi,
+    rank_table,
     run_augmenting_search,
     run_local_search,
 )
@@ -43,6 +45,16 @@ def star_with_escape(with_chord: bool = True) -> Digraph:
 def full_psi(t, u: int, k: int) -> int:
     """psi(t, u, k) summed in full: no subtree's sum exceeds the potential."""
     return psi(t, u, k, t.potential(2), set())
+
+
+def local_k(t) -> int:
+    """The local search's class: choose_k over the base-2 rank table."""
+    return choose_k(t, rank_table(2, t.max_deg))
+
+
+def powers2(t) -> list[int]:
+    """The local search's power table, 2**d up to t's Delta."""
+    return power_table(2, t.max_deg)
 
 
 def instar_with_ham_path(n: int) -> Digraph:
@@ -88,7 +100,7 @@ def test_apply_single_hop_example():
     g = star_with_escape()
     t = build_initial_tree(g)
     p = find_improvement_path(t, g, 2, 3, t.subtree(2))
-    delta = apply_improvement_path(t, p)
+    delta = apply_improvement_path(t, p, powers2(t))
     assert t.deg(1) == 2
     assert t.deg(5) == 1
     assert t.max_deg == 2
@@ -101,21 +113,21 @@ def test_apply_rejects_stale_path():
     g = star_with_escape()
     t = build_initial_tree(g)
     p = find_improvement_path(t, g, 2, 3, t.subtree(2))
-    apply_improvement_path(t, p)
+    apply_improvement_path(t, p, powers2(t))
     with pytest.raises(StalePath):
-        apply_improvement_path(t, p)
+        apply_improvement_path(t, p, powers2(t))
 
 
 def test_apply_potential_change_matches_recomputation():
     g = instar_with_ham_path(8)
     t = build_initial_tree(g)
-    k = choose_k(t, 2)
+    k = local_k(t)
     for u in sorted(c for p in t.members(k) for c in t.children[p]):
         path = find_improvement_path(t, g, u, k, t.subtree(u))
         if path is None:
             continue
         before = t.potential(2)
-        delta = apply_improvement_path(t, path)
+        delta = apply_improvement_path(t, path, powers2(t))
         assert delta.phi_before == before
         assert delta.phi_after == t.potential(2)
         break
@@ -124,10 +136,13 @@ def test_apply_potential_change_matches_recomputation():
 
 
 def test_choose_k_direct_arithmetic():
-    assert argmax_degree_class({0: 5, 1: 3, 2: 1}.items(), 2) == 1
-    assert argmax_degree_class({0: 1, 3: 1}.items(), 2) == 3
+    ranks = rank_table(2, 3)
+    assert argmax_degree_class({0: 5, 1: 3, 2: 1}.items(), ranks) == 1
+    assert argmax_degree_class({0: 1, 3: 1}.items(), ranks) == 3
     # tie at equal scores goes to the larger class
-    assert argmax_degree_class({1: 2, 2: 1}.items(), 2) == 2
+    assert argmax_degree_class({1: 2, 2: 1}.items(), ranks) == 2
+    # base 7/2 over classes 0..2: 7**d * 2**(2-d)
+    assert rank_table(Fraction(7, 2), 2) == [4, 14, 49]
 
 
 def reference_argmax(counts: dict[int, int], base) -> int:
@@ -158,33 +173,43 @@ def histograms_and_bases(draw):
 
 @given(histograms_and_bases())
 def test_argmax_degree_class_matches_reference_with_ties(case):
+    """The argmax over the base's rank table, sized by the top class as a
+    solve sizes it by its start tree's Delta, is the Fraction argmax."""
     counts, base = case
+    ranks = rank_table(base, max(counts))
+    assert ranks == [Fraction(base) ** d * Fraction(base).denominator ** max(counts)
+                     for d in range(max(counts) + 1)]
     if not any(counts.values()):
         with pytest.raises(ValueError):
-            argmax_degree_class(counts.items(), base)
+            argmax_degree_class(counts.items(), ranks)
     else:
-        assert argmax_degree_class(counts.items(), base) == reference_argmax(counts, base)
+        assert argmax_degree_class(counts.items(), ranks) == reference_argmax(counts, base)
 
 
 def test_round_bookkeeping_matches_histogram_on_corpus(monkeypatch):
     """On every corpus round of both solvers, at epsilon 0.1 (augment base
-    c/2 = 5) and 0.15 (c = 7, base 7/2): choose_k is the reference argmax
-    over degree_counts(), and each adjustment's per-class net change from
-    its touched vertices, and its potential after, equal what the
-    histogram shows."""
+    c/2 = 5) and 0.15 (c = 7, base 7/2): choose_k over the solve's rank
+    table is the reference argmax over degree_counts(), and each
+    adjustment's per-class net change from its touched vertices, and its
+    potential before and after from the solver's power table, equal what
+    the histogram shows."""
     real_rewrite = dmdst.local_search.rewrite_and_audit
     real_choose = dmdst.local_search.choose_k
     seen = {"adjustments": 0, "bases": set()}
 
-    def checked_choose(t, base):
-        k = real_choose(t, base)
+    def checked_choose(t, ranks):
+        k = real_choose(t, ranks)
+        base = Fraction(ranks[1], ranks[0])  # p/q: ranks[d] = p**d * q**(top-d)
         assert k == reference_argmax(t.degree_counts(), base)
         seen["bases"].add(base)
         return k
 
-    def checked_rewrite(t, k, segments, base):
+    def checked_rewrite(t, k, segments, powers):
+        base = powers[1]
         before = t.degree_counts()
-        delta = real_rewrite(t, k, segments, base)
+        phi_before = t.potential(base)
+        delta = real_rewrite(t, k, segments, powers)
+        assert delta.phi_before == phi_before
         after = t.degree_counts()
         net: dict[int, int] = {}
         for old, new in delta.changed.values():
@@ -213,7 +238,7 @@ def test_choose_k_dominates_delta_minus_log_n(seed):
     n = 4 + seed % 6
     g = gen_random(n, min(seed % 13, (n - 1) ** 2), seed)
     t = build_initial_tree(g)
-    assert choose_k(t, 2) >= t.max_deg - math.log2(g.n)
+    assert local_k(t) >= t.max_deg - math.log2(g.n)
 
 
 def test_psi_boundary_and_leaf():
@@ -292,7 +317,7 @@ def test_class_two_stalls_without_psi_or_path_search(monkeypatch):
     leaf (psi >= 1), so the round stalls before any candidate is tried."""
     n = 255
     g = Digraph(n, 0, [(v, (v - 1) // 2) for v in range(1, n)])
-    assert choose_k(build_initial_tree(g), 2) == 2
+    assert local_k(build_initial_tree(g)) == 2
     calls = count_candidate_work(monkeypatch)
     report = run_local_search(g)
     assert calls == []
@@ -333,26 +358,47 @@ def test_path_search_reuses_the_gated_subtree(corpus_results, monkeypatch):
     del found[:]
     g = candidate_without_exit()
     t = build_initial_tree(g)
-    assert (choose_k(t, 2), t.parent[1], t.children[1], full_psi(t, 1, 5)) == (5, 0, [6], 3)
+    assert (local_k(t), t.parent[1], t.children[1], full_psi(t, 1, 5)) == (5, 0, [6], 3)
     report = run_local_search(g)
     assert found == [False]
     assert (report.delta_final, report.iterations, report.exit_reason) == (5, 0, "stalled")
 
 
-def reference_rounds(g: Digraph) -> list[tuple[int, tuple[int, ...]]]:
-    """(k, path) of every round of a scan without the first-hop test: psi,
-    then the path search, on every candidate in ascending order.  Each
-    round also checks that every candidate the first-hop test would skip
-    has no improvement path."""
+def screen_bound(t, u: int, k: int) -> int:
+    """The degree screen's lower bound on psi(u) at class k >= 3: 2**d + d
+    for u of degree d <= k-2, d above it."""
+    d = t.deg(u)
+    return (1 << d) + d if d <= k - 2 else d
+
+
+def degree_screen_skips(t, u: int, k: int) -> bool:
+    """The local search's degree screen: the bound exceeds the gate."""
+    return screen_bound(t, u, k) > 2 ** k // 8
+
+
+def reference_rounds(
+    g: Digraph, tally: dict[str, int] | None = None
+) -> list[tuple[int, tuple[int, ...]]]:
+    """(k, path) of every round of a scan without the degree screen and the
+    first-hop test: psi, then the path search, on every candidate in
+    ascending order.  Each round also checks that every candidate the
+    degree screen would skip has full psi over the gate, and every one the
+    first-hop test would skip has no improvement path.  tally, if given,
+    counts the candidates the screen would skip."""
     t = build_initial_tree(g)
+    powers = power_table(2, t.max_deg)
     rounds = []
     while t.max_deg > 0:
-        k = choose_k(t, 2)
+        k = local_k(t)
         if k <= 2:
             break
         gate = 2 ** k // 8
         chosen = None
         for u in sorted(c for p in t.members(k) for c in t.children[p]):
+            if degree_screen_skips(t, u, k):
+                assert full_psi(t, u, k) > gate, u
+                if tally is not None:
+                    tally["screened"] += 1
             if not any(t.deg(y) <= k - 2 for y in g.out_edges[u]):
                 assert find_improvement_path(t, g, u, k, t.subtree(u)) is None, u
             if chosen is None and full_psi(t, u, k) <= gate:
@@ -360,7 +406,7 @@ def reference_rounds(g: Digraph) -> list[tuple[int, tuple[int, ...]]]:
         if chosen is None:
             break
         rounds.append((k, chosen.vertices))
-        apply_improvement_path(t, chosen)
+        apply_improvement_path(t, chosen, powers)
     return rounds
 
 
@@ -369,9 +415,9 @@ def solver_rounds(g: Digraph, monkeypatch) -> list[tuple[int, tuple[int, ...]]]:
     applied = []
     apply = dmdst.local_search.apply_improvement_path
 
-    def recorded(t, p):
+    def recorded(t, p, powers):
         applied.append((p.d, p.vertices))
-        return apply(t, p)
+        return apply(t, p, powers)
 
     monkeypatch.setattr(dmdst.local_search, "apply_improvement_path", recorded)
     report = run_local_search(g)
@@ -382,14 +428,37 @@ def solver_rounds(g: Digraph, monkeypatch) -> list[tuple[int, tuple[int, ...]]]:
 
 def test_first_hop_skip_is_exact_on_the_corpus(corpus_results, monkeypatch):
     """Every round picks the same candidate and path as a scan without the
-    first-hop test, and every candidate the test skips has no path."""
+    degree screen and the first-hop test, every candidate the screen skips
+    has psi over the gate, and every one the first-hop test skips has no
+    path."""
     results, _ = corpus_results
     applied = 0
+    tally = {"screened": 0}
     for s in results:
-        rounds = reference_rounds(s.g)
+        rounds = reference_rounds(s.g, tally)
         assert solver_rounds(s.g, monkeypatch) == rounds, s.name
         applied += len(rounds)
     assert applied == sum(s.local.iterations for s in results) > 0
+    assert tally["screened"] > 0
+
+
+def test_psi_runs_only_past_the_degree_screen(corpus_results, monkeypatch):
+    """Every psi walk the solver makes is on a candidate the degree screen
+    lets through, and the reports are as before."""
+    real = dmdst.local_search.psi
+    walks = []
+
+    def checked(t, u, k, limit, inside):
+        assert not degree_screen_skips(t, u, k), (u, k)
+        walks.append(u)
+        return real(t, u, k, limit, inside)
+
+    monkeypatch.setattr(dmdst.local_search, "psi", checked)
+    results, _ = corpus_results
+    for s in results:
+        report = run_local_search(s.g, Config.for_graph(s.g), trace=True)
+        assert report_without_timing(report) == report_without_timing(s.local), s.name
+    assert walks
 
 
 @st.composite
@@ -407,6 +476,15 @@ def small_digraphs(draw) -> Digraph:
 def test_first_hop_skip_is_exact_on_small_digraphs(g):
     with pytest.MonkeyPatch.context() as monkeypatch:
         assert solver_rounds(g, monkeypatch) == reference_rounds(g)
+
+
+@given(small_digraphs(), st.integers(3, 12))
+def test_degree_screen_bound_is_below_psi(g, k):
+    """For every vertex u and class k >= 3, the screen's bound is at most
+    the full psi(u)."""
+    t = build_initial_tree(g)
+    for u in range(g.n):
+        assert full_psi(t, u, k) >= screen_bound(t, u, k), u
 
 
 def test_first_hop_skips_blocked_candidates_before_psi(monkeypatch):
@@ -450,7 +528,7 @@ def test_paper_profile_is_vacuous_at_desk_scale():
 def test_adjustment_audit_off_path_untouched():
     g = instar_with_ham_path(9)
     t = build_initial_tree(g)
-    k = choose_k(t, 2)
+    k = local_k(t)
     candidates = sorted(c for p in t.members(k) for c in t.children[p])
     for u in candidates:
         path = find_improvement_path(t, g, u, k, t.subtree(u))
@@ -458,7 +536,7 @@ def test_adjustment_audit_off_path_untouched():
             continue
         old_parent = t.parent[u]
         before = degree_snapshot(t)
-        apply_improvement_path(t, path)
+        apply_improvement_path(t, path, powers2(t))
         after = degree_snapshot(t)
         on_path = set(path.vertices)
         assert after[old_parent] == before[old_parent] - 1
