@@ -23,7 +23,7 @@ from .config import Config
 from .generators import gen_blocker, gen_complete, gen_instar, gen_path, gen_random
 from .graph import Digraph, GraphFormatError, load_graph, serialize_graph
 from .local_search import run_local_search
-from .oracle import TooLarge, exact_min_degree
+from .oracle import EXACT_LIMIT, TooLarge, exact_min_degree
 from .report import SolveReport
 from .search import solve_report
 from .tree import build_initial_tree, parent_violations
@@ -91,8 +91,9 @@ def _verify_report(g: Digraph, report: SolveReport) -> str | None:
     (parent_violations), the tree degree against delta_final, the lower
     bound against delta_final and its backing, then the certificate by
     plain reachability (verify_blocking).  A local or augment bound must
-    come with its certificate; an exact report's bound is delta_final
-    itself and comes with none.
+    come with its certificate.  An exact report comes with none: its
+    delta_final must equal the optimum, which exact_min_degree recomputes,
+    so no exact report verifies above oracle.EXACT_LIMIT vertices.
     """
     if report.n != g.n or report.m != g.m:
         return f"GraphMismatch: report says n={report.n} m={report.m}"
@@ -111,6 +112,12 @@ def _verify_report(g: Digraph, report: SolveReport) -> str | None:
     bound = report.lower_bound
     if bound is not None and bound > report.delta_final:
         return f"BoundMismatch: lower_bound {bound} above delta_final {report.delta_final}"
+    if report.algorithm == "exact":
+        if g.n > EXACT_LIMIT:
+            return f"ExactUnproven: n={g.n} is above the exact oracle's limit {EXACT_LIMIT}"
+        best, _ = exact_min_degree(g)
+        if report.delta_final != best:
+            return f"NotOptimal: delta_final {report.delta_final}, optimum {best}"
     cert = report.certificate
     if cert is None:
         if bound is not None and report.algorithm in ("local", "augment"):

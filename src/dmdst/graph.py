@@ -7,8 +7,11 @@ checked to reach the sink from all vertices; one that does not raises
 SinkUnreachable, whose vertices name the stranded ones.
 
 Both ways in, Digraph(n, sink, edges) and parse_graph, go through one
-builder over two int columns, whose range, self-loop and duplicate checks
-run in bulk, before the reachability check.  parse_graph reads text in
+builder over one flat int list [u0, v0, u1, v1, ...], whose range,
+self-loop and duplicate checks run in bulk, before the reachability
+check.  The builder fills each adjacency list once.  A Digraph keeps the
+out-lists, their frozensets and the sink BFS parents; the reverse lists
+live only for that BFS and are dropped after it.  parse_graph reads text in
 the canonical form that serialize_graph writes in bulk (one json call for
 the whole body), also when comment lines, blank lines, trailing
 whitespace or CRLF line endings surround it, and any other text line by
@@ -21,7 +24,6 @@ from __future__ import annotations
 import json
 import sys
 from bisect import bisect_right
-from collections import deque
 from itertools import repeat
 from operator import add
 from typing import Iterable, Iterator, Sequence
@@ -66,25 +68,28 @@ class SinkUnreachable(GraphFormatError):
 class Digraph:
     """Immutable directed graph. Adjacency lists keep insertion order.
 
-    sink_parent is the parent array of the reachability check's sink BFS
-    (sink_bfs), kept so that the start tree needs no second walk.
+    A Digraph holds what the solvers and verify read: out_edges[u], the
+    list of u's out-neighbours; out_sets[u], the same as a frozenset; and
+    sink_parent, the parent array of the reachability check's sink BFS,
+    kept so that the start tree needs no second walk.  The out-lists are
+    the ones the builder filled, not copies: nothing mutates them.  The
+    reverse lists exist only while the sink BFS walks them.
     """
 
-    __slots__ = ("n", "m", "sink", "out_edges", "out_sets", "rev_edges", "sink_parent")
+    __slots__ = ("n", "m", "sink", "out_edges", "out_sets", "sink_parent")
 
     def __init__(self, n: int, sink: int, edges: Iterable[tuple[int, int]]) -> None:
-        pairs = list(edges)
-        self._build(n, sink, [u for u, _ in pairs], [v for _, v in pairs], None)
+        flat: list[int] = []
+        push = flat.append
+        for u, v in edges:
+            push(u)
+            push(v)
+        self._build(n, sink, flat, None)
 
     def _build(
-        self,
-        n: int,
-        sink: int,
-        us: Sequence[int],
-        vs: Sequence[int],
-        lines: Sequence[int] | None,
+        self, n: int, sink: int, flat: Sequence[int], lines: Sequence[int] | None
     ) -> None:
-        """The one edge builder, over the edge columns us[i] -> vs[i].
+        """The one edge builder, over the edges flat[2i] -> flat[2i + 1].
 
         Range, self-loop and duplicate checks run in bulk; only when one
         fails does _edge_fault scan the edges in order for the first
@@ -97,13 +102,14 @@ class Digraph:
             raise MalformedHeader(f"vertex count must be >= 1, got {n}")
         if not 0 <= sink < n:
             raise VertexOutOfRange(f"sink {sink} out of range for n={n}")
-        m = len(us)
+        m = len(flat) // 2
         # Before any indexing: a negative vertex would wrap around silently.
-        if m and (min(us) < 0 or min(vs) < 0 or max(us) >= n or max(vs) >= n):
-            raise _edge_fault(n, us, vs, lines)
+        if m and (min(flat) < 0 or max(flat) >= n):
+            raise _edge_fault(n, flat, lines)
         out: list[list[int]] = [[] for _ in range(n)]
         rev: list[list[int]] = [[] for _ in range(n)]
-        for u, v in zip(us, vs):
+        pairs = iter(flat)
+        for u, v in zip(pairs, pairs):
             out[u].append(v)
             rev[v].append(u)
         # Straight from the lists, in half the time of a copy through set().
@@ -117,16 +123,15 @@ class Digraph:
             any(map(frozenset.__contains__, out_sets, range(n)))
             or sum(map(len, out_sets)) != m
         ):
-            raise _edge_fault(n, us, vs, lines)
+            raise _edge_fault(n, flat, lines)
+        parent, stranded = sink_bfs(rev, sink)
+        if stranded:
+            raise SinkUnreachable(stranded)
         self.n = n
         self.m = m
         self.sink = sink
-        self.out_edges = tuple(map(tuple, out))
+        self.out_edges: list[list[int]] = out
         self.out_sets = out_sets
-        self.rev_edges = tuple(map(tuple, rev))
-        parent, stranded = sink_bfs(self)
-        if stranded:
-            raise SinkUnreachable(stranded)
         self.sink_parent: tuple[int | None, ...] = tuple(parent)
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -148,19 +153,20 @@ class Digraph:
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.sink, self.out_edges))
+        # Equal graphs have equal n, m and sink.
+        return hash((self.n, self.m, self.sink))
 
     def __repr__(self) -> str:
         return f"Digraph(n={self.n}, m={self.m}, sink={self.sink})"
 
 
 def _edge_fault(
-    n: int, us: Sequence[int], vs: Sequence[int], lines: Sequence[int] | None
+    n: int, flat: Sequence[int], lines: Sequence[int] | None
 ) -> GraphFormatError | None:
     """The first edge, in order, that is out of range, a self-loop or a
     repeat, as the error checking it raises (checked in that order)."""
     seen: set[tuple[int, int]] = set()
-    for i, (u, v) in enumerate(zip(us, vs)):
+    for i, (u, v) in enumerate(zip(flat[0::2], flat[1::2])):
         if not (0 <= u < n and 0 <= v < n):
             kind, message = VertexOutOfRange, f"edge ({u}, {v}) out of range for n={n}"
         elif u == v:
@@ -174,8 +180,9 @@ def _edge_fault(
     return None
 
 
-def sink_bfs(g: Digraph) -> tuple[list[int | None], list[int]]:
-    """Breadth-first parents toward the sink over reversed edges, and the
+def sink_bfs(rev: Sequence[Sequence[int]], sink: int) -> tuple[list[int | None], list[int]]:
+    """Breadth-first parents toward the sink over the reverse lists rev
+    (rev[v] holds every u with an edge u -> v, in edge order), and the
     vertices the walk never reached (ascending; empty on a valid graph).
 
     parent[v] is v's BFS predecessor, deterministic given the graph's edge
@@ -183,20 +190,21 @@ def sink_bfs(g: Digraph) -> tuple[list[int | None], list[int]]:
     on first visit only, so the walk stops once every vertex is seen, which
     on a dense graph is after a few edge lists.
     """
-    n, sink = g.n, g.sink
+    n = len(rev)
     parent: list[int | None] = [None] * n
     parent[sink] = sink  # marks the sink seen during the walk
-    left = n - 1
-    queue = deque([sink])
-    while queue and left:
-        v = queue.popleft()
-        for u in g.rev_edges[v]:
+    # Every vertex seen, in order; the loop reads it as a FIFO queue and
+    # also visits what its own body appends.
+    seen = [sink]
+    for v in seen:
+        if len(seen) == n:
+            break
+        for u in rev[v]:
             if parent[u] is None:
                 parent[u] = v
-                left -= 1
-                queue.append(u)
+                seen.append(u)
     parent[sink] = None
-    if not left:
+    if len(seen) == n:
         return parent, []
     return parent, [v for v in range(n) if parent[v] is None and v != sink]
 
@@ -227,9 +235,9 @@ def parse_graph(text: str | bytes) -> Digraph:
     if columns is None:
         numbers, content = _content_lines(text)
         columns = _canonical_columns(content, numbers) or _line_columns(numbers, content)
-    n, sink, us, vs, edge_lines = columns
+    n, sink, flat, edge_lines = columns
     g = Digraph.__new__(Digraph)
-    g._build(n, sink, us, vs, edge_lines)
+    g._build(n, sink, flat, edge_lines)
     return g
 
 
@@ -318,19 +326,21 @@ def _read_header(header: str, lineno: int) -> tuple[int, int, int]:
     return n, m, sink
 
 
-_Columns = tuple[int, int, Sequence[int], Sequence[int], Sequence[int]]
+# (n, sink, flat, lines): edge i is flat[2i] -> flat[2i + 1], on line lines[i].
+_Columns = tuple[int, int, Sequence[int], Sequence[int]]
 
 # Line numbers of text read as it stands: line i is line i.
 _EVERY_LINE = range(1, sys.maxsize)
 
 
 def _canonical_columns(text: str, numbers: Sequence[int] = _EVERY_LINE) -> _Columns | None:
-    """(n, sink, us, vs, lines) of text in serialize_graph's exact form,
+    """(n, sink, flat, lines) of text in serialize_graph's exact form,
     else None.
 
     The body must be m lines of two ASCII digit runs joined by one space,
     each ending in a newline; json then converts it in one call, and
-    rejects leading zeros (those files take the line path).  Line i of
+    rejects leading zeros (those files take the line path), and its one
+    list [u0, v0, u1, v1, ...] goes to the builder as it is.  Line i of
     text is line numbers[i - 1] of the file, so edge i is on line
     numbers[i + 2].
     """
@@ -354,11 +364,11 @@ def _canonical_columns(text: str, numbers: Sequence[int] = _EVERY_LINE) -> _Colu
         nums = json.loads("[" + body.replace("\n", ",").replace(" ", ",")[:-1] + "]")
     except ValueError:
         return None
-    return n, sink, nums[0::2], nums[1::2], numbers[2 : m + 2]
+    return n, sink, nums, numbers[2 : m + 2]
 
 
 def _line_columns(numbers: Sequence[int], content: str) -> _Columns:
-    """(n, sink, us, vs, lines) of any file, read line by line from its
+    """(n, sink, flat, lines) of any file, read line by line from its
     content lines and their numbers (_content_lines)."""
     rows = list(zip(numbers, content.split("\n")[:-1]))
     if not rows or rows[0][1] != MAGIC:
@@ -373,8 +383,7 @@ def _line_columns(numbers: Sequence[int], content: str) -> _Columns:
         raise MalformedHeader(
             f"header promises {m} edges but file has {len(edge_rows)}", lineno
         )
-    us: list[int] = []
-    vs: list[int] = []
+    flat: list[int] = []
     lines: list[int] = []
     for lineno, line in edge_rows:
         parts = line.split()
@@ -386,11 +395,11 @@ def _line_columns(numbers: Sequence[int], content: str) -> _Columns:
             else:
                 error = f"non-integer edge field in {line!r}"
             # An edge above this line that fails a graph check comes first.
-            raise _edge_fault(n, us, vs, lines) or MalformedHeader(error, lineno)
-        us.append(u)
-        vs.append(v)
+            raise _edge_fault(n, flat, lines) or MalformedHeader(error, lineno)
+        flat.append(u)
+        flat.append(v)
         lines.append(lineno)
-    return n, sink, us, vs, lines
+    return n, sink, flat, lines
 
 
 def serialize_graph(g: Digraph) -> str:

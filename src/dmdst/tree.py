@@ -337,7 +337,9 @@ def build_initial_tree(g: Digraph) -> InTree:
 
     parent(v) is v's BFS predecessor (graph.sink_bfs), so the tree is as
     shallow as the graph allows and deterministic given its edge order.
-    Every Digraph holds those parents from its reachability check.
+    Every Digraph holds those parents (g.sink_parent) from its
+    reachability check; the reverse lists that BFS walked were built for
+    it alone and are not kept, so nothing here walks reversed edges.
     """
     return InTree(g, g.sink_parent)
 

@@ -13,6 +13,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 import pytest
 from hypothesis import settings
@@ -164,15 +165,24 @@ def brute_first_exits(t: InTree, g: Digraph, u: int) -> set[int]:
     return exits
 
 
-def full_bfs_parents(g: Digraph) -> list[int | None]:
+def full_bfs_parents(
+    g: Digraph, edges: Iterable[tuple[int, int]] | None = None
+) -> list[int | None]:
     """build_initial_tree's parent array by its first definition: a BFS
-    from the sink over reversed edges that walks every edge list."""
+    from the sink over reversed edges that walks every edge list.
+
+    The reverse lists are its own, not the builder's: built from edges,
+    the edge list in the order g was built from.  That is g.edges() for
+    a parsed graph, which lists edges in file order, and the default."""
+    rev: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges() if edges is None else edges:
+        rev[v].append(u)
     parent: list[int | None] = [None] * g.n
     seen = {g.sink}
     queue = deque([g.sink])
     while queue:
         v = queue.popleft()
-        for u in g.rev_edges[v]:
+        for u in rev[v]:
             if u not in seen:
                 seen.add(u)
                 parent[u] = v

@@ -388,6 +388,51 @@ def test_verify_flags_lower_bound_that_nothing_backs(tmp_path, capsys, corrupt):
     assert err.startswith("BoundMismatch: ")
 
 
+def forged_exact(data, parent, delta):
+    """An exact report rewritten to claim the tree parent, of degree delta,
+    as optimal."""
+    data.update(algorithm="exact", parent=parent, delta_final=delta,
+                lower_bound={"num": delta, "den": 1}, certificate=None,
+                guarantee="proved", exit_reason="exact")
+    return data
+
+
+def test_verify_rejects_exact_report_that_is_not_optimal(tmp_path, capsys):
+    """An exact report must carry the optimum: the start BFS tree (Delta 4)
+    claimed as exact on a graph whose optimum is 2 fails, and the genuine
+    exact report still verifies."""
+    g = gen_random(9, 12, 0)
+    path = write_instance(tmp_path, "g", g)
+    _, stdout, _ = run_cli(capsys, "solve", path, "--algo", "exact")
+    genuine = tmp_path / "exact.json"
+    genuine.write_text(stdout)
+    code, out, err = run_cli(capsys, "verify", path, str(genuine))
+    assert (code, out) == (0, "ok\n"), err
+    data = json.loads(stdout)
+    assert data["delta_final"] == 2
+    start = build_initial_tree(g)
+    assert start.max_deg == 4
+    forged = tmp_path / "forged.json"
+    forged.write_text(json.dumps(forged_exact(data, start.parents_signed(), 4)))
+    code, out, err = run_cli(capsys, "verify", path, str(forged))
+    assert (code, out) == (1, "")
+    assert err == "NotOptimal: delta_final 4, optimum 2\n"
+
+
+def test_verify_rejects_exact_report_above_oracle_limit(tmp_path, capsys):
+    """Above the oracle's limit nothing proves an exact report, not even
+    one whose tree is optimal (a path's, Delta 1)."""
+    path = write_instance(tmp_path, "p13", gen_path(13))
+    _, stdout, _ = run_cli(capsys, "solve", path, "--algo", "local")
+    data = json.loads(stdout)
+    assert data["delta_final"] == 1
+    report_file = tmp_path / "exact.json"
+    report_file.write_text(json.dumps(forged_exact(data, data["parent"], 1)))
+    code, out, err = run_cli(capsys, "verify", path, str(report_file))
+    assert (code, out) == (1, "")
+    assert err == "ExactUnproven: n=13 is above the exact oracle's limit 12\n"
+
+
 def test_augment_solves_high_degree_instar_exactly(tmp_path, capsys):
     # Degree 399: a base-10 potential far past the float range.
     path = write_instance(tmp_path, "star", gen_instar(400))
@@ -462,9 +507,9 @@ def test_solve_walks_the_sink_bfs_once(tmp_path, capsys, monkeypatch, algo):
     path = write_instance(tmp_path, "g", gen_random(11, 30, 4))
     calls = []
 
-    def counted(g):
-        calls.append(g)
-        return sink_bfs(g)
+    def counted(rev, sink):
+        calls.append(sink)
+        return sink_bfs(rev, sink)
 
     monkeypatch.setattr(dmdst.graph, "sink_bfs", counted)
     code, _, err = run_cli(capsys, "solve", path, "--algo", algo)

@@ -14,7 +14,8 @@ from dmdst import (
     serialize_graph,
 )
 from dmdst.generators import SplitMix64, TooManyEdges
-from dmdst.graph import sink_bfs
+
+from conftest import full_bfs_parents
 
 
 def test_splitmix_stream_is_fixed():
@@ -30,7 +31,7 @@ def test_splitmix_stream_is_fixed():
 def test_backbone_only_instance():
     g = gen_random(5, 0, 7)
     assert g.m == 4
-    assert sink_bfs(g)[1] == []
+    assert full_bfs_parents(g).count(None) == 1
 
 
 def test_identical_seed_identical_bytes():
@@ -61,7 +62,7 @@ def test_blocker_params_validated():
 @given(st.integers(0, 10 ** 6))
 def test_blocker_output_valid_for_all_seeds(seed):
     g = gen_blocker(3, 2, seed)
-    assert sink_bfs(g)[1] == []
+    assert full_bfs_parents(g).count(None) == 1
     assert g.n == 12
 
 
@@ -86,7 +87,7 @@ def test_blocker_gap_between_solvers_and_oracle():
 @given(st.integers(0, 10 ** 6))
 def test_blocker_larger_parameters_still_valid(seed):
     g = gen_blocker(4, 3, seed)
-    assert sink_bfs(g)[1] == []
+    assert full_bfs_parents(g).count(None) == 1
     t = build_initial_tree(g)
     assert t.validate() == []
     assert t.max_deg == 4

@@ -13,14 +13,16 @@ from dmdst.graph import (
     sink_bfs,
 )
 
+from conftest import full_bfs_parents
+
 PATH3 = "dmdst 1\n3 2 0\n1 0\n2 1\n"
 
 
 def test_parse_minimal_path():
     g = parse_graph(PATH3)
     assert (g.n, g.m, g.sink) == (3, 2, 0)
-    assert g.out_edges[1] == (0,)
-    assert g.out_edges[2] == (1,)
+    assert g.out_edges[1] == [0]
+    assert g.out_edges[2] == [1]
 
 
 def test_parse_rejects_self_loop():
@@ -123,7 +125,7 @@ def parse_outcome(text: str, line_of: dict[int, int] | None = None):
     except GraphFormatError as exc:
         line = exc.line if line_of is None or exc.line is None else line_of[exc.line]
         return type(exc), line
-    return "ok", (g.n, g.m, g.sink, g.out_edges, g.out_sets, g.rev_edges)
+    return "ok", (g.n, g.m, g.sink, g.out_edges, g.out_sets, g.sink_parent)
 
 
 @given(st.integers(4, 40), st.integers(0, 60), st.integers(0, 10 ** 6), st.integers(1, 7))
@@ -278,7 +280,7 @@ def test_roundtrip_structural_over_seeds(seed):
 
 def test_unreachable_set_empty_on_valid_graph():
     g = parse_graph(PATH3)
-    assert sink_bfs(g) == ([None, 0, 1], [])
+    assert sink_bfs([[1], [2], []], 0) == ([None, 0, 1], [])
     assert g.sink_parent == (None, 0, 1)
 
 
@@ -332,17 +334,19 @@ def builder_outcome(n: int, edges: list[tuple[int, int]]):
     return None
 
 
-@pytest.mark.parametrize(
-    "edges, kind",
-    [
-        ([(1, 0), (1, 1), (9, 0)], SelfLoop),
-        ([(1, 0), (9, 0), (1, 1)], VertexOutOfRange),
-        ([(1, 0), (2, 0), (1, 0), (2, 2), (-1, 0)], DuplicateEdge),
-        ([(2, 1), (-1, 0), (1, 0), (1, 0)], VertexOutOfRange),
-        ([(9, 9)], VertexOutOfRange),
-        ([(1, 0), (2, 1), (2, 2), (1, 0)], SelfLoop),
-    ],
-)
+FAULTED_EDGES = [
+    ([(1, 0), (1, 1), (9, 0)], SelfLoop),
+    ([(1, 0), (9, 0), (1, 1)], VertexOutOfRange),
+    ([(1, 0), (2, 0), (1, 0), (2, 2), (-1, 0)], DuplicateEdge),
+    ([(2, 1), (-1, 0), (1, 0), (1, 0)], VertexOutOfRange),
+    ([(9, 9)], VertexOutOfRange),
+    ([(1, 0), (2, 1), (2, 2), (1, 0)], SelfLoop),
+    # wrapped around, -1 would be vertex 2 and the graph valid
+    ([(1, 0), (-1, 1)], VertexOutOfRange),
+]
+
+
+@pytest.mark.parametrize("edges, kind", FAULTED_EDGES)
 def test_builder_raises_first_fault_in_order(edges, kind):
     assert builder_outcome(3, edges) == edge_by_edge_fault(3, edges)
     assert builder_outcome(3, edges)[0] is kind
@@ -360,7 +364,7 @@ def test_builder_matches_edge_by_edge_checks(n, edges):
 def test_generator_output_always_reaches_sink(seed):
     n = 3 + seed % 7
     g = gen_random(n, min(seed % 9, (n - 1) ** 2), seed)
-    assert sink_bfs(g)[1] == []
+    assert full_bfs_parents(g).count(None) == 1
 
 
 def test_out_edges_clean_after_parse():
@@ -369,3 +373,81 @@ def test_out_edges_clean_after_parse():
         row = g.out_edges[u]
         assert len(set(row)) == len(row)
         assert u not in row
+
+
+@st.composite
+def reachable_digraphs(draw):
+    """(n, sink, edges): a digraph on 1..12 vertices, any sink, that every
+    vertex reaches (each vertex has an edge to one placed before it in a
+    random order that starts at the sink), its edges in random order."""
+    n = draw(st.integers(1, 12))
+    sink = draw(st.integers(0, n - 1))
+    order = [sink] + draw(st.permutations([v for v in range(n) if v != sink]))
+    edges = {(v, order[draw(st.integers(0, i - 1))]) for i, v in enumerate(order) if i}
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges |= {(u, v) for u, v in draw(st.sets(pairs, max_size=3 * n)) if u != v}
+    return n, sink, draw(st.permutations(sorted(edges)))
+
+
+def graph_fields(g: Digraph):
+    return g.n, g.m, g.sink, g.out_edges, g.out_sets, g.sink_parent
+
+
+@given(reachable_digraphs())
+def test_constructor_and_both_readers_build_equal_graphs(case):
+    """Digraph(n, sink, edges), the canonical reader and the line reader
+    build the same out-lists, out-sets and sink BFS parents, and graphs
+    that compare equal hash equal."""
+    n, sink, edges = case
+    built = Digraph(n, sink, edges)
+    text = serialize_graph(built)
+    in_file_order = Digraph(n, sink, list(built.edges()))
+    lined, _ = rewrite_as_lines(text, 2)
+    assert graph_module._canonical_columns(text) is not None
+    line_reads = []
+    read = graph_module._line_columns
+
+    def counted(*args):
+        line_reads.append(args)
+        return read(*args)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(graph_module, "_line_columns", counted)
+        canonical = parse_graph(text)
+        assert not line_reads
+        by_line = parse_graph(lined)
+        assert len(line_reads) == 1
+    assert graph_fields(in_file_order) == graph_fields(canonical) == graph_fields(by_line)
+    # The sink BFS walks each in-list in the order its edges came.
+    assert list(built.sink_parent) == full_bfs_parents(built, edges)
+    assert list(canonical.sink_parent) == full_bfs_parents(canonical)
+    assert (built.out_edges, built.out_sets) == (canonical.out_edges, canonical.out_sets)
+    for g in (built, in_file_order, by_line):
+        assert g == canonical
+        assert hash(g) == hash(canonical)
+
+
+@pytest.mark.parametrize("edges, kind", FAULTED_EDGES)
+def test_flat_input_reports_first_fault_and_its_line(edges, kind):
+    """Each fault list, handed over as one flat list, names the first bad
+    edge with the type and message of a check of each edge in turn, on
+    that edge's line, both from _edge_fault and through both readers."""
+    first = next(i for i in range(len(edges)) if edge_by_edge_fault(3, edges[: i + 1]))
+    expected_kind, message = edge_by_edge_fault(3, edges)
+    assert expected_kind is kind
+    flat = [x for edge in edges for x in edge]
+    fault = graph_module._edge_fault(3, flat, range(10, 10 + len(edges)))
+    assert (type(fault), str(fault)) == (kind, f"line {10 + first}: {message}")
+    text = f"dmdst 1\n3 {len(edges)} 0\n" + "".join(f"{u} {v}\n" for u, v in edges)
+    lined, line_of = rewrite_as_lines(text, 2)
+    for variant, line in ((text, first + 3), (lined, line_of[first + 3])):
+        with pytest.raises(kind) as info:
+            parse_graph(variant)
+        assert info.value.line == line
+        assert str(info.value) == f"line {line}: {message}"
+
+
+@pytest.mark.parametrize("edges", [[(0, 1, 2)], [(1, 0), (2,)], [(1, 0), ()]])
+def test_constructor_unpacks_each_edge_as_a_pair(edges):
+    with pytest.raises(ValueError):
+        Digraph(3, 0, edges)

@@ -46,13 +46,25 @@ def pool_shape_samples() -> list[Digraph]:
     ]
 
 
-def test_initial_tree_matches_full_bfs():
+def test_initial_tree_matches_full_bfs(monkeypatch):
+    # The edge list each generator hands Digraph, in generation order.
+    orders = []
+    init = Digraph.__init__
+
+    def recording(self, n, sink, edges):
+        orders.append(list(edges))
+        init(self, n, sink, orders[-1])
+
+    monkeypatch.setattr(Digraph, "__init__", recording)
     graphs = random_corpus() + pool_shape_samples()
+    monkeypatch.undo()
+    assert len(orders) == len(graphs)
+    cases = list(zip(graphs, orders))
     # parsed text lists each reversed edge list in file order, not in
     # generation order, so the BFS meets vertices in another order
-    graphs += [parse_graph(serialize_graph(g)) for g in graphs]
-    for g in graphs:
-        assert build_initial_tree(g).parent == full_bfs_parents(g)
+    cases += [(parse_graph(serialize_graph(g)), None) for g in graphs]
+    for g, edges in cases:
+        assert build_initial_tree(g).parent == full_bfs_parents(g, edges)
 
 
 def test_initial_tree_on_path():
