@@ -18,8 +18,7 @@ from .certificate import (
     BlockingCertificate,
     CertificateError,
     EmptyWitness,
-    extract_augment_certificate,
-    extract_local_certificate,
+    extract_certificate,
     verify_blocking,
 )
 from .config import Config
@@ -67,8 +66,7 @@ __all__ = [
     "choose_k",
     "enumerate_spanning_intrees",
     "exact_min_degree",
-    "extract_augment_certificate",
-    "extract_local_certificate",
+    "extract_certificate",
     "find_improvement_path",
     "gen_blocker",
     "gen_complete",

@@ -12,7 +12,8 @@ total potential the adjustment can add back.  Each level is one scan
 vertex set its exit search and unrelatedness check then use.
 
 Levels must grow by a (1+epsilon) factor each round; when they stop
-growing, the accumulated levels themselves form a blocking certificate.
+growing, the accumulated levels, with the degree >= k+1 layer, are the
+blocking set the stall's certificate is drawn from.
 epsilon is Config.epsilon, an exact Fraction p/q, so the growth test
 (grown * q < (p + q) * previous) and the paper profile's level-size floor
 are integer comparisons; potentials (base c = Config.base_c, an int) and
@@ -38,7 +39,6 @@ from fractions import Fraction
 from itertools import chain
 from typing import Sequence
 
-from .certificate import extract_augment_certificate
 from .config import Config
 from .graph import Digraph
 from .local_search import AdjustDelta, StalePath, choose_k, rewrite_and_audit
@@ -368,9 +368,9 @@ def run_augmenting_search(
 
     Each round (class k by the base-c/2 argmax) either applies one
     validated augmenting path, built from fresh layers, or stalls with the
-    layers as its certificate witness.  The base-c potential strictly
-    decreases across applied adjustments, and the degree-class vector drops
-    lexicographically, so the loop terminates.
+    levels and the degree >= k+1 layer as its blocking set.  The base-c
+    potential strictly decreases across applied adjustments, and the
+    degree-class vector drops lexicographically, so the loop terminates.
 
     The level-1 scan list (the sorted children of N_k) is built when k
     changes and otherwise carried over.  Only the vertices a path touches
@@ -422,8 +422,9 @@ def run_augmenting_search(
             grown = sum(len(s) for s in st.levels_V)
             previous = grown - len(result)
             if grown * q < (p + q) * previous:  # grown < (1 + eps) * previous
+                blocking = set().union(*st.levels_V) | t.vertices_with_deg_at_least(k + 1)
                 return Stall(
-                    st, {"k": k, "layers": i, "applied": False, "phi": t.potential(c)}
+                    blocking, {"k": k, "layers": i, "applied": False, "phi": t.potential(c)}
                 )
         path = reconstruct_path(st, result, t)
         validate_augmenting_path(t, g, path, cfg, powers, st.budgets)
@@ -439,6 +440,5 @@ def run_augmenting_search(
 
     return search(
         g, cfg, "augment", attempt, build=build_initial_tree, choose_k=choose_k,
-        base=Fraction(c, 2), threshold=cfg.stop_threshold_aug,
-        extract=extract_augment_certificate, trace=trace,
+        base=Fraction(c, 2), threshold=cfg.stop_threshold_aug, trace=trace,
     )

@@ -5,20 +5,21 @@ enters B, and paths from distinct U vertices cannot meet before entering
 B.  Any spanning in-tree must then route |U| disjoint path prefixes into
 B vertices, so some B vertex has tree in-degree at least |U|/|B|.
 
-verify_blocking checks the two properties directly on the graph, with no
-solver state involved.  Extraction likewise re-tests every witness vertex
-from scratch instead of trusting loop bookkeeping: the certificate is the
-artifact's trust anchor and must not inherit solver bugs.
+Both solvers turn a stall into a certificate the same way, after Krishnan
+& Raghavachari (FSTTCS 2001): the solver names its stall's blocking set B,
+and extract_certificate reads only the graph and B, no tree and no solver
+state, so it cannot inherit a solver bug.  Its U is the vertices outside B
+whose out-edges all enter B.  verify_blocking then checks the two
+properties directly on the graph before any certificate is emitted: it is
+the artifact's trust anchor.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .graph import Digraph
-from .tree import InTree
 
 
 class EmptyWitness(Exception):
@@ -120,98 +121,30 @@ def verify_blocking(g: Digraph, cert: BlockingCertificate) -> bool:
     return True
 
 
-def _has_low_degree_escape(t: InTree, g: Digraph, u: int, k: int) -> bool:
-    """Re-test: can u reach outside subtree(u) along vertices of degree
-    <= k-2 (interior confined to the subtree)?  Independent of the solver's
-    own path search by design."""
-    inside = t.subtree(u)
-    seen = {u}
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        for y in g.out_edges[x]:
-            if y in seen:
-                continue
-            if y not in inside:
-                if t.deg(y) <= k - 2:
-                    return True
-                continue
-            if t.deg(y) <= k - 2:
-                seen.add(y)
-                queue.append(y)
-    return False
-
-
-def _first_exits(t: InTree, g: Digraph, u: int) -> set[int]:
-    """All first vertices outside subtree(u) reachable from u through it."""
-    inside = t.subtree(u)
-    seen = {u}
-    exits: set[int] = set()
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        for y in g.out_edges[x]:
-            if y in inside:
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-            else:
-                exits.add(y)
-    return exits
-
-
-def _verify_or_die(g: Digraph, cert: BlockingCertificate, context: str) -> BlockingCertificate:
+def _verify_or_die(g: Digraph, cert: BlockingCertificate) -> BlockingCertificate:
     if not verify_blocking(g, cert):
         raise CertificateError(
-            f"{context} certificate failed verification: "
+            f"stall certificate failed verification: "
             f"k={cert.k} U={sorted(cert.U)} B={sorted(cert.B)}"
         )
     return replace(cert, verified=True)
 
 
-def extract_local_certificate(t: InTree, g: Digraph, k: int) -> BlockingCertificate:
-    """Certificate for a stalled improvement search at degree class k.
+def extract_certificate(g: Digraph, B: set[int] | frozenset[int], k: int) -> BlockingCertificate:
+    """Certificate for a search that stalled at degree class k, given the
+    stall's blocking set B.
 
-    U collects the pairwise-unrelated children of the degree-k class that
-    have degree <= k-2 and no low-degree escape (each one re-tested here,
-    ignoring the potential gate); B is the degree >= k-1 layer.  Witnesses
-    of degree >= k-1 are left out of U: they belong on the blocking side,
-    where they are already counted.
+    U is every vertex outside B, other than the sink, whose out-edges all
+    enter B.  In G - B each such vertex reaches only itself, so the reach
+    sets are disjoint singletons and none holds the sink.  B then shrinks
+    to the vertices that U enters, which keeps that true and can only
+    raise the bound.  Raises EmptyWitness when no vertex qualifies.
     """
-    picks = t.unrelated_children(k)
+    out_sets, sink = g.out_sets, g.sink
     U = frozenset(
-        u
-        for u in picks
-        if t.deg(u) <= k - 2 and not _has_low_degree_escape(t, g, u, k)
+        v for v, out in enumerate(out_sets) if v != sink and v not in B and out <= B
     )
     if not U:
         raise EmptyWitness(f"no blocked witnesses at degree class {k}")
-    B = frozenset(t.vertices_with_deg_at_least(k - 1)) - U
-    if not B:
-        raise EmptyWitness(f"empty blocking set at degree class {k}")
-    return _verify_or_die(g, BlockingCertificate(U, B, k), "local-search")
-
-
-def extract_augment_certificate(t: InTree, g: Digraph, st) -> BlockingCertificate:
-    """Certificate for a layered search whose level growth stalled.
-
-    U is the union of all level start sets, each member re-tested to have
-    no exit of degree <= k-2; B joins every discovered level with the
-    degree >= k+1 layer.  All exits of U members then land in B, confining
-    each witness to its own subtree.
-    """
-    k = st.k
-    U = frozenset(
-        u
-        for level in st.levels_U
-        for u in level
-        if not any(t.deg(x) <= k - 2 for x in _first_exits(t, g, u))
-    )
-    if not U:
-        raise EmptyWitness(f"no blocked witnesses at degree class {k}")
-    B = frozenset(
-        set().union(*st.levels_V) | t.vertices_with_deg_at_least(k + 1)
-    ) - U
-    if not B:
-        raise EmptyWitness(f"empty blocking set at degree class {k}")
-    return _verify_or_die(g, BlockingCertificate(U, B, k), "augmenting")
+    entered = frozenset().union(*map(out_sets.__getitem__, U))
+    return _verify_or_die(g, BlockingCertificate(U, entered, k))

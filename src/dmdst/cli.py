@@ -2,10 +2,10 @@
 
 Exit codes: 0 success, 1 failed verification, 2 bad input (parse or
 validation errors, a malformed report such as a parent entry or
-certificate k that is not an int, an instance over the exact oracle's
-limit), 3 internal error: any other exception, such as a failed
-assertion, a broken tree or a certificate that does not verify, is a bug,
-never a recoverable state.
+certificate k that is not an int or an algorithm other than local,
+augment or exact, an instance over the exact oracle's limit), 3 internal
+error: any other exception, such as a failed assertion, a broken tree or
+a certificate that does not verify, is a bug, never a recoverable state.
 """
 
 from __future__ import annotations
@@ -24,12 +24,11 @@ from .generators import gen_blocker, gen_complete, gen_instar, gen_path, gen_ran
 from .graph import Digraph, GraphFormatError, load_graph, serialize_graph
 from .local_search import run_local_search
 from .oracle import EXACT_LIMIT, TooLarge, exact_min_degree
-from .report import SolveReport
+from .report import ALGORITHMS, SolveReport
 from .search import solve_report
 from .tree import build_initial_tree, parent_violations
 
 FAMILIES = ("random", "path", "instar", "complete", "blocker")
-ALGOS = ("local", "augment", "exact")
 
 
 def _generate(family: str, n: int, seed: int, extra_edges: int | None,
@@ -166,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve a graph file, report JSON")
     p_solve.add_argument("graph")
-    p_solve.add_argument("--algo", choices=ALGOS, default="local")
+    p_solve.add_argument("--algo", choices=ALGORITHMS, default="local")
     p_solve.add_argument("--profile", choices=("paper", "practical"), default="practical")
     p_solve.add_argument("--epsilon", type=float, default=0.1)
     p_solve.add_argument("--trace", action="store_true")

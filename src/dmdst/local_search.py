@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Sequence
 
-from .certificate import extract_local_certificate
 from .config import Config
 from .graph import Digraph
 from .report import SolveReport
@@ -250,7 +249,8 @@ def run_local_search(
     Every applied improvement is checked to drop the base-2 potential by
     at least psi_factor * 2**k and by at least phi/(8 n^2), so there are at
     most 8 n^2 ln(phi_0) of them.  When no gated candidate can be improved,
-    the round stalls and the shared driver certifies its degree class.
+    the round stalls, and the shared driver certifies it with the degree
+    >= k-1 layer as its blocking set.
     """
     cfg = cfg or Config.for_graph(g)
     phi_floor = 8 * g.n * g.n
@@ -265,7 +265,7 @@ def run_local_search(
             # k < 2: no path vertex can have degree <= k-2 < 0.  k = 2: the
             # gate is 1/2, and every subtree holds a leaf, whose psi term is
             # 2**0 = 1.  Either way nothing applies.
-            return Stall(k)
+            return Stall(t.vertices_with_deg_at_least(k - 1))
         members = t.members(k)
         # psi is an int, so psi > gate iff psi > floor(gate); for k >= 3
         # the gate 2**k / 8 is an int anyway.
@@ -310,10 +310,9 @@ def run_local_search(
             )
             return {"iteration": applications, "k": k, "n_k": len(members),
                     "phi": delta.phi_before, "drop": drop}
-        return Stall(k)
+        return Stall(t.vertices_with_deg_at_least(k - 1))
 
     return search(
         g, cfg, "local", attempt, build=build_initial_tree, choose_k=choose_k,
-        base=2, threshold=cfg.stop_threshold_local,
-        extract=extract_local_certificate, trace=trace,
+        base=2, threshold=cfg.stop_threshold_local, trace=trace,
     )

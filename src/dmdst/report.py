@@ -14,6 +14,8 @@ from typing import Iterator
 from .certificate import BlockingCertificate
 
 SCHEMA_VERSION = 1
+# the algorithms a report can come from: the two solvers and the exact oracle
+ALGORITHMS = ("local", "augment", "exact")
 
 
 class ReportFormatError(ValueError):
@@ -188,15 +190,19 @@ class SolveReport:
     @classmethod
     def from_dict(cls, d: dict) -> "SolveReport":
         """Raises ReportFormatError on a missing key or a wrongly shaped
-        value: n, m, delta_initial, delta_final, iterations and every
-        parent entry must be ints, and bools are not."""
+        value: the algorithm must be one of ALGORITHMS, since verification
+        rules differ by algorithm; n, m, delta_initial, delta_final,
+        iterations and every parent entry must be ints, and bools are not."""
         if not isinstance(d, dict):
             raise ReportFormatError(f"report must be a JSON object, not {type(d).__name__}")
         try:
+            algorithm = d["algorithm"]
+            if algorithm not in ALGORITHMS:
+                raise ReportFormatError(f"unknown algorithm {algorithm!r}")
             lb = d.get("lower_bound")
             cert = d.get("certificate")
             return cls(
-                algorithm=d["algorithm"],
+                algorithm=algorithm,
                 profile=d["profile"],
                 n=_int_field(d, "n"),
                 m=_int_field(d, "m"),

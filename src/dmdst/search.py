@@ -4,7 +4,8 @@ Both solvers build a start tree, pick a degree class k by a potential
 argmax, apply adjustments whose potential strictly drops, and turn a stall
 into a blocking certificate.  A solver supplies only attempt(t, k), which
 applies one adjustment at class k and returns its trace row, or returns a
-Stall; the driver owns the rest.
+Stall that names the stall's blocking set; the driver owns the rest,
+extract_certificate included.
 
 No round raises a base to a power.  The start tree's Delta never rises, so
 every degree a solve meets is at most that Delta, and each solve computes
@@ -21,7 +22,7 @@ from itertools import accumulate, repeat
 from operator import mul
 from typing import Callable, NamedTuple
 
-from .certificate import BlockingCertificate, EmptyWitness
+from .certificate import BlockingCertificate, EmptyWitness, extract_certificate
 from .config import Config
 from .graph import Digraph
 from .report import SolveReport
@@ -29,11 +30,12 @@ from .tree import InTree
 
 
 class Stall(NamedTuple):
-    """No admissible adjustment at class k.  witness is the certificate
-    extractor's third argument (k, or the layered state); row is the trace
-    row the stall leaves, if any."""
+    """No admissible adjustment at class k.  blocking is the set B that
+    extract_certificate(g, blocking, k) certifies from: the vertices the
+    solver's adjustments at class k could not route through.  row is the
+    trace row the stall leaves, if any."""
 
-    witness: object
+    blocking: set[int]
     row: dict | None = None
 
 
@@ -55,16 +57,15 @@ def rank_table(base: int | Fraction, top: int) -> list[int]:
 def search(
     g: Digraph, cfg: Config, algorithm: str, attempt: Callable[[InTree, int], dict | Stall],
     *, build: Callable[[Digraph], InTree], choose_k: Callable[[InTree, list[int]], int],
-    base: int | Fraction, threshold: float,
-    extract: Callable[[InTree, Digraph, object], BlockingCertificate], trace: bool,
+    base: int | Fraction, threshold: float, trace: bool,
 ) -> SolveReport:
     """Build the start tree, then attempt(t, choose_k(t, ranks)) while Delta
     exceeds threshold, until a Stall; ranks is the base's rank table up to
     the start tree's Delta.
 
-    The stall's certificate is extract(t, g, witness), or none when its
-    witness set is empty.  The paper profile's guarantee is proved when the
-    loop reached its threshold or the stall was certified.
+    The stall's certificate is extract_certificate(g, blocking, k), or none
+    when it finds no witness.  The paper profile's guarantee is proved when
+    the loop reached its threshold or the stall was certified.
     """
     start = time.perf_counter()
     t = build(g)
@@ -75,7 +76,8 @@ def search(
     certificate: BlockingCertificate | None = None
     exit_reason = "threshold"
     while t.max_deg > threshold:
-        outcome = attempt(t, choose_k(t, ranks))
+        k = choose_k(t, ranks)
+        outcome = attempt(t, k)
         if not isinstance(outcome, Stall):
             applications += 1
             if rows is not None:
@@ -83,7 +85,7 @@ def search(
             continue
         exit_reason = "stalled"
         try:
-            certificate = extract(t, g, outcome.witness)
+            certificate = extract_certificate(g, outcome.blocking, k)
         except EmptyWitness:
             pass
         if rows is not None and outcome.row is not None:

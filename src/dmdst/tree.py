@@ -30,10 +30,6 @@ class NotAnEdge(TreeError):
     """Attempt to attach a vertex below a non-out-neighbor."""
 
 
-class EmptyDegreeClass(TreeError):
-    """unrelated_children asked for a degree class with no members."""
-
-
 class InTree:
     """Spanning in-tree over a Digraph, mutated by cut-and-append steps.
 
@@ -152,60 +148,6 @@ class InTree:
     def unrelated(self, u: int, v: int) -> bool:
         """True iff subtree(u) and subtree(v) are disjoint."""
         return not self.is_ancestor(u, v) and not self.is_ancestor(v, u)
-
-    def unrelated_children(self, d: int) -> set[int]:
-        """A large set of pairwise-unrelated vertices with parents of degree d.
-
-        Members of the degree class are folded in by increasing (depth, id);
-        each step evicts the current pick lying on the new member's root
-        path, then adds all its children.  One top-down pass first records,
-        for every vertex, its depth and the child of its nearest degree-d
-        strict ancestor on the way down to it.  Picks are children of
-        members already folded in, so a pick on member u's root path hangs
-        under a degree-d ancestor of u.  The nearest one, a, was folded in
-        after all the others and evicted the pick on its own root path, so
-        a's child toward u is the only pick left that can block u: each
-        step checks one vertex.  Cost is O(n log n), the sort of N_d.
-
-        A final pass asserts that no pick lies under another (the at most
-        one blocker per step this relies on), walking the picks' subtrees,
-        which are disjoint while it holds.  The result always reaches the
-        (d-1)*|N_d| + 1 size floor, which is asserted rather than assumed.
-        """
-        members = self._members.get(d)
-        if not members:
-            raise EmptyDegreeClass(f"no vertices of degree {d}")
-        children = self.children
-        n = self.g.n
-        depth = [0] * n
-        near: list[int | None] = [None] * n
-        order = [self.g.sink]
-        for v in order:  # top-down: order grows as the loop reads it
-            kids = children[v]
-            if not kids:
-                continue
-            below = depth[v] + 1
-            if len(kids) == d:
-                for c in kids:
-                    depth[c] = below
-                    near[c] = c
-            else:
-                above = near[v]
-                for c in kids:
-                    depth[c] = below
-                    near[c] = above
-            order += kids
-        picks: set[int] = set()
-        for u in sorted(sorted(members), key=depth.__getitem__):
-            picks.discard(near[u])
-            picks.update(children[u])
-        level = [c for w in picks for c in children[w]]
-        while level:
-            assert picks.isdisjoint(level), "pairwise-unrelated set had two ancestors"
-            level = [c for v in level for c in children[v]]
-        floor = (d - 1) * len(members) + 1
-        assert len(picks) >= floor, f"|W|={len(picks)} below floor {floor} at d={d}"
-        return picks
 
     def potential(self, base: int) -> int:
         """Sum of base**deg(v) over all vertices, from the histogram."""

@@ -195,26 +195,6 @@ def brute_unrelated(t: InTree, u: int, v: int) -> bool:
     return not (t.subtree(u) & t.subtree(v))
 
 
-def all_picks_unrelated_children(t: InTree, d: int) -> set[int]:
-    """InTree.unrelated_children by its first definition: members of N_d
-    by increasing depth, each testing every current pick for ancestry and
-    evicting the one found, then adding all its children."""
-    depth = {t.g.sink: 0}
-    queue = deque([t.g.sink])
-    while queue:
-        v = queue.popleft()
-        for c in t.children[v]:
-            depth[c] = depth[v] + 1
-            queue.append(c)
-    picks: set[int] = set()
-    for u in sorted((v for v in range(t.g.n) if t.deg(v) == d), key=lambda v: (depth[v], v)):
-        blockers = [w for w in picks if t.is_ancestor(w, u)]
-        assert len(blockers) <= 1
-        picks.difference_update(blockers)
-        picks.update(t.children[u])
-    return picks
-
-
 def blocks_by_reach_sets(g: Digraph, U: frozenset[int], B: frozenset[int]) -> bool:
     """verify_blocking by its first definition: one reach set in G - B per
     witness, then no set may hold the sink and no two sets may meet."""

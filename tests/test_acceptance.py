@@ -265,33 +265,6 @@ def test_criterion_7_forced_instances_exact():
     report_pass(7, "path -> 1 and in-star -> n-1 exactly, n in [3, 50], both solvers")
 
 
-# -- criterion 8 -------------------------------------------------------------
-
-
-def test_criterion_8_unrelated_children_floor(corpus_results):
-    results, _ = corpus_results
-    checked = 0
-    for r in results:
-        trees = [build_initial_tree(r.g)]
-        trees.append(tree_from_parents(r.g, r.local.parent))
-        trees.append(tree_from_parents(r.g, r.augment.parent))
-        for t in trees:
-            counts = t.degree_counts()
-            for d, size in counts.items():
-                if d < 2:
-                    continue
-                picks = t.unrelated_children(d)
-                assert len(picks) >= (d - 1) * size + 1
-                plist = sorted(picks)
-                for idx, a in enumerate(plist):
-                    assert t.deg(t.parent[a]) == d
-                    for b in plist[idx + 1:]:
-                        assert t.unrelated(a, b)
-                checked += 1
-    assert checked > 100
-    report_pass(8, f"{checked} degree classes met the (d-1)|N_d|+1 floor")
-
-
 # -- criterion 9 -------------------------------------------------------------
 
 

@@ -423,7 +423,7 @@ def test_tiny_epsilon_stalls_once_levels_stop_growing(monkeypatch):
     report = run_augmenting_search(g, Config.for_graph(g, epsilon=1e-30), trace=True)
     assert report.exit_reason == "stalled"
     assert (report.delta_initial, report.delta_final) == (8, 3)
-    assert report.lower_bound == Fraction(1, 2) and report.certificate.verified
+    assert report.lower_bound == Fraction(3, 2) and report.certificate.verified
     assert not report.layers_trace[-1]["applied"]
 
 
@@ -431,11 +431,11 @@ def test_growth_test_is_exact_at_ten_percent():
     """Levels of 10 then 11 vertices grow by exactly 10%.  With eps the
     float 0.1 read exactly (slightly above 1/10), 11 < (1 + eps) * 10 and
     the round stalls after one layer; the float product 1.1 * 10 rounds to
-    11.0, which let the round go on to a second layer and certify 1/4."""
+    11.0, which let the round go on to a second layer."""
     report = run_augmenting_search(gen_random(650, 1301, 4079), trace=True)
     assert report.exit_reason == "stalled"
     assert report.delta_final == 5
-    assert report.lower_bound == Fraction(1, 6) and report.certificate.verified
+    assert report.lower_bound == Fraction(10, 7) and report.certificate.verified
     stall = report.layers_trace[-1]
     assert (stall["applied"], stall["k"], stall["layers"]) == (False, 4, 1)
 

@@ -8,27 +8,34 @@ from dmdst import (
     BlockingCertificate,
     Digraph,
     build_initial_tree,
+    choose_k,
     enumerate_spanning_intrees,
     exact_min_degree,
-    extract_augment_certificate,
-    extract_local_certificate,
+    extract_certificate,
     gen_blocker,
     gen_instar,
     gen_path,
     gen_random,
+    rank_table,
     run_augmenting_search,
     run_local_search,
+    tree_from_parents,
     verify_blocking,
 )
 from dmdst.certificate import EmptyWitness
 from conftest import blocks_by_reach_sets
 
 
+def local_stall_set(t, k):
+    """The blocking set local search stalls with at class k."""
+    return t.vertices_with_deg_at_least(k - 1)
+
+
 def test_instar_certificate_is_tight():
     n = 6
     g = gen_instar(n)
     t = build_initial_tree(g)
-    cert = extract_local_certificate(t, g, n - 1)
+    cert = extract_certificate(g, local_stall_set(t, n - 1), n - 1)
     assert cert.U == frozenset(range(1, n))
     assert cert.B == frozenset({0})
     assert cert.bound == Fraction(n - 1)
@@ -72,8 +79,9 @@ def test_verify_rejects_intersecting_reach_sets():
 
 def test_local_extraction_keeps_high_degree_witnesses_in_blocking_side():
     # Degree-3 hub 1 with children: z=2 (degree 2, not improvable), u=3 and
-    # v=4 (leaves whose only escapes funnel into z).  z must land in B, not
-    # U, or the funnel would break the disjoint-reach property.
+    # v=4 (leaves whose only escapes funnel into z), and z's leaves 5, 6.
+    # z must land in B, not U, or the funnel would break the disjoint-reach
+    # property.
     g = Digraph(
         7,
         0,
@@ -81,9 +89,10 @@ def test_local_extraction_keeps_high_degree_witnesses_in_blocking_side():
     )
     t = build_initial_tree(g)
     assert t.deg(1) == 3 and t.deg(2) == 2
-    cert = extract_local_certificate(t, g, 3)
-    assert cert.U == frozenset({3, 4})
-    assert 2 in cert.B
+    cert = extract_certificate(g, local_stall_set(t, 3), 3)
+    assert cert.U == frozenset({3, 4, 5, 6})
+    assert cert.B == frozenset({1, 2})
+    assert cert.bound == 2
     assert verify_blocking(g, cert)
     # moving z across to the witness side must break verification:
     moved = BlockingCertificate(cert.U | {2}, cert.B - {2}, 3)
@@ -96,7 +105,7 @@ def test_local_extraction_raises_on_empty_witness():
     g = gen_path(4)
     t = build_initial_tree(g)
     with pytest.raises(EmptyWitness):
-        extract_local_certificate(t, g, 1)
+        extract_certificate(g, local_stall_set(t, 1), 1)
 
 
 def test_augment_certificate_on_blocked_ring():
@@ -116,11 +125,13 @@ def test_augment_certificate_on_blocked_ring():
     assert cert.k == 3
     assert verify_blocking(g, cert)
     assert cert.bound <= exact_min_degree(g)[0]
-    # hand count: starts 3, 4 and all four blocker children are blocked
-    # witnesses; the blocking side is the hub plus both blockers.
-    assert cert.U == frozenset({3, 4, 7, 8, 9, 10})
+    # hand count: every start (2 enters only the hub, 3 and 4 the hub and
+    # a blocker) and all four blocker children have every out-edge in the
+    # blocking side, which is the hub plus both blockers.
+    assert cert.U == frozenset({2, 3, 4, 7, 8, 9, 10})
     assert cert.B == frozenset({1, 5, 6})
-    assert cert.bound == Fraction(2)
+    assert cert.bound == Fraction(7, 3)
+    assert exact_min_degree(g)[0] == 3
 
 
 @given(st.integers(0, 400))
@@ -151,7 +162,7 @@ def test_certificate_soundness_against_full_enumeration():
 def test_certificate_json_roundtrip():
     g = gen_instar(5)
     t = build_initial_tree(g)
-    cert = extract_local_certificate(t, g, 4)
+    cert = extract_certificate(g, local_stall_set(t, 4), 4)
     again = BlockingCertificate.from_dict(cert.to_dict())
     assert again == cert
     d = cert.to_dict()
@@ -189,3 +200,58 @@ def test_one_walk_verify_matches_reach_set_reference(corpus_results):
                 assert verdict == blocks_by_reach_sets(g, U, B), (g.n, sorted(U), sorted(B))
                 verdicts.append(verdict)
     assert True in verdicts and False in verdicts
+
+
+@st.composite
+def graph_and_blocking_set(draw):
+    """A small digraph that reaches its sink, with any sink, and any B."""
+    n = draw(st.integers(2, 9))
+    g = gen_random(n, draw(st.integers(0, min(12, (n - 1) ** 2))), draw(st.integers(0, 10**6)))
+    relabel = draw(st.permutations(range(n)))
+    g = Digraph(n, relabel[g.sink], [(relabel[u], relabel[v]) for u, v in g.edges()])
+    B = draw(st.sets(st.integers(0, n - 1)))
+    return g, B
+
+
+@given(graph_and_blocking_set(), st.integers(0, 9))
+def test_extracted_certificate_is_every_vertex_trapped_by_b(case, k):
+    """U is exactly the non-sink vertices outside B whose out-edges all
+    enter B, B shrinks to exactly what they enter, and the result blocks by
+    both checks and never exceeds the optimum."""
+    g, B = case
+    U = {v for v in range(g.n) if v != g.sink and v not in B and g.out_sets[v] <= B}
+    if not U:
+        with pytest.raises(EmptyWitness):
+            extract_certificate(g, B, k)
+        return
+    cert = extract_certificate(g, B, k)
+    assert cert.U == U
+    assert cert.B == {y for u in U for y in g.out_sets[u]}
+    assert cert.k == k and cert.verified
+    assert verify_blocking(g, cert) and blocks_by_reach_sets(g, cert.U, cert.B)
+    assert cert.bound <= exact_min_degree(g)[0]
+
+
+def test_solvers_certify_their_stall_sets(corpus_results):
+    """Each stalled local report's certificate (or its absence) is what
+    extract_certificate gives for the degree >= k-1 layer of its final
+    tree at the stall class k; each augment certificate names the class
+    its last, unapplied round stalled at."""
+    results, _ = corpus_results
+    certified = 0
+    for r in results:
+        local = r.local
+        if local.exit_reason == "stalled":
+            t = tree_from_parents(r.g, local.parent)
+            k = choose_k(t, rank_table(2, local.delta_initial))
+            try:
+                expected = extract_certificate(r.g, local_stall_set(t, k), k)
+            except EmptyWitness:
+                expected = None
+            assert local.certificate == expected, r.name
+            certified += expected is not None
+        cert = r.augment.certificate
+        if cert is not None:
+            last = r.augment.layers_trace[-1]
+            assert not last["applied"] and last["k"] == cert.k, r.name
+    assert certified > 50

@@ -300,6 +300,8 @@ NON_INT_PARENTS = ["x", 2.0, True]
 NON_INT_KS = [2.7, "3"]
 # the certificate's verified flag as a truthy str and an int
 NON_BOOL_VERIFIED = ["no", 1]
+# near misses of the three algorithm names, and values of other types
+UNKNOWN_ALGORITHMS = ["magic", "Local", "exact ", None, 1, ["local"]]
 # Each int field of the report as a str, a float and a bool: the first
 # two compare equal to, or read as, the right value.
 INT_FIELDS = ["n", "m", "delta_initial", "delta_final", "iterations"]
@@ -311,6 +313,17 @@ NON_INT_FIELDS = [
 def _certificate_verified(value):
     def corrupt(data):
         data["certificate"]["verified"] = value
+        return data
+
+    return corrupt
+
+
+def _unknown_algorithm(value):
+    """The report from an algorithm verify has no rule for, its bound left
+    with no certificate behind it."""
+
+    def corrupt(data):
+        data.update(algorithm=value, certificate=None)
         return data
 
     return corrupt
@@ -333,6 +346,7 @@ def _int_field(key, kind):
     + [_parent_entry(v) for v in NON_INT_PARENTS]
     + [_certificate_k(v) for v in NON_INT_KS]
     + [_certificate_verified(v) for v in NON_BOOL_VERIFIED]
+    + [_unknown_algorithm(v) for v in UNKNOWN_ALGORITHMS]
     + [_int_field(key, kind) for key, kind in NON_INT_FIELDS],
     ids=["missing-parent", "zero-denominator", "certificate-without-k", "top-level-list"]
     + [f"certificate-{side}-{v!r}" for side, v in NON_INT_VERTICES]
@@ -340,6 +354,7 @@ def _int_field(key, kind):
     + [f"parent-{v!r}" for v in NON_INT_PARENTS]
     + [f"certificate-k-{v!r}" for v in NON_INT_KS]
     + [f"certificate-verified-{v!r}" for v in NON_BOOL_VERIFIED]
+    + [f"algorithm-{v!r}" for v in UNKNOWN_ALGORITHMS]
     + [f"{key}-{kind}" for key, kind in NON_INT_FIELDS],
 )
 def test_verify_rejects_malformed_report_as_bad_input(tmp_path, capsys, corrupt):
@@ -373,14 +388,14 @@ def _bound_above_delta(data):
     ids=["no-certificate", "bound-above-delta", "no-certificate-bound-above-delta"],
 )
 def test_verify_flags_lower_bound_that_nothing_backs(tmp_path, capsys, corrupt):
-    """An augment report's bound (9/5 under Delta 3) with its certificate
+    """An augment report's bound (13/5 under Delta 3) with its certificate
     dropped, or raised above the tree's own degree, fails verification."""
     path = str(tmp_path / "g.dmdst")
     run_cli(capsys, "generate", "--family", "blocker", "--k", "4", "--fanout", "3",
             "--seed", "1", "--out", path)
     _, stdout, _ = run_cli(capsys, "solve", path, "--algo", "augment")
     data = json.loads(stdout)
-    assert (data["lower_bound"], data["delta_final"]) == ({"num": 9, "den": 5}, 3)
+    assert (data["lower_bound"], data["delta_final"]) == ({"num": 13, "den": 5}, 3)
     report_file = tmp_path / "bad.json"
     report_file.write_text(json.dumps(corrupt(data)))
     code, out, err = run_cli(capsys, "verify", path, str(report_file))

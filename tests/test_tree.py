@@ -15,15 +15,12 @@ from dmdst import (
     gen_instar,
     gen_path,
     gen_random,
-    run_augmenting_search,
     parse_graph,
     run_local_search,
     serialize_graph,
-    tree_from_parents,
 )
-from dmdst.tree import CutSink, EmptyDegreeClass, InTree, NotAnEdge, parent_violations
+from dmdst.tree import CutSink, InTree, NotAnEdge, parent_violations
 from conftest import (
-    all_picks_unrelated_children,
     brute_unrelated,
     full_bfs_parents,
     random_corpus,
@@ -145,129 +142,6 @@ def test_unrelated_matches_subtree_intersection(seed):
         assert t.unrelated(u, v) == brute_unrelated(t, u, v)
 
 
-def max_unrelated_children_size(t, d):
-    """Exhaustive maximum over subsets: pairwise unrelated, parents of
-    degree d."""
-    candidates = [
-        v
-        for v in range(t.g.n)
-        if t.parent[v] is not None and t.deg(t.parent[v]) == d
-    ]
-    best = 0
-    for r in range(len(candidates), 0, -1):
-        for combo in itertools.combinations(candidates, r):
-            if all(t.unrelated(a, b) for a, b in itertools.combinations(combo, 2)):
-                return r
-    return best
-
-
-def nested_degree2_tree():
-    # sink 0 with children 1, 2; 1 has child 3; 3 has children 4, 5 (degree
-    # 2 vertex nested below the degree-2 sink), plus leaf 6 under 2.
-    edges = [(1, 0), (2, 0), (3, 1), (4, 3), (5, 3), (6, 2)]
-    g = Digraph(7, 0, edges)
-    return build_initial_tree(g)
-
-
-def test_unrelated_children_basis_case():
-    t = build_initial_tree(gen_instar(3))
-    # single degree-2 vertex: its two children
-    assert t.unrelated_children(2) == {1, 2}
-
-
-def test_unrelated_children_nested_case_attains_bound():
-    t = nested_degree2_tree()
-    picks = t.unrelated_children(2)
-    assert len(picks) >= 3
-    for a, b in itertools.combinations(picks, 2):
-        assert t.unrelated(a, b)
-    for v in picks:
-        assert t.deg(t.parent[v]) == 2
-    assert max_unrelated_children_size(t, 2) == len(picks) == 3
-
-
-def test_unrelated_children_degree_one():
-    t = build_initial_tree(gen_path(4))
-    assert len(t.unrelated_children(1)) >= 1
-
-
-def test_unrelated_children_matches_all_picks_reference(corpus_results):
-    """Every class d >= 1 of the corpus's start, local and augment trees,
-    and of blocker-family trees, against the all-picks definition."""
-    results, _ = corpus_results
-    graphs = [(r.g, r.local, r.augment) for r in results]
-    for k, fanout in ((4, 3), (6, 10), (10, 20), (25, 30)):
-        for seed in range(3):
-            g = gen_blocker(k, fanout, seed)
-            graphs.append((g, run_local_search(g), run_augmenting_search(g)))
-    checked = evicting = 0
-    for g, local, augment in graphs:
-        trees = [build_initial_tree(g)]
-        trees += [tree_from_parents(g, rep.parent) for rep in (local, augment)]
-        for t in trees:
-            for d in t.degree_counts():
-                if d < 1:
-                    continue
-                picks = t.unrelated_children(d)
-                assert picks == all_picks_unrelated_children(t, d), (d, t.parent)
-                checked += 1
-                evicting += len(picks) < sum(t.deg(u) for u in t.members(d))
-    assert checked > 1000
-    assert evicting > 100
-
-
-def deep_trees() -> list[InTree]:
-    """A path; a caterpillar (a spine with one leaf off each spine vertex,
-    so every spine vertex but the last has degree 2); brooms (a long
-    handle ending in a fan of bristles, one with a second fan halfway)."""
-    trees = [build_initial_tree(gen_path(300))]
-    spine = 150
-    edges = [(v, v - 1) for v in range(1, spine)]
-    edges += [(spine + v, v) for v in range(spine)]
-    trees.append(build_initial_tree(Digraph(2 * spine, 0, edges)))
-    for fans in ((199,), (99, 199)):
-        edges = [(v, v - 1) for v in range(1, 200)]
-        for at in fans:
-            edges += [(v, at) for v in range(len(edges) + 1, len(edges) + 31)]
-        trees.append(build_initial_tree(Digraph(len(edges) + 1, 0, edges)))
-    return trees
-
-
-def test_unrelated_children_on_deep_trees_matches_all_picks_reference():
-    for t in deep_trees():
-        assert not t.validate()
-        for d in t.degree_counts():
-            if d >= 1:
-                assert t.unrelated_children(d) == all_picks_unrelated_children(t, d), d
-
-
-class CountingList(list):
-    """A list that counts its item reads and fails past a budget, so a
-    quadratic walk fails fast instead of running to the end."""
-
-    def __init__(self, items, budget):
-        super().__init__(items)
-        self.budget = budget
-        self.reads = 0
-
-    def __getitem__(self, i):
-        self.reads += 1
-        assert self.reads <= self.budget, f"more than {self.budget} reads"
-        return super().__getitem__(i)
-
-
-def test_unrelated_children_reads_the_tree_a_linear_number_of_times():
-    """On a path every vertex but the leaf is in class 1: a walk from
-    each member to the sink reads about n**2 / 2 parents.  Reads of the
-    parent and children arrays together stay within 10 n."""
-    n = 4000
-    t = build_initial_tree(gen_path(n))
-    t.parent = CountingList(t.parent, 10 * n)
-    t.children = CountingList(t.children, 10 * n)
-    assert t.unrelated_children(1) == {n - 1}
-    assert t.parent.reads + t.children.reads <= 10 * n
-
-
 def test_local_search_on_a_long_path_stalls_without_certificate():
     """Delta 1 is the optimum; the stall at class 1 has no witness of
     degree <= -1, so no certificate."""
@@ -275,12 +149,6 @@ def test_local_search_on_a_long_path_stalls_without_certificate():
     assert report.iterations == 0
     assert report.exit_reason == "stalled"
     assert report.certificate is None and report.lower_bound is None
-
-
-def test_unrelated_children_rejects_empty_class():
-    t = build_initial_tree(gen_path(3))
-    with pytest.raises(EmptyDegreeClass):
-        t.unrelated_children(5)
 
 
 def test_potential_direct_arithmetic():
