@@ -1,11 +1,17 @@
 """Command-line interface: generate, solve, verify.
 
-Exit codes: 0 success, 1 failed verification, 2 bad input (parse or
-validation errors, a malformed report such as a parent entry or
-certificate k that is not an int or an algorithm other than local,
-augment or exact, an instance over the exact oracle's limit), 3 internal
-error: any other exception, such as a failed assertion, a broken tree or
-a certificate that does not verify, is a bug, never a recoverable state.
+Exit codes: 0 success, 1 failed verification, 2 bad input, 3 internal
+error.  Bad input is what reading and checking the inputs raises, and
+only that (BAD_INPUT): a file that cannot be read or is not UTF-8, a
+graph file that breaks the format or its invariants (GraphFormatError), a
+report that is not JSON or not a well-formed report (ReportFormatError:
+say a parent entry or certificate k that is not an int, or an algorithm
+other than local, augment or exact), an epsilon outside (0, 1/4)
+(ConfigError), a generator parameter outside its range (GeneratorError)
+and an instance over the exact oracle's limit (TooLarge).  Any other
+exception, a ValueError raised inside a solve or a check included, such
+as a failed assertion, a broken tree or a certificate that does not
+verify, is a bug, never a recoverable state: exit 3.
 """
 
 from __future__ import annotations
@@ -19,16 +25,24 @@ from fractions import Fraction
 
 from .augmenting import run_augmenting_search
 from .certificate import verify_blocking
-from .config import Config
-from .generators import gen_blocker, gen_complete, gen_instar, gen_path, gen_random
+from .config import Config, ConfigError
+from .generators import GeneratorError, gen_blocker, gen_complete, gen_instar, gen_path, gen_random
 from .graph import Digraph, GraphFormatError, load_graph, serialize_graph
 from .local_search import run_local_search
 from .oracle import EXACT_LIMIT, TooLarge, exact_min_degree
-from .report import ALGORITHMS, SolveReport
+from .report import ALGORITHMS, ReportFormatError, SolveReport
 from .search import solve_report
 from .tree import build_initial_tree, parent_violations
 
 FAMILIES = ("random", "path", "instar", "complete", "blocker")
+
+# What reading and checking the inputs raises: exit 2.  json's
+# JSONDecodeError and UnicodeDecodeError are the ValueErrors a report or
+# graph file that is not JSON or not UTF-8 raises.
+BAD_INPUT = (
+    GraphFormatError, ReportFormatError, ConfigError, GeneratorError, TooLarge,
+    OSError, json.JSONDecodeError, UnicodeDecodeError,
+)
 
 
 def _generate(family: str, n: int, seed: int, extra_edges: int | None,
@@ -183,7 +197,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GraphFormatError, TooLarge, ValueError, OSError, json.JSONDecodeError) as exc:
+    except BAD_INPUT as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # anything else is a bug, never bad input

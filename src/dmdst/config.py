@@ -17,6 +17,10 @@ from typing import ClassVar
 PROFILES = ("paper", "practical")
 
 
+class ConfigError(ValueError):
+    """An epsilon or profile outside its range: bad input."""
+
+
 @dataclass(frozen=True)
 class Config:
     """Knobs shared by both solvers, resolved for an n-vertex instance.
@@ -42,9 +46,9 @@ class Config:
     def __post_init__(self, n: int) -> None:
         # range first: Fraction(inf) and Fraction(nan) raise, 1/0 divides by zero
         if not 0 < self.epsilon < 0.25:
-            raise ValueError(f"epsilon must be in (0, 1/4), got {self.epsilon}")
+            raise ConfigError(f"epsilon must be in (0, 1/4), got {self.epsilon}")
         if self.profile not in PROFILES:
-            raise ValueError(f"profile must be one of {PROFILES}, got {self.profile!r}")
+            raise ConfigError(f"profile must be one of {PROFILES}, got {self.profile!r}")
         eps = Fraction(self.epsilon)
         log_n = math.log2(n) if n > 1 else 0.0
         c = max(4, math.floor(1 / eps) + 1, math.ceil(2.0 * log_n ** 0.4))

@@ -12,7 +12,11 @@ from __future__ import annotations
 from .graph import Digraph
 
 
-class TooManyEdges(ValueError):
+class GeneratorError(ValueError):
+    """A generator parameter outside its range: bad input."""
+
+
+class TooManyEdges(GeneratorError):
     pass
 
 
@@ -45,7 +49,7 @@ def gen_random(n: int, extra_edges: int, seed: int) -> Digraph:
     by rejection among the remaining ordered pairs.
     """
     if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+        raise GeneratorError(f"n must be >= 1, got {n}")
     capacity = n * (n - 1) - (n - 1)
     if extra_edges > capacity:
         raise TooManyEdges(
@@ -106,9 +110,9 @@ def gen_blocker(k: int, fanout: int, seed: int) -> Digraph:
     layered search strictly beats the gated one on this family.
     """
     if k < 3:
-        raise ValueError(f"k must be >= 3, got {k}")
+        raise GeneratorError(f"k must be >= 3, got {k}")
     if fanout < 1:
-        raise ValueError(f"fanout must be >= 1, got {fanout}")
+        raise GeneratorError(f"fanout must be >= 1, got {fanout}")
     rng = SplitMix64(seed)
     sink, hub = 0, 1
     starts = list(range(2, 2 + k))

@@ -7,16 +7,19 @@ checked to reach the sink from all vertices; one that does not raises
 SinkUnreachable, whose vertices name the stranded ones.
 
 Both ways in, Digraph(n, sink, edges) and parse_graph, go through one
-builder over one flat int list [u0, v0, u1, v1, ...], whose range,
-self-loop and duplicate checks run in bulk, before the reachability
-check.  The builder fills each adjacency list once.  A Digraph keeps the
-out-lists, their frozensets and the sink BFS parents; the reverse lists
-live only for that BFS and are dropped after it.  parse_graph reads text in
-the canonical form that serialize_graph writes in bulk (one json call for
-the whole body), also when comment lines, blank lines, trailing
-whitespace or CRLF line endings surround it, and any other text line by
-line; an invalid file raises the same error type on the same line either
-way.
+builder over one flat int list [u0, v0, u1, v1, ...].  The builder fills
+each adjacency list once, and that fill is its range check: an id of n
+or more fails to index.  Its self-loop and duplicate checks then run in
+bulk, before the reachability check.  A negative id would index from the
+end of a list, so each producer that can make one screens for it first:
+the constructor and the line reader do; canonical text, digits only, has
+no sign.  A Digraph keeps the out-lists, their frozensets and the sink
+BFS parents; the reverse lists live only for that BFS and are dropped
+after it.  parse_graph reads text in the canonical form that
+serialize_graph writes in bulk (one json call for the whole body), also
+when comment lines, blank lines, trailing whitespace or CRLF line
+endings surround it, and any other text line by line; an invalid file
+raises the same error type on the same line either way.
 """
 
 from __future__ import annotations
@@ -74,6 +77,11 @@ class Digraph:
     kept so that the start tree needs no second walk.  The out-lists are
     the ones the builder filled, not copies: nothing mutates them.  The
     reverse lists exist only while the sink BFS walks them.
+
+    Digraph(n, sink, edges) takes edges from code, so it checks n and the
+    sink and screens the edge ids whole (min and max) before building; a
+    parsed graph comes from _build alone, its reader having checked the
+    header and screened out what the fill cannot catch.
     """
 
     __slots__ = ("n", "m", "sink", "out_edges", "out_sets", "sink_parent")
@@ -84,6 +92,13 @@ class Digraph:
         for u, v in edges:
             push(u)
             push(v)
+        if n < 1:
+            raise MalformedHeader(f"vertex count must be >= 1, got {n}")
+        if not 0 <= sink < n:
+            raise VertexOutOfRange(f"sink {sink} out of range for n={n}")
+        # A negative id would wrap around in the builder's fill.
+        if flat and (min(flat) < 0 or max(flat) >= n):
+            raise _edge_fault(n, flat, None)
         self._build(n, sink, flat, None)
 
     def _build(
@@ -91,27 +106,28 @@ class Digraph:
     ) -> None:
         """The one edge builder, over the edges flat[2i] -> flat[2i + 1].
 
-        Range, self-loop and duplicate checks run in bulk; only when one
-        fails does _edge_fault scan the edges in order for the first
-        offending one, so the error is the one a check of each edge in turn
-        would raise (on line lines[i] for edge i, when lines are given).
-        A graph that passes them then has its sink BFS walked, which raises
-        SinkUnreachable on any vertex it leaves stranded.
+        It takes n >= 1, a sink in range and ids that are non-negative
+        ints: each producer checks its header and screens out negative ids
+        first, since a negative id would index from the end of a list.
+        The fill loop is the range check: an id of n or more, however
+        large, raises IndexError there.  That and the self-loop and
+        duplicate checks run in bulk; only when one fails does _edge_fault
+        scan the edges in order for the first offending one, so the error
+        is the one a check of each edge in turn would raise (on line
+        lines[i] for edge i, when lines are given).  A graph that passes
+        them then has its sink BFS walked, which raises SinkUnreachable on
+        any vertex it leaves stranded.
         """
-        if n < 1:
-            raise MalformedHeader(f"vertex count must be >= 1, got {n}")
-        if not 0 <= sink < n:
-            raise VertexOutOfRange(f"sink {sink} out of range for n={n}")
         m = len(flat) // 2
-        # Before any indexing: a negative vertex would wrap around silently.
-        if m and (min(flat) < 0 or max(flat) >= n):
-            raise _edge_fault(n, flat, lines)
         out: list[list[int]] = [[] for _ in range(n)]
         rev: list[list[int]] = [[] for _ in range(n)]
         pairs = iter(flat)
-        for u, v in zip(pairs, pairs):
-            out[u].append(v)
-            rev[v].append(u)
+        try:
+            for u, v in zip(pairs, pairs):
+                out[u].append(v)
+                rev[v].append(u)
+        except IndexError:
+            raise _edge_fault(n, flat, lines) from None
         # Straight from the lists, in half the time of a copy through set().
         # Up to 8 vertices both come out the same size; above that either
         # can take twice the memory of the other (70 vertices: 2.3 KB from
@@ -369,7 +385,12 @@ def _canonical_columns(text: str, numbers: Sequence[int] = _EVERY_LINE) -> _Colu
 
 def _line_columns(numbers: Sequence[int], content: str) -> _Columns:
     """(n, sink, flat, lines) of any file, read line by line from its
-    content lines and their numbers (_content_lines)."""
+    content lines and their numbers (_content_lines).
+
+    int() reads a sign, so this is the one reader that can yield a
+    negative id, and one min over the ids screens for it (raising the
+    first edge fault in file order); ids of n and above are left to the
+    builder's fill."""
     rows = list(zip(numbers, content.split("\n")[:-1]))
     if not rows or rows[0][1] != MAGIC:
         lineno = rows[0][0] if rows else 1
@@ -399,6 +420,8 @@ def _line_columns(numbers: Sequence[int], content: str) -> _Columns:
         flat.append(u)
         flat.append(v)
         lines.append(lineno)
+    if flat and min(flat) < 0:
+        raise _edge_fault(n, flat, lines)
     return n, sink, flat, lines
 
 

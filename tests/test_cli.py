@@ -545,6 +545,58 @@ def test_solver_exception_exits_internal_error(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def raise_value_error(*args, **kwargs):
+    raise ValueError("list.remove(x): x not in list")
+
+
+def test_value_error_in_a_solve_exits_internal_error(tmp_path, capsys, monkeypatch):
+    """A ValueError is bad input only when reading or checking the inputs
+    raises it; one from a solve, such as a children-list remove that
+    misses, is a bug: exit 3."""
+    path = write_instance(tmp_path, "g", gen_path(4))
+    monkeypatch.setattr(cli, "run_local_search", raise_value_error)
+    code, out, err = run_cli(capsys, "solve", path)
+    assert (code, out) == (3, "")
+    assert err == "internal error: ValueError: list.remove(x): x not in list\n"
+
+
+def test_value_error_in_verify_check_exits_internal_error(tmp_path, capsys, monkeypatch):
+    """A ValueError from verify's check of a well-formed report is a bug,
+    not bad input: exit 3."""
+    path = write_instance(tmp_path, "g", gen_path(4))
+    _, stdout, _ = run_cli(capsys, "solve", path)
+    report_file = tmp_path / "g.json"
+    report_file.write_text(stdout)
+    monkeypatch.setattr(cli, "parent_violations", raise_value_error)
+    code, out, err = run_cli(capsys, "verify", path, str(report_file))
+    assert (code, out) == (3, "")
+    assert err == "internal error: ValueError: list.remove(x): x not in list\n"
+
+
+def test_unreadable_inputs_exit_bad_input(tmp_path, capsys):
+    """Files that are not UTF-8, an epsilon outside (0, 1/4) and a
+    generator parameter outside its range are bad input: exit 2."""
+    path = write_instance(tmp_path, "g", gen_path(4))
+    _, stdout, _ = run_cli(capsys, "solve", path)
+    report_file = tmp_path / "g.json"
+    report_file.write_text(stdout)
+    latin = tmp_path / "latin.g"
+    latin.write_bytes(b"dmdst 1\n# caf\xe9\n2 1 0\n1 0\n")
+    latin_report = tmp_path / "latin.json"
+    latin_report.write_bytes(stdout.replace('"local"', '"local\xe9"').encode("latin-1"))
+    for argv in (
+        ["solve", str(latin)],
+        ["verify", str(latin), str(report_file)],
+        ["verify", path, str(latin_report)],
+        ["solve", path, "--epsilon", "0.3"],
+        ["generate", "--family", "random", "--n", "0"],
+        ["generate", "--family", "blocker", "--k", "2"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_reports_are_stable_modulo_timing(tmp_path, capsys):
     path = write_instance(tmp_path, "g", instar_with_chords(9))
     outputs = []

@@ -451,3 +451,102 @@ def test_flat_input_reports_first_fault_and_its_line(edges, kind):
 def test_constructor_unpacks_each_edge_as_a_pair(edges):
     with pytest.raises(ValueError):
         Digraph(3, 0, edges)
+
+
+EDGE_FAULTS = ["n", "huge", "negative", "self-loop", "repeat", "stranded"]
+
+
+@st.composite
+def faulted_edge_lists(draw):
+    """(n, sink, edges): a reachable digraph's edges with one to three
+    faults injected: an endpoint set to n, to an id of 2**63 or more, or
+    to a negative id (mostly one that would wrap around to a vertex), an
+    edge turned into a self-loop, an edge repeated further on, or the
+    out-edges of a vertex other than the sink dropped."""
+    n, sink, edges = draw(reachable_digraphs())
+    edges = list(edges)
+    for fault in draw(st.lists(st.sampled_from(EDGE_FAULTS), min_size=1, max_size=3)):
+        i = draw(st.integers(0, max(len(edges) - 1, 0)))
+        if fault in ("n", "huge", "negative"):
+            bad = {
+                "n": st.just(n),
+                "huge": st.integers(2 ** 63, 10 ** 30),
+                "negative": st.integers(-n - 1, -1),
+            }[fault]
+            if not edges:
+                edges.append((sink, sink))
+            u, v = edges[i]
+            edges[i] = (draw(bad), v) if draw(st.booleans()) else (u, draw(bad))
+        elif fault == "self-loop" and edges:
+            edges[i] = (edges[i][0], edges[i][0])
+        elif fault == "repeat" and edges:
+            edges.insert(draw(st.integers(i + 1, len(edges))), edges[i])
+        elif fault == "stranded" and n > 1:
+            gone = draw(st.sampled_from([v for v in range(n) if v != sink]))
+            edges = [(u, v) for u, v in edges if u != gone]
+    return n, sink, edges
+
+
+def expected_outcome(n: int, sink: int, edges: list[tuple[int, int]]):
+    """What checking each edge in order, then reachability, gives:
+    (error type, message, index of the faulty edge or None), else
+    ("ok", out-lists, None)."""
+    fault = edge_by_edge_fault(n, edges)
+    if fault:
+        first = next(i for i in range(len(edges)) if edge_by_edge_fault(n, edges[: i + 1]))
+        return (*fault, first)
+    reached = {sink}
+    while True:
+        more = {u for u, v in edges if v in reached} - reached
+        if not more:
+            break
+        reached |= more
+    if len(reached) < n:
+        stranded = sorted(set(range(n)) - reached)
+        return SinkUnreachable, f"sink unreachable from vertices {stranded}", None
+    return "ok", [[v for t, v in edges if t == u] for u in range(n)], None
+
+
+def produced_outcome(build, line_of_edge):
+    """The same for one producer, the index read from an error's line
+    through line_of_edge."""
+    try:
+        g = build()
+    except GraphFormatError as exc:
+        if exc.line is None:
+            return type(exc), str(exc), None
+        prefix = f"line {exc.line}: "
+        assert str(exc).startswith(prefix)
+        return type(exc), str(exc)[len(prefix):], line_of_edge[exc.line]
+    return "ok", g.out_edges, None
+
+
+@given(faulted_edge_lists())
+def test_producers_raise_the_first_fault_of_an_edge_by_edge_check(case):
+    """Digraph(n, sink, edges), the line reader and, when no id is
+    negative, the canonical reader each raise what checking each edge in
+    order raises, with its type, message and line, or all build the same
+    graph.  Ids of n and above reach the readers' fill loop, which is the
+    range check; negative ids reach only the constructor's screen and the
+    line reader's."""
+    n, sink, edges = case
+    expected = expected_outcome(n, sink, edges)
+    text = f"dmdst 1\n{n} {len(edges)} {sink}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+    lined, line_of = rewrite_as_lines(text, 2)
+    producers = [
+        (lambda: Digraph(n, sink, edges), None),
+        (lambda: parse_graph(lined), {line_of[i + 3]: i for i in range(len(edges))}),
+    ]
+    if all(u >= 0 and v >= 0 for u, v in edges):
+        assert graph_module._canonical_columns(text) is not None
+        producers.append((lambda: parse_graph(text), {i + 3: i for i in range(len(edges))}))
+    else:
+        assert graph_module._canonical_columns(text) is None
+    graphs = []
+    for build, line_of_edge in producers:
+        # the constructor's edges come from code and have no line
+        want = expected if line_of_edge is not None else (*expected[:2], None)
+        assert produced_outcome(build, line_of_edge) == want
+        if expected[0] == "ok":
+            graphs.append(build())
+    assert all(graph_fields(g) == graph_fields(graphs[0]) for g in graphs)
