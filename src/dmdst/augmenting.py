@@ -9,7 +9,9 @@ the degree-k class.  Candidate subtrees are admitted only while their
 potential fits under a geometrically shrinking budget, which caps the
 total potential the adjustment can add back.  Each level is one scan
 (extend_layer): one walk per candidate subtree admits it and collects the
-vertex set its exit search and unrelatedness check then use.
+vertex set its exit search and unrelatedness check then use.  The exit
+search is local search's exit_set (dmdst.local_search), the one BFS out of
+a subtree that both solvers share.
 
 Levels must grow by a (1+epsilon) factor each round; when they stop
 growing, the accumulated levels, with the degree >= k+1 layer, are the
@@ -33,7 +35,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
@@ -41,7 +42,7 @@ from typing import Sequence
 
 from .config import Config
 from .graph import Digraph
-from .local_search import AdjustDelta, StalePath, choose_k, rewrite_and_audit
+from .local_search import AdjustDelta, StalePath, choose_k, exit_set, rewrite_and_audit
 from .report import SolveReport
 from .search import Stall, power_table, search
 from .tree import InTree, build_initial_tree
@@ -120,44 +121,6 @@ def level_budget(cfg: Config, k: int, row: list[int], i: int) -> int:
     return row[i - 1]
 
 
-def exit_set(
-    t: InTree, g: Digraph, u: int, k: int, inside: set[int]
-) -> dict[int, tuple[int, ...]]:
-    """First vertices outside subtree(u) reachable from u, in discovery
-    order, each with a min-hop interior path to it.  inside is subtree(u)'s
-    vertex set.
-
-    Returns as soon as an exit of degree <= k-2 has been added: it is then
-    the last key, and the only one of that degree.  Without such an exit
-    the map holds every first exit.  Requires a clean subtree (no vertex of
-    degree >= k-2), so interior vertices need no degree filter.
-    """
-    children = t.children
-    assert max(map(len, map(children.__getitem__, inside))) <= k - 3, "subtree not clean"
-    pred: dict[int, int] = {u: u}
-    exits: dict[int, tuple[int, ...]] = {}
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        for y in g.out_edges[x]:
-            if y in inside:
-                if y not in pred:
-                    pred[y] = x
-                    queue.append(y)
-            elif y not in exits:
-                path = [y]
-                cur = x
-                while cur != u:
-                    path.append(cur)
-                    cur = pred[cur]
-                path.append(u)
-                path.reverse()
-                exits[y] = tuple(path)
-                if len(children[y]) <= k - 2:
-                    return exits
-    return exits
-
-
 def extend_layer(
     t: InTree, g: Digraph, st: LayeredState, i: int, cfg: Config
 ) -> FoundEndpoint | set[int]:
@@ -204,6 +167,9 @@ def extend_layer(
             stack.extend(kids)
         else:
             admitted.add(u)
+            assert max(map(len, map(children.__getitem__, inside))) <= k - 3, (
+                "subtree not clean"
+            )
             assert st.covered.isdisjoint(inside), "start vertices must stay unrelated"
             st.covered |= inside
             for x, path in exit_set(t, g, u, k, inside).items():
@@ -261,10 +227,12 @@ def validate_augmenting_path(
             raise ValidationFailed(
                 f"segment {i + 1} start {starts[i + 1]} does not hang under {ends[i]}"
             )
-    # (ii) starts pairwise unrelated, endpoints distinct
+    # (ii) starts pairwise unrelated, endpoints distinct: two starts are
+    # related when one's subtree holds the other
+    subtrees = list(map(t.subtree, starts))
     for i in range(l):
         for j in range(i + 1, l):
-            if not t.unrelated(starts[i], starts[j]):
+            if starts[j] in subtrees[i] or starts[i] in subtrees[j]:
                 raise ValidationFailed(f"starts {starts[i]}, {starts[j]} related")
     if len(set(ends)) != l:
         raise ValidationFailed(f"duplicate endpoints: {ends}")
@@ -278,19 +246,15 @@ def validate_augmenting_path(
     if t.deg(ends[-1]) > k - 1:
         raise ValidationFailed(f"final endpoint {ends[-1]} above degree {k - 1}")
     # (iv) clean start subtrees + potential efficiency per level
-    subtrees = []
     children = t.children
-    for i, u in enumerate(starts, start=1):
-        sub = t.subtree(u)
-        subtrees.append(sub)
+    for i, (u, sub) in enumerate(zip(starts, subtrees), start=1):
         degrees = list(map(len, map(children.__getitem__, sub)))
         if max(degrees) >= k - 2:
             raise ValidationFailed(f"subtree of {u} contains a degree >= {k - 2} vertex")
         if sum(map(powers.__getitem__, degrees)) > level_budget(cfg, k, budgets, i):
             raise ValidationFailed(f"subtree of {u} over its potential budget")
     # (v) interiors stay inside their subtree, endpoint is the first outside
-    for i, s in enumerate(segs):
-        sub = subtrees[i]
+    for s, sub in zip(segs, subtrees):
         for v in s[:-1]:
             if v not in sub:
                 raise ValidationFailed(f"interior {v} outside subtree of {s[0]}")

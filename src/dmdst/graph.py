@@ -79,9 +79,9 @@ class Digraph:
     reverse lists exist only while the sink BFS walks them.
 
     Digraph(n, sink, edges) takes edges from code, so it checks n and the
-    sink and screens the edge ids whole (min and max) before building; a
-    parsed graph comes from _build alone, its reader having checked the
-    header and screened out what the fill cannot catch.
+    sink and screens the edge ids whole (their types, then min and max)
+    before building; a parsed graph comes from _build alone, its reader
+    having checked the header and screened out what the fill cannot catch.
     """
 
     __slots__ = ("n", "m", "sink", "out_edges", "out_sets", "sink_parent")
@@ -96,6 +96,13 @@ class Digraph:
             raise MalformedHeader(f"vertex count must be >= 1, got {n}")
         if not 0 <= sink < n:
             raise VertexOutOfRange(f"sink {sink} out of range for n={n}")
+        # Ids must be ints: a float or a str fails the builder's fill with a
+        # bare TypeError, and a bool would be read as vertex 0 or 1.
+        if not set(map(type, flat)) <= {int}:
+            i = next(i for i, x in enumerate(flat) if type(x) is not int) & ~1
+            raise GraphFormatError(
+                f"edge ({flat[i]!r}, {flat[i + 1]!r}): vertex ids must be ints"
+            )
         # A negative id would wrap around in the builder's fill.
         if flat and (min(flat) < 0 or max(flat) >= n):
             raise _edge_fault(n, flat, None)
@@ -196,15 +203,18 @@ def _edge_fault(
     return None
 
 
-def sink_bfs(rev: Sequence[Sequence[int]], sink: int) -> tuple[list[int | None], list[int]]:
+def sink_bfs(rev: Sequence[list[int]], sink: int) -> tuple[list[int | None], list[int]]:
     """Breadth-first parents toward the sink over the reverse lists rev
-    (rev[v] holds every u with an edge u -> v, in edge order), and the
+    (rev[v] holds every u with an edge u -> v, in any order), and the
     vertices the walk never reached (ascending; empty on a valid graph).
 
-    parent[v] is v's BFS predecessor, deterministic given the graph's edge
-    order, and None at the sink and at unreached vertices.  Parents are set
-    on first visit only, so the walk stops once every vertex is seen, which
-    on a dense graph is after a few edge lists.
+    Each in-list is walked in ascending tail order (sorted in place when
+    the walk reaches it), so parent[v], v's BFS predecessor, depends only
+    on the graph's edge set: graphs that compare equal get the same
+    parents, whatever order their edges came in.  parent is None at the
+    sink and at unreached vertices.  Parents are set on first visit only,
+    so the walk stops once every vertex is seen, which on a dense graph is
+    after a few edge lists.
     """
     n = len(rev)
     parent: list[int | None] = [None] * n
@@ -215,7 +225,10 @@ def sink_bfs(rev: Sequence[Sequence[int]], sink: int) -> tuple[list[int | None],
     for v in seen:
         if len(seen) == n:
             break
-        for u in rev[v]:
+        tails = rev[v]
+        if len(tails) > 1:
+            tails.sort()
+        for u in tails:
             if parent[u] is None:
                 parent[u] = v
                 seen.append(u)

@@ -19,10 +19,13 @@ candidate with no such out-neighbour has no path, whatever its gate value.
 Both skips are exact and the scan stays in ascending order, so each round
 picks the same candidate and path as without them.  For a candidate that
 passes, one walk of its subtree computes its gate value (psi) and collects
-the vertex set that its path search (find_improvement_path) then reuses.  A
-class below 2 stalls at once, since no path vertex can have degree <= k-2
-there, and so does class 2, whose gate 1/2 no subtree passes: each holds
-a leaf, worth 2**0 = 1.
+the vertex set that its path search (find_improvement_path) then reuses.
+That search reads its path off exit_set, the one BFS out of a subtree to
+its first low exit, which lives here and which the layered search
+(dmdst.augmenting) calls for each level segment.  A class below 2 stalls
+at once, since no path vertex can have degree <= k-2 there, and so does
+class 2, whose gate 1/2 no subtree passes: each holds a leaf, worth
+2**0 = 1.
 """
 
 from __future__ import annotations
@@ -161,39 +164,60 @@ def psi(t: InTree, u: int, k: int, limit: int, inside: set[int]) -> int:
     return total
 
 
+def exit_set(
+    t: InTree, g: Digraph, u: int, k: int, inside: set[int]
+) -> dict[int, tuple[int, ...]]:
+    """First vertices outside subtree(u) reachable from u, in discovery
+    order, each with a min-hop path to it whose interior lies in subtree(u)
+    and, after u, has degree <= k-2.  inside is subtree(u)'s vertex set.
+
+    The one exit search of both solvers: a BFS over graph edges that enters
+    only subtree vertices of degree <= k-2 and returns as soon as an exit
+    of degree <= k-2 has been added: it is then the last key, and the only
+    one of that degree.  Without such an exit the map holds every first
+    exit the BFS reaches.  On a clean subtree (no vertex of degree >= k-2,
+    as the layered search admits) every interior vertex passes the filter.
+    """
+    children = t.children
+    low = k - 2
+    pred: dict[int, int] = {u: u}
+    exits: dict[int, tuple[int, ...]] = {}
+    queue = deque([u])
+    while queue:
+        x = queue.popleft()
+        for y in g.out_edges[x]:
+            if y in inside:
+                if y not in pred and len(children[y]) <= low:
+                    pred[y] = x
+                    queue.append(y)
+            elif y not in exits:
+                path = [y]
+                cur = x
+                while cur != u:
+                    path.append(cur)
+                    cur = pred[cur]
+                path.append(u)
+                path.reverse()
+                exits[y] = tuple(path)
+                if len(children[y]) <= low:
+                    return exits
+    return exits
+
+
 def find_improvement_path(
     t: InTree, g: Digraph, u: int, d: int, inside: set[int]
 ) -> ImprovementPath | None:
     """Min-hop path from u exiting subtree(u) through degree <= d-2 vertices.
 
-    inside is subtree(u)'s vertex set (psi fills it).  BFS over graph
-    edges: interior vertices are restricted to the subtree with degree
-    <= d-2, and the search stops at the first vertex found outside it with
-    degree <= d-2.  Returns None when no such path exists, always so when
-    d < 2.
+    inside is subtree(u)'s vertex set (psi fills it).  The path is the low
+    exit that exit_set(t, g, u, d, inside) stops at; None when it stops at
+    none, always so when d < 2.
     """
-    children = t.children
-    pred: dict[int, int] = {u: u}
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        for y in g.out_edges[x]:
-            if y in pred:
-                continue
-            if y not in inside:
-                if len(children[y]) <= d - 2:
-                    path = [y]
-                    cur = x
-                    while cur != u:
-                        path.append(cur)
-                        cur = pred[cur]
-                    path.append(u)
-                    path.reverse()
-                    return ImprovementPath(d, tuple(path))
-                continue
-            if len(children[y]) <= d - 2:
-                pred[y] = x
-                queue.append(y)
+    exits = exit_set(t, g, u, d, inside)
+    if exits:
+        w = next(reversed(exits))
+        if len(t.children[w]) <= d - 2:
+            return ImprovementPath(d, exits[w])
     return None
 
 

@@ -134,21 +134,6 @@ class InTree:
                     stack.append(c)
         return out
 
-    def is_ancestor(self, a: int, v: int) -> bool:
-        """True iff a is v or an ancestor of v (i.e. v is inside subtree(a))."""
-        steps = 0
-        cur: int | None = v
-        while cur is not None and steps <= self.g.n:
-            if cur == a:
-                return True
-            cur = self.parent[cur]
-            steps += 1
-        return False
-
-    def unrelated(self, u: int, v: int) -> bool:
-        """True iff subtree(u) and subtree(v) are disjoint."""
-        return not self.is_ancestor(u, v) and not self.is_ancestor(v, u)
-
     def potential(self, base: int) -> int:
         """Sum of base**deg(v) over all vertices, from the histogram."""
         return sum((base ** d) * len(s) for d, s in self._members.items())
@@ -278,7 +263,8 @@ def build_initial_tree(g: Digraph) -> InTree:
     """Breadth-first spanning tree from the sink over reversed edges.
 
     parent(v) is v's BFS predecessor (graph.sink_bfs), so the tree is as
-    shallow as the graph allows and deterministic given its edge order.
+    shallow as the graph allows and fixed by its edge set: each in-list
+    is walked in ascending tail order.
     Every Digraph holds those parents (g.sink_parent) from its
     reachability check; the reverse lists that BFS walked were built for
     it alone and are not kept, so nothing here walks reversed edges.

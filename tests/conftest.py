@@ -13,7 +13,6 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 import pytest
 from hypothesis import settings
@@ -165,17 +164,15 @@ def brute_first_exits(t: InTree, g: Digraph, u: int) -> set[int]:
     return exits
 
 
-def full_bfs_parents(
-    g: Digraph, edges: Iterable[tuple[int, int]] | None = None
-) -> list[int | None]:
+def full_bfs_parents(g: Digraph) -> list[int | None]:
     """build_initial_tree's parent array by its first definition: a BFS
-    from the sink over reversed edges that walks every edge list.
+    from the sink over reversed edges that walks every edge list, each
+    in-list in ascending tail order.
 
-    The reverse lists are its own, not the builder's: built from edges,
-    the edge list in the order g was built from.  That is g.edges() for
-    a parsed graph, which lists edges in file order, and the default."""
+    The reverse lists are its own, not the builder's: g.edges() lists
+    edges by ascending tail, so each one fills in that order."""
     rev: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in g.edges() if edges is None else edges:
+    for u, v in g.edges():
         rev[v].append(u)
     parent: list[int | None] = [None] * g.n
     seen = {g.sink}
@@ -189,10 +186,6 @@ def full_bfs_parents(
                 queue.append(u)
     assert len(seen) == g.n
     return parent
-
-
-def brute_unrelated(t: InTree, u: int, v: int) -> bool:
-    return not (t.subtree(u) & t.subtree(v))
 
 
 def blocks_by_reach_sets(g: Digraph, U: frozenset[int], B: frozenset[int]) -> bool:

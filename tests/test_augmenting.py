@@ -29,6 +29,7 @@ from dmdst.augmenting import (
     power_table,
     reconstruct_path,
 )
+from dmdst.tree import InTree
 from conftest import (
     brute_first_exits,
     corpus_instances,
@@ -260,6 +261,26 @@ def test_validation_rejects_tampered_path():
         validate_augmenting_path(
             t, g, AugmentingPath(3, ((4, 1),)), cfg, st_.powers, st_.budgets
         )
+
+
+@pytest.mark.parametrize(
+    "segments",
+    [
+        ((3, 1), (2, 0)),  # the later start, 2, is an ancestor of 3
+        ((2, 3), (4, 0)),  # the earlier start, 2, is an ancestor of 4
+    ],
+)
+def test_validation_rejects_related_starts(segments):
+    """Check (ii): on the path 4 -> 3 -> 2 -> 1 -> 0, each pair of segments
+    chains through a tree parent (check (i)), but one start's subtree holds
+    the other start."""
+    edges = [(1, 0), (2, 1), (3, 2), (4, 3), (2, 3), (4, 0), (3, 1), (2, 0)]
+    g = Digraph(5, 0, edges)
+    t = InTree(g, [None, 0, 1, 2, 3])
+    cfg = Config.for_graph(g)
+    powers = power_table(cfg.base_c, t.max_deg)
+    with pytest.raises(ValidationFailed, match="related"):
+        validate_augmenting_path(t, g, AugmentingPath(3, segments), cfg, powers, [])
 
 
 def test_apply_single_segment_matches_improvement_semantics():

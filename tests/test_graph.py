@@ -417,11 +417,12 @@ def test_constructor_and_both_readers_build_equal_graphs(case):
         assert not line_reads
         by_line = parse_graph(lined)
         assert len(line_reads) == 1
-    assert graph_fields(in_file_order) == graph_fields(canonical) == graph_fields(by_line)
-    # The sink BFS walks each in-list in the order its edges came.
-    assert list(built.sink_parent) == full_bfs_parents(built, edges)
-    assert list(canonical.sink_parent) == full_bfs_parents(canonical)
-    assert (built.out_edges, built.out_sets) == (canonical.out_edges, canonical.out_sets)
+    # The sink BFS walks each in-list in ascending tail order, whatever
+    # order the edges came in, so the graph built from edges in random
+    # order has the same parents as the others.
+    fields = graph_fields(canonical)
+    assert graph_fields(built) == graph_fields(in_file_order) == fields == graph_fields(by_line)
+    assert list(built.sink_parent) == full_bfs_parents(built)
     for g in (built, in_file_order, by_line):
         assert g == canonical
         assert hash(g) == hash(canonical)
@@ -445,6 +446,16 @@ def test_flat_input_reports_first_fault_and_its_line(edges, kind):
             parse_graph(variant)
         assert info.value.line == line
         assert str(info.value) == f"line {line}: {message}"
+
+
+@pytest.mark.parametrize(
+    "edges", [[(1.0, 0), (2, 1)], [(1, 0), (2, 1), (True, 0)], [(1, 0), ("1", 0)]]
+)
+def test_constructor_rejects_ids_that_are_not_ints(edges):
+    """A float or a str would fail the builder's fill with a bare TypeError,
+    and a bool would be read as vertex 0 or 1."""
+    with pytest.raises(GraphFormatError, match="vertex ids must be ints"):
+        Digraph(3, 0, edges)
 
 
 @pytest.mark.parametrize("edges", [[(0, 1, 2)], [(1, 0), (2,)], [(1, 0), ()]])
