@@ -8,10 +8,10 @@ stitched into one multi-segment adjustment that still removes a child from
 the degree-k class.  Candidate subtrees are admitted only while their
 potential fits under a geometrically shrinking budget, which caps the
 total potential the adjustment can add back.  Each level is one scan
-(extend_layer): one walk per candidate subtree admits it and collects the
-vertex set its exit search and unrelatedness check then use.  The exit
-search is local search's exit_set (dmdst.local_search), the one BFS out of
-a subtree that both solvers share.
+(extend_layer): one walk per candidate subtree, the scan's only cleanliness
+check, admits it and collects the vertex set its exit search then uses.
+The exit search is local search's exit_set (dmdst.local_search), the one
+BFS out of a subtree that both solvers share; only kept exits get a path.
 
 Levels must grow by a (1+epsilon) factor each round; when they stop
 growing, the accumulated levels, with the degree >= k+1 layer, are the
@@ -42,7 +42,7 @@ from typing import Sequence
 
 from .config import Config
 from .graph import Digraph
-from .local_search import AdjustDelta, StalePath, choose_k, exit_set, rewrite_and_audit
+from .local_search import AdjustDelta, StalePath, choose_k, exit_path, exit_set, rewrite_and_audit
 from .report import SolveReport
 from .search import Stall, power_table, search
 from .tree import InTree, build_initial_tree
@@ -82,10 +82,9 @@ class LayeredState:
     """One round's levels at class k.  powers[d] is c**d (power_table) for
     every degree d below k-2, and budgets is the solve's row of class k's
     level budgets (level_budget).  seen is the union of every blocker
-    level found so far, covered the union of every admitted start's
-    subtree; extend_layer keeps both current.  level1 is the ascending
-    list of levels_V[0]'s children that level 1 scans, kept by the driver
-    across rounds."""
+    level found so far; extend_layer keeps it current.  level1 is the
+    ascending list of levels_V[0]'s children that level 1 scans, kept by
+    the driver across rounds."""
 
     k: int
     levels_V: list[set[int]]
@@ -95,7 +94,6 @@ class LayeredState:
     levels_U: list[set[int]] = field(default_factory=list)
     pred: dict[int, tuple[int, tuple[int, ...]]] = field(default_factory=dict)
     seen: set[int] = field(init=False)
-    covered: set[int] = field(default_factory=set)
 
     def __post_init__(self) -> None:
         self.seen = set().union(*self.levels_V)
@@ -132,11 +130,13 @@ def extend_layer(
     segment interiors are low-degree) and cheap (potential within the
     level's integer budget).  The walk stops at the first vertex that
     breaks either rule; terms are positive, so a partial sum over the
-    budget means the full one is over it too.  An admitted start must be
-    unrelated to every earlier one, and its exits are explored at once:
-    the first exit of degree <= k-2 ends the search.  Otherwise exits of
-    degree exactly k-1 never seen before join V_i, remembering which
-    start discovered them (first discoverer wins).
+    budget means the full one is over it too.  Admitted starts are thus
+    unrelated: each hangs under a vertex of degree >= k-1, which no walk
+    admits.  A start's exits are explored once it is admitted: the first
+    exit of degree <= k-2 ends the search.  Otherwise exits of degree
+    exactly k-1 never seen before join V_i, remembering which start
+    discovered them (first discoverer wins); only they and the endpoint
+    get a path (exit_path).
     """
     k = st.k
     budget = level_budget(cfg, k, st.budgets, i)
@@ -167,19 +167,14 @@ def extend_layer(
             stack.extend(kids)
         else:
             admitted.add(u)
-            assert max(map(len, map(children.__getitem__, inside))) <= k - 3, (
-                "subtree not clean"
-            )
-            assert st.covered.isdisjoint(inside), "start vertices must stay unrelated"
-            st.covered |= inside
-            for x, path in exit_set(t, g, u, k, inside).items():
+            for x, trail in exit_set(t, g, u, k, inside).items():
                 d = t.deg(x)
                 if d <= k - 2:
-                    return FoundEndpoint(i, u, x, path)
+                    return FoundEndpoint(i, u, x, exit_path(trail, x))
                 if d == k - 1 and x not in st.seen:
                     st.seen.add(x)
                     v_new.add(x)
-                    st.pred[x] = (u, path)
+                    st.pred[x] = (u, exit_path(trail, x))
                 elif d == k:
                     # Degree-k exits are level 0 by definition; higher ones
                     # sit in S_{k+1}.  Both land on the certificate's
@@ -221,6 +216,19 @@ def validate_augmenting_path(
         for a, b in zip(s, s[1:]):
             if not g.has_edge(a, b):
                 raise ValidationFailed(f"({a}, {b}) is not a graph edge")
+    # Segments are vertex-disjoint except that the final endpoint may also
+    # appear once inside an earlier subtree (it is then low-degree there).
+    # Each segment is simple, so only different segments are compared.
+    final = ends[-1]
+    used: set[int] = set()
+    for s in segs:
+        shared = used.intersection(s) - {final}
+        if shared:
+            raise ValidationFailed(f"vertex {min(shared)} appears twice in segments")
+        used.update(s)
+    occurrences = sum(final in s for s in segs)
+    if occurrences > 2:
+        raise ValidationFailed(f"final endpoint {final} appears {occurrences} times")
     # (i) consecutive segments chain through tree parents
     for i in range(l - 1):
         if t.parent[starts[i + 1]] != ends[i]:
@@ -262,18 +270,6 @@ def validate_augmenting_path(
                 raise ValidationFailed(f"interior {v} has degree >= {k - 2}")
         if s[-1] in sub:
             raise ValidationFailed(f"endpoint {s[-1]} inside subtree of {s[0]}")
-    # Segments are vertex-disjoint except that the final endpoint may also
-    # appear once inside an earlier subtree (it is then low-degree there).
-    seen: dict[int, int] = {}
-    for i, s in enumerate(segs):
-        for v in s:
-            if v in seen and not (v == ends[-1] and seen[v] != i):
-                raise ValidationFailed(f"vertex {v} appears twice in segments")
-            seen.setdefault(v, i)
-    final = ends[-1]
-    occurrences = sum(s.count(final) for s in segs)
-    if occurrences > 2:
-        raise ValidationFailed(f"final endpoint {final} appears {occurrences} times")
 
 
 def apply_augmenting_path(t: InTree, p: AugmentingPath, powers: Sequence[int]) -> AdjustDelta:

@@ -164,12 +164,12 @@ def psi(t: InTree, u: int, k: int, limit: int, inside: set[int]) -> int:
     return total
 
 
-def exit_set(
-    t: InTree, g: Digraph, u: int, k: int, inside: set[int]
-) -> dict[int, tuple[int, ...]]:
+def exit_set(t: InTree, g: Digraph, u: int, k: int, inside: set[int]) -> dict[int, tuple]:
     """First vertices outside subtree(u) reachable from u, in discovery
-    order, each with a min-hop path to it whose interior lies in subtree(u)
-    and, after u, has degree <= k-2.  inside is subtree(u)'s vertex set.
+    order, each mapped to the trail (x, x's trail), down to (u, None), of
+    its in-subtree predecessor x on a min-hop path whose interior lies in
+    subtree(u) and, after u, has degree <= k-2; exit_path builds the path
+    from it.  inside is subtree(u)'s vertex set.
 
     The one exit search of both solvers: a BFS over graph edges that enters
     only subtree vertices of degree <= k-2 and returns as soon as an exit
@@ -180,28 +180,31 @@ def exit_set(
     """
     children = t.children
     low = k - 2
-    pred: dict[int, int] = {u: u}
-    exits: dict[int, tuple[int, ...]] = {}
-    queue = deque([u])
+    entered = {u}
+    exits: dict[int, tuple] = {}
+    queue = deque([(u, None)])
     while queue:
-        x = queue.popleft()
-        for y in g.out_edges[x]:
+        trail = queue.popleft()
+        for y in g.out_edges[trail[0]]:
             if y in inside:
-                if y not in pred and len(children[y]) <= low:
-                    pred[y] = x
-                    queue.append(y)
+                if y not in entered and len(children[y]) <= low:
+                    entered.add(y)
+                    queue.append((y, trail))
             elif y not in exits:
-                path = [y]
-                cur = x
-                while cur != u:
-                    path.append(cur)
-                    cur = pred[cur]
-                path.append(u)
-                path.reverse()
-                exits[y] = tuple(path)
+                exits[y] = trail
                 if len(children[y]) <= low:
                     return exits
     return exits
+
+
+def exit_path(trail: tuple, x: int) -> tuple[int, ...]:
+    """The path u .. x that exit_set found to exit x, from exits[x]."""
+    path = [x]
+    while trail is not None:
+        v, trail = trail
+        path.append(v)
+    path.reverse()
+    return tuple(path)
 
 
 def find_improvement_path(
@@ -209,15 +212,15 @@ def find_improvement_path(
 ) -> ImprovementPath | None:
     """Min-hop path from u exiting subtree(u) through degree <= d-2 vertices.
 
-    inside is subtree(u)'s vertex set (psi fills it).  The path is the low
-    exit that exit_set(t, g, u, d, inside) stops at; None when it stops at
-    none, always so when d < 2.
+    inside is subtree(u)'s vertex set (psi fills it).  The path, the one
+    exit_path builds, is to the low exit that exit_set(t, g, u, d, inside)
+    stops at; None when it stops at none, always so when d < 2.
     """
     exits = exit_set(t, g, u, d, inside)
     if exits:
         w = next(reversed(exits))
         if len(t.children[w]) <= d - 2:
-            return ImprovementPath(d, exits[w])
+            return ImprovementPath(d, exit_path(exits[w], w))
     return None
 
 

@@ -23,6 +23,7 @@ from dmdst.augmenting import (
     LayeredState,
     ValidationFailed,
     apply_augmenting_path,
+    exit_path,
     exit_set,
     extend_layer,
     potential_budget,
@@ -75,7 +76,6 @@ def test_eligible_starts_takes_clean_leaf_subtrees():
     extend_layer(t, g, st_, 1, cfg)
     # the level scan admits exactly the clean, in-budget children of V_0
     assert st_.levels_U == [{2, 4}]
-    assert st_.covered == {2, 4}
 
 
 def test_eligible_starts_excludes_dirty_subtree():
@@ -83,7 +83,6 @@ def test_eligible_starts_excludes_dirty_subtree():
     t, cfg, st_ = layered_fixture_state(g)
     extend_layer(t, g, st_, 1, cfg)
     assert 3 not in st_.levels_U[0]  # subtree contains the degree-2 blocker
-    assert 3 not in st_.covered
 
 
 def test_scan_budget_admits_exactly_its_floor():
@@ -101,14 +100,19 @@ def test_scan_budget_admits_exactly_its_floor():
     assert st_.levels_U == [{2, 4, 5}]
 
 
+def exit_paths(exits):
+    """exit_set's exits in discovery order, each with its path."""
+    return [(x, exit_path(trail, x)) for x, trail in exits.items()]
+
+
 def test_exit_set_leaf_with_two_exits():
     g = Digraph(4, 0, [(1, 0), (2, 0), (3, 0), (3, 1), (3, 2)])
     t = build_initial_tree(g)
     # at k=5 the parent (degree 3 <= k-2) is already a low exit
-    assert list(exit_set(t, g, 3, 5, t.subtree(3)).items()) == [(0, (3, 0))]
+    assert exit_paths(exit_set(t, g, 3, 5, t.subtree(3))) == [(0, (3, 0))]
     # at k=3 it is not; the scan stops at the next exit, leaf 1
     exits = exit_set(t, g, 3, 3, t.subtree(3))
-    assert list(exits.items()) == [(0, (3, 0)), (1, (3, 1))]
+    assert exit_paths(exits) == [(0, (3, 0)), (1, (3, 1))]
 
 
 def test_exit_set_empty_when_no_edges_leave():
@@ -133,7 +137,7 @@ def test_exit_set_matches_brute_force(seed):
         for k in range(max(t.deg(v) for v in inside) + 3, t.max_deg + 4):
             exits = exit_set(t, g, u, k, inside)
             assert set(exits) <= brute
-            for x, path in exits.items():
+            for x, path in exit_paths(exits):
                 assert path[0] == u and path[-1] == x
                 assert len(set(path)) == len(path)
                 assert all(v in inside for v in path[:-1])
@@ -184,7 +188,9 @@ def test_scan_matches_brute_force_on_corpus(monkeypatch):
     subtree enumeration: a completed level admitted exactly the clean,
     in-budget children of V_{i-1}; an endpoint came from the lowest-id
     admitted start with an exit of degree <= k-2, and the scan admitted
-    nothing past it."""
+    nothing past it.  After a completed level, the subtrees of every start
+    admitted so far in the round are pairwise disjoint (the starts are
+    unrelated)."""
     scan = dmdst.augmenting.extend_layer
     tally = {"completed": 0, "endpoints": 0, "rejected": 0}
 
@@ -213,6 +219,8 @@ def test_scan_matches_brute_force_on_corpus(monkeypatch):
             tally["completed"] += 1
             assert not escaping
             assert st_.levels_U[i - 1] == set(admissible)
+            subtrees = [t.subtree(u) for level in st_.levels_U for u in level]
+            assert sum(map(len, subtrees)) == len(set().union(*subtrees))
         return result
 
     monkeypatch.setattr(dmdst.augmenting, "extend_layer", checked)
@@ -281,6 +289,44 @@ def test_validation_rejects_related_starts(segments):
     powers = power_table(cfg.base_c, t.max_deg)
     with pytest.raises(ValidationFailed, match="related"):
         validate_augmenting_path(t, g, AugmentingPath(3, segments), cfg, powers, [])
+
+
+def validate_on_fixture(segments, k=3):
+    g = two_segment_fixture()
+    t, cfg, st_ = layered_fixture_state(g, k)
+    validate_augmenting_path(t, g, AugmentingPath(k, segments), cfg, st_.powers, st_.budgets)
+
+
+def test_validation_rejects_vertex_shared_by_two_segments():
+    """5 ends the first segment and sits inside the second, which chains
+    under it (6 is 5's child) and ends at the low vertex 3."""
+    with pytest.raises(ValidationFailed, match="5 appears twice"):
+        validate_on_fixture(((2, 5), (6, 5, 3)))
+
+
+def test_validation_rejects_final_endpoint_three_times():
+    """The final endpoint 9 may sit inside one earlier segment, not two."""
+    segments = ((1, 9, 2), (3, 9, 4), (5, 9))
+    g = Digraph(10, 0, [(v, 0) for v in range(1, 10)] + [(1, 9), (9, 2), (3, 9), (9, 4), (5, 9)])
+    t = build_initial_tree(g)
+    cfg = Config.for_graph(g)
+    powers = power_table(cfg.base_c, t.max_deg)
+    with pytest.raises(ValidationFailed, match="final endpoint 9 appears 3 times"):
+        validate_augmenting_path(t, g, AugmentingPath(3, segments), cfg, powers, [])
+
+
+@pytest.mark.parametrize(
+    "segments",
+    [
+        ((2, 5, 6, 5),),  # a repeated interior vertex
+        ((2, 5), (6, 8, 7, 8)),  # the final endpoint twice in its own segment
+    ],
+)
+def test_validation_rejects_segment_repeating_a_vertex(segments):
+    """Repeats inside one segment are the simple-path check's, which runs
+    before the cross-segment ones."""
+    with pytest.raises(ValidationFailed, match="segment not a simple path"):
+        validate_on_fixture(segments)
 
 
 def test_apply_single_segment_matches_improvement_semantics():
