@@ -11,7 +11,8 @@ total potential the adjustment can add back.  Each level is one scan
 (extend_layer): one walk per candidate subtree, the scan's only cleanliness
 check, admits it and collects the vertex set its exit search then uses.
 The exit search is local search's exit_set (dmdst.local_search), the one
-BFS out of a subtree that both solvers share; only kept exits get a path.
+BFS out of a subtree that both solvers share; a path is built only for
+the endpoint and for the blockers on the chain back from it.
 
 Levels must grow by a (1+epsilon) factor each round; when they stop
 growing, the accumulated levels, with the degree >= k+1 layer, are the
@@ -84,7 +85,10 @@ class LayeredState:
     level budgets (level_budget).  seen is the union of every blocker
     level found so far; extend_layer keeps it current.  level1 is the
     ascending list of levels_V[0]'s children that level 1 scans, kept by
-    the driver across rounds."""
+    the driver across rounds.  pred maps each blocker found to the start
+    that discovered it and exit_set's trail to it, from which
+    reconstruct_path builds a segment (exit_path) only on the chain it
+    follows."""
 
     k: int
     levels_V: list[set[int]]
@@ -92,7 +96,7 @@ class LayeredState:
     level1: list[int]
     budgets: list[int]
     levels_U: list[set[int]] = field(default_factory=list)
-    pred: dict[int, tuple[int, tuple[int, ...]]] = field(default_factory=dict)
+    pred: dict[int, tuple[int, tuple]] = field(default_factory=dict)
     seen: set[int] = field(init=False)
 
     def __post_init__(self) -> None:
@@ -135,8 +139,8 @@ def extend_layer(
     admits.  A start's exits are explored once it is admitted: the first
     exit of degree <= k-2 ends the search.  Otherwise exits of degree
     exactly k-1 never seen before join V_i, remembering which start
-    discovered them (first discoverer wins); only they and the endpoint
-    get a path (exit_path).
+    discovered them and the trail to them (first discoverer wins); only
+    the endpoint gets its path (exit_path) here.
     """
     k = st.k
     budget = level_budget(cfg, k, st.budgets, i)
@@ -174,7 +178,7 @@ def extend_layer(
                 if d == k - 1 and x not in st.seen:
                     st.seen.add(x)
                     v_new.add(x)
-                    st.pred[x] = (u, exit_path(trail, x))
+                    st.pred[x] = (u, trail)
                 elif d == k:
                     # Degree-k exits are level 0 by definition; higher ones
                     # sit in S_{k+1}.  Both land on the certificate's
@@ -184,14 +188,15 @@ def extend_layer(
 
 
 def reconstruct_path(st: LayeredState, endpoint: FoundEndpoint, t: InTree) -> AugmentingPath:
-    """Walk discovery links from the endpoint's level back to level 0."""
+    """Walk discovery links from the endpoint's level back to level 0,
+    building each segment on the way from its blocker's trail."""
     segments = [endpoint.path]
     u = endpoint.u
     for _ in range(endpoint.level - 1):
         v = t.parent[u]
         assert v is not None and v in st.pred, "broken discovery chain"
-        u, path = st.pred[v]
-        segments.append(path)
+        u, trail = st.pred[v]
+        segments.append(exit_path(trail, v))
     segments.reverse()
     return AugmentingPath(st.k, tuple(segments))
 
@@ -199,10 +204,12 @@ def reconstruct_path(st: LayeredState, endpoint: FoundEndpoint, t: InTree) -> Au
 def validate_augmenting_path(
     t: InTree, g: Digraph, p: AugmentingPath, cfg: Config, powers: Sequence[int],
     budgets: list[int],
-) -> None:
+) -> set[int]:
     """Check every definitional invariant; raise ValidationFailed on any break.
     powers is power_table's c**d for every degree d below k-2, budgets the
-    solve's row of class k's level budgets (level_budget)."""
+    solve's row of class k's level budgets (level_budget).  Returns the
+    union of the start subtrees, walked fresh here: every rerouted vertex's
+    subtree lies in it, so it is the apply's audit region."""
     k = p.k
     segs = p.segments
     if not segs:
@@ -270,18 +277,22 @@ def validate_augmenting_path(
                 raise ValidationFailed(f"interior {v} has degree >= {k - 2}")
         if s[-1] in sub:
             raise ValidationFailed(f"endpoint {s[-1]} inside subtree of {s[0]}")
+    return set().union(*subtrees)
 
 
-def apply_augmenting_path(t: InTree, p: AugmentingPath, powers: Sequence[int]) -> AdjustDelta:
+def apply_augmenting_path(
+    t: InTree, p: AugmentingPath, powers: Sequence[int], region: set[int]
+) -> AdjustDelta:
     """Run the cut-and-append rewrite segment by segment and audit it.
 
-    Requires the final endpoint at degree <= k-2.  After the audited
-    rewrite (rewrite_and_audit), the degree-k class lost exactly one
-    member, no class above k grew, middle endpoints kept their degree, the
-    final endpoint gained at most two children (at most one unless it
-    also sat inside an earlier subtree), and the base-c potential, read
-    from powers (c**d for every degree d the tree can reach), has strictly
-    dropped.
+    region is what validate_augmenting_path returned for p on this tree;
+    the audit's parent walks stop where they leave it.  Requires the final
+    endpoint at degree <= k-2.  After the audited rewrite
+    (rewrite_and_audit), the degree-k class lost exactly one member, no
+    class above k grew, middle endpoints kept their degree, the final
+    endpoint gained at most two children (at most one unless it also sat
+    inside an earlier subtree), and the base-c potential, read from powers
+    (c**d for every degree d the tree can reach), has strictly dropped.
 
     The class contracts are read from the delta, not from histogram
     snapshots: each class's net change is the number of touched vertices
@@ -290,7 +301,8 @@ def apply_augmenting_path(t: InTree, p: AugmentingPath, powers: Sequence[int]) -
     children; the audit has checked that each touched vertex is filed
     under its degree and that the histogram holds n vertices, so this is
     the change degree_counts() would show.  Cost is O(touched + sum of
-    deg(touched) + live classes), plus the audit's parent walks.
+    deg(touched) + live classes), plus the audit's parent walks inside
+    region.
     """
     k = p.k
     segs = p.segments
@@ -299,7 +311,7 @@ def apply_augmenting_path(t: InTree, p: AugmentingPath, powers: Sequence[int]) -
         raise StalePath(f"final endpoint {final} has degree {t.deg(final)} > {k - 2}")
     first_parent = t.parent[segs[0][0]]
     assert first_parent is not None
-    delta = rewrite_and_audit(t, k, segs, powers)
+    delta = rewrite_and_audit(t, k, segs, powers, region)
     net: dict[int, int] = {}
     for old, new in delta.changed.values():
         net[old] = net.get(old, 0) - 1
@@ -387,10 +399,10 @@ def run_augmenting_search(
                     blocking, {"k": k, "layers": i, "applied": False, "phi": t.potential(c)}
                 )
         path = reconstruct_path(st, result, t)
-        validate_augmenting_path(t, g, path, cfg, powers, st.budgets)
+        region = validate_augmenting_path(t, g, path, cfg, powers, st.budgets)
         # the first start's parent, the one vertex leaving N_k
         leaving = list(children[t.parent[path.segments[0][0]]])
-        delta = apply_augmenting_path(t, path, powers)
+        delta = apply_augmenting_path(t, path, powers, region)
         for x in leaving:
             j = bisect_left(level1, x)
             assert j < len(level1) and level1[j] == x, "kept level-1 list lost a child"

@@ -17,9 +17,13 @@ already exceeds the gate is skipped.  The first-hop test scans its
 out-edges: every path vertex after the start has degree <= k-2, so a
 candidate with no such out-neighbour has no path, whatever its gate value.
 Both skips are exact and the scan stays in ascending order, so each round
-picks the same candidate and path as without them.  For a candidate that
-passes, one walk of its subtree computes its gate value (psi) and collects
-the vertex set that its path search (find_improvement_path) then reuses.
+picks the same candidate and path as without them.  Nor does a round
+re-sort N_k's children or re-screen what cannot pass: while k stays the
+argmax class, the sorted list is kept, and the scan resumes where the
+last round's first screened-in candidate stood (run_local_search says
+when that point moves back).  For a candidate that passes, one walk of
+its subtree computes its gate value (psi) and collects the vertex set
+that its path search (find_improvement_path) then reuses.
 That search reads its path off exit_set, the one BFS out of a subtree to
 its first low exit, which lives here and which the layered search
 (dmdst.augmenting) calls for each level segment.  A class below 2 stalls
@@ -30,9 +34,10 @@ class 2, whose gate 1/2 no subtree passes: each holds a leaf, worth
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from typing import Iterable, Sequence
 
 from .config import Config
@@ -75,7 +80,8 @@ class AdjustDelta:
 
 
 def rewrite_and_audit(
-    t: InTree, k: int, segments: Sequence[Sequence[int]], powers: Sequence[int]
+    t: InTree, k: int, segments: Sequence[Sequence[int]], powers: Sequence[int],
+    region: set[int],
 ) -> AdjustDelta:
     """Reroute every segment vertex but the last onto its successor,
     segment by segment, and audit the tree where the rewrite wrote.
@@ -83,16 +89,18 @@ def rewrite_and_audit(
     Only the segment vertices and the old parents of the rerouted ones
     change degree, so the audit covers exactly those: the tree invariants
     hold there (InTree.validate_changed), each touched vertex filed in the
-    histogram under its len(children).  The returned delta records, from
-    one dict of the touched vertices' degrees before the rewrite, each
-    (old, new) degree that changed, and the potential before and after,
-    read from the solver's power table: powers[d] is base**d for every
-    degree d the tree can reach.  The potential after is the one before
-    plus the changed vertices' terms: every other vertex kept its children
-    and its class, and the audit has just checked the touched vertices'
-    filing.  Each solver asserts its own contract on the delta.  Cost is
-    O(touched + sum of deg(touched) + live classes), plus the audit's
-    parent walks.
+    histogram under its len(children).  region is the caller's fresh walk
+    of the start subtrees, which hold every rerouted vertex's subtree; the
+    audit's parent walks stop where they leave it.  The returned delta
+    records, from one dict of the touched vertices' degrees before the
+    rewrite, each (old, new) degree that changed, and the potential before
+    and after, read from the solver's power table: powers[d] is base**d
+    for every degree d the tree can reach.  The potential after is the one
+    before plus the changed vertices' terms: every other vertex kept its
+    children and its class, and the audit has just checked the touched
+    vertices' filing.  Each solver asserts its own contract on the delta.
+    Cost is O(touched + sum of deg(touched) + live classes), plus the
+    audit's parent walks inside region.
     """
     children = t.children
     rerouted = [a for seg in segments for a in seg[:-1]]
@@ -104,7 +112,7 @@ def rewrite_and_audit(
     for seg in segments:
         for a, b in zip(seg, seg[1:]):
             t.cut_and_append(a, b)
-    bad = t.validate_changed(rerouted, old_parents)
+    bad = t.validate_changed(rerouted, old_parents, region)
     assert not bad, f"tree invalid after adjustment: {bad[:3]}"
     changed = {}
     phi_after = phi_before
@@ -224,7 +232,9 @@ def find_improvement_path(
     return None
 
 
-def _revalidate_improvement(t: InTree, p: ImprovementPath) -> None:
+def _revalidate_improvement(t: InTree, p: ImprovementPath) -> set[int]:
+    """Raise StalePath unless p is still an improvement path; return the
+    fresh subtree(u) it was checked against, the audit's region."""
     vs = p.vertices
     if len(vs) < 2 or len(set(vs)) != len(vs):
         raise StalePath(f"not a simple path: {vs}")
@@ -244,6 +254,7 @@ def _revalidate_improvement(t: InTree, p: ImprovementPath) -> None:
             raise StalePath(f"interior vertex {v} left subtree({u})")
     if w in inside:
         raise StalePath(f"endpoint {w} is inside subtree({u})")
+    return inside
 
 
 def apply_improvement_path(
@@ -256,11 +267,11 @@ def apply_improvement_path(
     than one, and the base-2 potential, read from powers (2**d for every
     degree d the tree can reach), has dropped.
     """
-    _revalidate_improvement(t, p)
+    region = _revalidate_improvement(t, p)
     vs = p.vertices
     old_parent = t.parent[vs[0]]
     assert old_parent is not None
-    delta = rewrite_and_audit(t, p.d, [vs], powers)
+    delta = rewrite_and_audit(t, p.d, [vs], powers, region)
     assert delta.gain(old_parent) == -1, "old parent must drop by 1"
     for v in vs[1:]:
         assert delta.gain(v) <= 1, f"path vertex {v} gained more than one child"
@@ -278,14 +289,33 @@ def run_local_search(
     most 8 n^2 ln(phi_0) of them.  When no gated candidate can be improved,
     the round stalls, and the shared driver certifies it with the degree
     >= k-1 layer as its blocking set.
+
+    The scan list (the ascending children of N_k) is built when k changes
+    and otherwise carried over, with the round's resume point.  While k
+    holds, an adjustment moves a vertex into N_k only from above (path
+    vertices end at degree <= k-1, every other vertex only loses children),
+    and a vertex that left N_k, or a rerouted child, never comes back under
+    a degree-k parent; so the children of each vertex entering N_k are
+    inserted, and an entry whose parent no longer has degree k is stale and
+    skipped.  The next scan resumes at the first entry this round let past
+    the stale, degree and first-hop screens: every entry before it fails
+    one of them, and only a degree change can turn such a failure into a
+    pass.  So the resume point moves back to any entry whose own degree
+    changed and to any inserted entry, and to the start when a vertex drops
+    from >= k-1 to <= k-2, which may give an earlier entry its first hop.
+    Each round thus scans what a fresh ascending scan would try, in the
+    same order.
     """
     cfg = cfg or Config.for_graph(g)
     phi_floor = 8 * g.n * g.n
     applications = 0
     powers: list[int] = []
+    kept_k = -1
+    scan: list[int] = []
+    resume = 0
 
     def attempt(t: InTree, k: int) -> dict | Stall:
-        nonlocal applications, powers
+        nonlocal applications, powers, kept_k, scan, resume
         if not powers:
             powers = power_table(2, t.max_deg)
         if k <= 2:
@@ -298,9 +328,15 @@ def run_local_search(
         # the gate 2**k / 8 is an int anyway.
         factor = cfg.psi_factor
         gate = (1 << k) * factor.numerator // factor.denominator
-        children, out_edges, low = t.children, g.out_edges, k - 2
-        candidates = sorted(chain.from_iterable(map(children.__getitem__, members)))
-        for u in candidates:
+        children, parent, out_edges, low = t.children, t.parent, g.out_edges, k - 2
+        if k != kept_k:
+            kept_k = k
+            scan = sorted(chain.from_iterable(map(children.__getitem__, members)))
+            resume = 0
+        first = -1
+        for j, u in enumerate(islice(scan, resume, None), resume):
+            if len(children[parent[u]]) != k:
+                continue  # stale: its parent left N_k, or it was rerouted
             # Degree screen: each of u's d child subtrees holds a leaf (psi
             # term 1), and u adds 2**d when d <= k-2, so psi is at least
             # this bound.
@@ -314,6 +350,8 @@ def run_local_search(
                     break
             else:
                 continue
+            if first < 0:
+                first = j
             inside: set[int] = set()
             psi_u = psi(t, u, k, gate, inside)
             if psi_u > gate:
@@ -335,6 +373,22 @@ def run_local_search(
             assert drop * phi_floor >= delta.phi_before, (
                 f"potential drop {drop} below phi/(8 n^2) at k={k}"
             )
+            # Only a changed degree can let an entry before first pass its
+            # screens next round: its own, or an out-neighbour's dropping
+            # to <= k-2 (which has no reverse edges to find them by).
+            resume = first
+            for v, (old, new) in delta.changed.items():
+                if old > low >= new:
+                    resume = 0
+                if new == k:  # entered N_k from above: list its children
+                    for c in children[v]:
+                        i = bisect_left(scan, c)
+                        assert i == len(scan) or scan[i] != c, "child of N_k listed twice"
+                        scan.insert(i, c)
+                        resume = min(resume, i)
+                i = bisect_left(scan, v)
+                if i < resume and scan[i] == v:
+                    resume = i
             return {"iteration": applications, "k": k, "n_k": len(members),
                     "phi": delta.phi_before, "drop": drop}
         return Stall(t.vertices_with_deg_at_least(k - 1))

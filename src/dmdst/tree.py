@@ -180,7 +180,7 @@ class InTree:
         return [f"HistogramMismatch: empty degree class {d} filed" for d in empty]
 
     def validate_changed(
-        self, rerouted: Iterable[int], old_parents: Iterable[int]
+        self, rerouted: Iterable[int], old_parents: Iterable[int], region: set[int]
     ) -> list[str]:
         """validate()'s invariants, checked only where one adjustment wrote.
 
@@ -193,13 +193,22 @@ class InTree:
         children (each has it as parent, none twice) and its filing in the
         histogram under len(children), the ground truth for its degree.
         Then the histogram as a whole: n vertices filed, no empty class, the
-        cached max degree on top.  Any new parent cycle contains a vertex
-        whose parent changed, so a parent walk from each rerouted vertex
-        finds it; walks stop at the sink or at a vertex an earlier walk
-        already cleared.  A touched vertex's children are screened at C
-        speed, and looked at one by one only to name a fault.  Cost is
-        O(touched + sum of deg(touched) + walk lengths + live classes),
-        not O(n).
+        cached max degree on top.  A touched vertex's children are screened
+        at C speed, and looked at one by one only to name a fault.
+
+        Acyclicity: region must hold the old subtree (before the adjustment)
+        of every rerouted vertex; a rerouted vertex outside it is reported,
+        not trusted.  A parent walk from each rerouted vertex must leave
+        region, or reach the sink or a vertex an earlier walk cleared,
+        without repeating a vertex.  Stopping at the first vertex x outside
+        region is exact: x lies in no rerouted vertex's old subtree, so x's
+        old root path holds no rerouted vertex, every vertex on it kept its
+        parent, and that path still runs to the sink.  Any new parent cycle
+        contains a rerouted vertex and never leaves region (a vertex on it
+        outside region would reach the sink), so the walk from that vertex
+        finds it.  Cost is O(touched + sum of deg(touched) + walk lengths +
+        live classes), and a walk is no longer than the part of its root
+        path inside region: for one reroute along a path, about the path.
         """
         g = self.g
         n = g.n
@@ -246,9 +255,12 @@ class InTree:
             bad.append(f"MaxDegMismatch: cached {self.max_deg}, histogram top {top}")
         cleared = {sink}
         for v in rerouted:
+            if v not in region:
+                bad.append(f"RegionMismatch: rerouted vertex {v} outside the audit region")
+                continue
             walk: set[int] = set()
             cur: int | None = v
-            while cur is not None and cur not in cleared and cur not in walk:
+            while cur in region and cur not in cleared and cur not in walk:
                 walk.add(cur)
                 p = parent[cur]
                 cur = p if p is not None and 0 <= p < n else None

@@ -104,9 +104,9 @@ def full_audit(monkeypatch) -> list[int]:
     changed_set_audit = InTree.validate_changed
     audited: list[int] = []
 
-    def both(self, rerouted, old_parents):
+    def both(self, rerouted, old_parents, region):
         rerouted, old_parents = list(rerouted), list(old_parents)
-        local = changed_set_audit(self, rerouted, old_parents)
+        local = changed_set_audit(self, rerouted, old_parents, region)
         full = self.validate()
         assert bool(local) == bool(full), (local, full)
         audited.append(len(rerouted))

@@ -167,7 +167,8 @@ def test_extend_layer_collects_blockers():
     t, cfg, st_ = layered_fixture_state(g)
     result = extend_layer(t, g, st_, 1, cfg)
     assert result == {5}
-    assert st_.pred[5] == (2, (2, 5))
+    u, trail = st_.pred[5]
+    assert (u, exit_path(trail, 5)) == (2, (2, 5))
     assert st_.seen == {1, 5}
 
 
@@ -335,9 +336,10 @@ def test_apply_single_segment_matches_improvement_semantics():
     path = AugmentingPath(3, ((2, 5),))
     cfg = Config.for_graph(g)
     powers = power_table(cfg.base_c, t.max_deg)
-    validate_augmenting_path(t, g, path, cfg, powers, [])
+    region = validate_augmenting_path(t, g, path, cfg, powers, [])
+    assert region == t.subtree(2)
     before = degree_snapshot(t)
-    apply_augmenting_path(t, path, powers)
+    apply_augmenting_path(t, path, powers, region)
     after = degree_snapshot(t)
     assert after[1] == before[1] - 1
     assert after[5] == before[5] + 1
@@ -364,7 +366,9 @@ def test_apply_asserts_class_contracts_from_touched_degrees(monkeypatch, extra, 
 
     monkeypatch.setattr(dmdst.augmenting, "rewrite_and_audit", with_extra)
     with pytest.raises(AssertionError, match=message):
-        apply_augmenting_path(t, AugmentingPath(3, ((2, 5),)), power_table(10, t.max_deg))
+        apply_augmenting_path(
+            t, AugmentingPath(3, ((2, 5),)), power_table(10, t.max_deg), t.subtree(2)
+        )
 
 
 def test_apply_two_segment_fixture_postconditions():
@@ -376,7 +380,8 @@ def test_apply_two_segment_fixture_postconditions():
     counts_before = t.degree_counts()
     before = degree_snapshot(t)
     phi_before = t.potential(cfg.base_c)
-    apply_augmenting_path(t, path, st_.powers)
+    region = validate_augmenting_path(t, g, path, cfg, st_.powers, st_.budgets)
+    apply_augmenting_path(t, path, st_.powers, region)
     counts_after = t.degree_counts()
     # degree-k class shrinks by one, nothing above k grows
     assert counts_after.get(3, 0) == counts_before[3] - 1

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -204,11 +205,11 @@ def test_round_bookkeeping_matches_histogram_on_corpus(monkeypatch):
         seen["bases"].add(base)
         return k
 
-    def checked_rewrite(t, k, segments, powers):
+    def checked_rewrite(t, k, segments, powers, region):
         base = powers[1]
         before = t.degree_counts()
         phi_before = t.potential(base)
-        delta = real_rewrite(t, k, segments, powers)
+        delta = real_rewrite(t, k, segments, powers, region)
         assert delta.phi_before == phi_before
         after = t.degree_counts()
         net: dict[int, int] = {}
@@ -377,19 +378,36 @@ def degree_screen_skips(t, u: int, k: int) -> bool:
 
 
 def reference_rounds(
-    g: Digraph, tally: dict[str, int] | None = None
+    g: Digraph, tally: Counter | None = None, cfg: Config | None = None
 ) -> list[tuple[int, tuple[int, ...]]]:
-    """(k, path) of every round of a scan without the degree screen and the
-    first-hop test: psi, then the path search, on every candidate in
-    ascending order.  Each round also checks that every candidate the
-    degree screen would skip has full psi over the gate, and every one the
-    first-hop test would skip has no improvement path.  tally, if given,
-    counts the candidates the screen would skip."""
+    """(k, path) of every round of a fresh scan without the degree screen
+    and the first-hop test: psi, then the path search, on every child of
+    N_k in ascending order, the list sorted anew each round.  Each round
+    also checks that every candidate the degree screen would skip has full
+    psi over the gate, and every one the first-hop test would skip has no
+    improvement path.  The loop runs while Delta exceeds cfg's local stop
+    threshold (0 by default).
+
+    tally, if given, counts the candidates the screen would skip
+    ("screened"), and, for each round whose k the next round keeps
+    ("same_k"), the events a kept scan list must follow: a vertex entering
+    N_k ("entered"), a vertex dropping from >= k-1 to <= k-2 ("dropped"),
+    and a candidate of the next round whose own degree changed
+    ("candidate_degree")."""
     t = build_initial_tree(g)
     powers = power_table(2, t.max_deg)
+    threshold = cfg.stop_threshold_local if cfg else 0
     rounds = []
-    while t.max_deg > 0:
+    last = None
+    while t.max_deg > threshold:
         k = local_k(t)
+        if tally is not None and last is not None and last.k == k:
+            tally["same_k"] += 1
+            for v, (old, new) in last.changed.items():
+                tally["entered"] += new == k
+                tally["dropped"] += old >= k - 1 >= new + 1
+                p = t.parent[v]
+                tally["candidate_degree"] += p is not None and t.deg(p) == k
         if k <= 2:
             break
         gate = 2 ** k // 8
@@ -406,11 +424,13 @@ def reference_rounds(
         if chosen is None:
             break
         rounds.append((k, chosen.vertices))
-        apply_improvement_path(t, chosen, powers)
+        last = apply_improvement_path(t, chosen, powers)
     return rounds
 
 
-def solver_rounds(g: Digraph, monkeypatch) -> list[tuple[int, tuple[int, ...]]]:
+def solver_rounds(
+    g: Digraph, monkeypatch, cfg: Config | None = None
+) -> list[tuple[int, tuple[int, ...]]]:
     """(k, path) of every improvement run_local_search applies."""
     applied = []
     apply = dmdst.local_search.apply_improvement_path
@@ -420,7 +440,7 @@ def solver_rounds(g: Digraph, monkeypatch) -> list[tuple[int, tuple[int, ...]]]:
         return apply(t, p, powers)
 
     monkeypatch.setattr(dmdst.local_search, "apply_improvement_path", recorded)
-    report = run_local_search(g)
+    report = run_local_search(g, cfg)
     monkeypatch.undo()
     assert report.iterations == len(applied)
     return applied
@@ -433,7 +453,7 @@ def test_first_hop_skip_is_exact_on_the_corpus(corpus_results, monkeypatch):
     path."""
     results, _ = corpus_results
     applied = 0
-    tally = {"screened": 0}
+    tally = Counter()
     for s in results:
         rounds = reference_rounds(s.g, tally)
         assert solver_rounds(s.g, monkeypatch) == rounds, s.name
@@ -476,6 +496,97 @@ def small_digraphs(draw) -> Digraph:
 def test_first_hop_skip_is_exact_on_small_digraphs(g):
     with pytest.MonkeyPatch.context() as monkeypatch:
         assert solver_rounds(g, monkeypatch) == reference_rounds(g)
+
+
+def graph_on_tree(parent: list[int | None], extra: list[tuple[int, int]]) -> Digraph:
+    """The digraph of the in-tree parent (None at the sink) plus the extra
+    edges, checked to start from that very tree."""
+    edges = [(v, p) for v, p in enumerate(parent) if p is not None]
+    g = Digraph(len(parent), parent.index(None), sorted(edges + extra))
+    assert build_initial_tree(g).parent == parent
+    return g
+
+
+def hubs_tree(sizes: list[int], below: dict[int, int]) -> list[int | None]:
+    """Sink 0 with one hub per entry of sizes, hub i + 1 holding sizes[i]
+    new children; then below[v] new children under each vertex v, in
+    ascending v.  Ids follow the breadth-first order."""
+    parent: list[int | None] = [None] + [0] * len(sizes)
+    for hub, size in enumerate(sizes, start=1):
+        parent += [hub] * size
+    for v in sorted(below):
+        parent += [v] * below[v]
+    return parent
+
+
+def swapped(parent: list[int | None], *pairs: tuple[int, int]) -> list[int | None]:
+    """parent with the ids of each (disjoint) pair exchanged."""
+    perm = list(range(len(parent)))
+    for a, b in pairs:
+        perm[a], perm[b] = b, a
+    out: list[int | None] = [None] * len(parent)
+    for v, p in enumerate(parent):
+        out[perm[v]] = None if p is None else perm[p]
+    return out
+
+
+def entering_from_above() -> Digraph:
+    """k = 6.  Candidate 10 (degree 7, under hub 1) reroutes along 10, 29,
+    36, drops to 6 and enters N_6.  Its child 6 joins the scan list ahead
+    of 10, the round's first fit, and is the next round's: its chord
+    reaches the leaf 11."""
+    parent = swapped(hubs_tree([6, 6, 6, 6], {5: 7, 23: 1}), (5, 10), (6, 30))
+    return graph_on_tree(parent, [(10, 29), (29, 36), (6, 11)])
+
+
+def dropping_to_low() -> Digraph:
+    """k = 5.  Candidate 10 (degree 4) reroutes along 10, 25, 29 and drops
+    to 3; that gives the earlier leaf 5, which failed the first hop, its
+    path 5, 10."""
+    parent = hubs_tree([5, 5, 5, 5], {10: 4, 15: 1})
+    return graph_on_tree(parent, [(5, 10), (10, 25), (25, 29)])
+
+
+def candidate_losing_a_child() -> Digraph:
+    """k = 5.  Hub 4, itself a child of the degree-5 vertex 1, fails the
+    degree screen at degree 5; leaf 19 moves from under it to 9, and at
+    degree 4 it passes and moves along its chord to 10."""
+    parent = hubs_tree([5, 5, 5], {4: 5})
+    return graph_on_tree(parent, [(4, 10), (19, 9)])
+
+
+def subtree_shedding_mass() -> Digraph:
+    """k = 6.  Vertex 4 is the round's first candidate past the screens but
+    fails psi (13 > 8): its subtree holds hub 22, whose child 24 carries
+    two leaves.  24 moves along its chord to 23, which takes psi(4) down to
+    7, so the next round applies 4 along its chord to 10."""
+    parent = hubs_tree([6, 6, 6], {4: 1, 11: 1, 22: 6, 24: 2})
+    return graph_on_tree(parent, [(4, 10), (24, 23)])
+
+
+@pytest.mark.parametrize("profile", ["practical", "paper"])
+def test_kept_scan_matches_a_fresh_scan_where_the_class_repeats(profile, monkeypatch):
+    """Local search's scan list, kept and resumed across rounds of one
+    class, picks every round's candidate and path as a fresh ascending
+    scan does, on mid-size instances where k often holds from one round to
+    the next and on four graphs built so that each rule placing the resume
+    point decides a round.  No generated instance here, nor any
+    benchmark pool at seed 1, has a vertex entering N_k or dropping below
+    k-1 while k holds.  Under the paper profile these graphs are below the
+    stop threshold, so both sides run no round."""
+    instances = [gen_blocker(8, 6, s) for s in range(3)]
+    instances += [gen_blocker(12, 4, s) for s in range(3)]
+    instances += [gen_random(60, 120, s) for s in range(3)]
+    instances += [gen_blocker(25, 30, 1)]  # the cluster that sets blocked local p90
+    instances += [entering_from_above(), dropping_to_low(), candidate_losing_a_child()]
+    instances += [subtree_shedding_mass()]
+    tally = Counter()
+    for g in instances:
+        cfg = Config.for_graph(g, profile=profile)
+        assert solver_rounds(g, monkeypatch, cfg) == reference_rounds(g, tally, cfg)
+    if profile == "practical":
+        assert tally["same_k"] >= 50
+        assert tally["entered"] and tally["dropped"] and tally["candidate_degree"]
 
 
 @given(small_digraphs(), st.integers(3, 12))

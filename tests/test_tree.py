@@ -270,6 +270,13 @@ def _misfiled_child(t):
     return [3], [2]
 
 
+def old_subtrees(g: Digraph, parent: list[int | None], rerouted: list[int]) -> set[int]:
+    """The union of the rerouted vertices' subtrees in the tree parent
+    describes: validate_changed's region for an adjustment made on it."""
+    before = InTree(g, parent)
+    return set().union(*map(before.subtree, rerouted))
+
+
 @pytest.mark.parametrize(
     "inject, kind",
     [
@@ -287,7 +294,7 @@ def test_validate_changed_catches_injected_fault(inject, kind):
     t = InTree(g, [None, 0, 1, 2])
     assert t.validate() == []
     rerouted, old_parents = inject(t)
-    local = t.validate_changed(rerouted, old_parents)
+    local = t.validate_changed(rerouted, old_parents, old_subtrees(g, [None, 0, 1, 2], rerouted))
     assert any(v.startswith(kind) for v in local), local
     full = t.validate()
     assert any(v.startswith(kind) for v in full)
@@ -303,8 +310,51 @@ def test_validate_changed_names_a_child_listed_under_the_wrong_vertex():
         return [v for v in bad if " listed under " in v]
 
     expected = ["ChildrenMismatch: 3 listed under 2"]
-    assert listed(t.validate_changed(rerouted, old_parents)) == expected
+    region = old_subtrees(g, [None, 0, 1, 2], rerouted)
+    assert listed(t.validate_changed(rerouted, old_parents, region)) == expected
     assert listed(t.validate()) == expected
+
+
+def _valid_reroute(t):
+    t.cut_and_append(3, 1)
+    return [3], [2]
+
+
+@pytest.mark.parametrize("inject", [_valid_reroute, _cycle])
+def test_validate_changed_reports_a_rerouted_vertex_outside_its_region(inject):
+    """The walks stop where they leave the region, so a rerouted vertex it
+    does not hold is reported, not trusted, whether the adjustment was
+    valid or made a cycle; with the true region the verdict is validate()'s."""
+    g = Digraph(4, 0, [(1, 0), (2, 1), (3, 2), (2, 3), (3, 1)])
+    t = InTree(g, [None, 0, 1, 2])
+    rerouted, old_parents = inject(t)
+    region = old_subtrees(g, [None, 0, 1, 2], rerouted)
+    assert bool(t.validate_changed(rerouted, old_parents, region)) == bool(t.validate())
+    (v,) = rerouted
+    bad = t.validate_changed(rerouted, old_parents, region - {v})
+    assert f"RegionMismatch: rerouted vertex {v} outside the audit region" in bad
+
+
+def test_validate_changed_walk_stops_where_it_leaves_the_region():
+    """On a deep path, the walk from a rerouted vertex reads parents only
+    until it leaves the region: its length does not grow with the depth."""
+    n = 200
+    edges = [(v, v - 1) for v in range(1, n)] + [(n - 1, n - 3)]
+    g = Digraph(n, 0, edges)
+    t = InTree(g, [None] + list(range(n - 1)))
+    t.cut_and_append(n - 1, n - 3)
+    reads = []
+
+    class Counting(list):
+        def __getitem__(self, i):
+            reads.append(i)
+            return list.__getitem__(self, i)
+
+    t.parent = Counting(t.parent)
+    assert t.validate_changed([n - 1], [n - 2], {n - 1}) == []
+    assert len(reads) < 10, reads
+    t.parent = list(t.parent)
+    assert t.validate() == []
 
 
 def test_parent_violations_walk_stops_at_out_of_range_parent():
