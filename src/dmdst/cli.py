@@ -27,7 +27,7 @@ from .augmenting import run_augmenting_search
 from .certificate import verify_blocking
 from .config import Config, ConfigError
 from .generators import GeneratorError, gen_blocker, gen_complete, gen_instar, gen_path, gen_random
-from .graph import Digraph, GraphFormatError, load_graph, serialize_graph
+from .graph import Digraph, GraphFormatError, load_graph, save_graph, serialize_graph
 from .local_search import run_local_search
 from .oracle import EXACT_LIMIT, TooLarge, exact_min_degree
 from .report import ALGORITHMS, ReportFormatError, SolveReport
@@ -79,12 +79,10 @@ def _solve(g: Digraph, algo: str, cfg: Config, trace: bool) -> SolveReport:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     g = _generate(args.family, args.n, args.seed, args.extra_edges, args.k, args.fanout)
-    text = serialize_graph(g)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        save_graph(g, args.out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(serialize_graph(g))
     return 0
 
 

@@ -15,20 +15,16 @@ end of a list, so each producer that can make one screens for it first:
 the constructor and the line reader do; canonical text, digits only, has
 no sign.  A Digraph keeps the out-lists, their frozensets and the sink
 BFS parents; the reverse lists live only for that BFS and are dropped
-after it.  parse_graph reads text in the canonical form that
-serialize_graph writes in bulk (one json call for the whole body), also
-when comment lines, blank lines, trailing whitespace or CRLF line
-endings surround it, and any other text line by line; an invalid file
-raises the same error type on the same line either way.
+after it.  parse_graph has two readers: text in the canonical form that
+serialize_graph writes is read in bulk (one json call for the whole
+body), and any other text, annotated text with comment lines, blank
+lines, trailing whitespace or CRLF line endings included, line by line;
+an invalid file raises the same error type on the same line either way.
 """
 
 from __future__ import annotations
 
 import json
-import sys
-from bisect import bisect_right
-from itertools import repeat
-from operator import add
 from typing import Iterable, Iterator, Sequence
 
 MAGIC = "dmdst 1"
@@ -251,92 +247,17 @@ def parse_graph(text: str | bytes) -> Digraph:
     whitespace are tolerated.
 
     Text exactly in the canonical form serialize_graph writes is read in
-    bulk.  Otherwise the comment and blank lines are dropped and trailing
-    whitespace (CRLF's '\r' too) is stripped, keeping each remaining
-    line's original number; if what remains is canonical, it is read in
-    bulk as well, and anything else is read line by line.  Each way feeds
+    bulk; any other text, comments, blank lines, trailing whitespace and
+    CRLF line endings included, is read line by line.  Both readers feed
     the same builder, and an invalid file raises the same error on the
-    same line whichever way reads it.
+    same line whichever reads it.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    columns = _canonical_columns(text)
-    if columns is None:
-        numbers, content = _content_lines(text)
-        columns = _canonical_columns(content, numbers) or _line_columns(numbers, content)
-    n, sink, flat, edge_lines = columns
+    n, sink, flat, edge_lines = _canonical_columns(text) or _line_columns(text)
     g = Digraph.__new__(Digraph)
     g._build(n, sink, flat, edge_lines)
     return g
-
-
-def _content_lines(text: str) -> tuple[Sequence[int], str]:
-    """Every line of text that is neither blank nor a comment ('#' after
-    optional whitespace), trailing whitespace stripped and each ending in
-    a newline, with the number of each in text, counted from 1 as
-    str.splitlines splits it.
-
-    The lines are split, stripped and joined again at C speed; only the
-    lines to drop are then looked at one by one: in the join, a blank line
-    is an empty segment and a comment holds a '#', and str.find reaches
-    both.
-    """
-    joined = "\n".join(map(str.rstrip, text.splitlines())) + "\n"
-    dropped = [0] if joined[0] == "\n" else []
-    p = joined.find("\n\n")
-    while p >= 0:
-        dropped.append(p + 1)
-        p = joined.find("\n\n", p + 1)
-    p = joined.find("#")
-    while p >= 0:
-        start = joined.rfind("\n", 0, p) + 1
-        if not joined[start:p].strip():
-            dropped.append(start)
-        p = joined.find("#", joined.find("\n", p))
-    total = joined.count("\n")
-    if not dropped:
-        return range(1, total + 1), joined
-    dropped.sort()
-    # the line number of each dropped line, less the dropped lines before it
-    keys: list[int] = []
-    kept: list[str] = []
-    pos, line = 0, 1
-    for start in dropped:
-        line += joined.count("\n", pos, start)
-        keys.append(line - len(keys))
-        kept.append(joined[pos:start])
-        pos, line = joined.index("\n", start) + 1, line + 1
-    kept.append(joined[pos:])
-    return _LineNumbers(keys, range(1, total - len(keys) + 1)), "".join(kept)
-
-
-class _LineNumbers(Sequence[int]):
-    """The file line number of each content line c (counted from 1) in
-    positions, for text whose dropped lines give keys: dropped line j, on
-    line L_j, has j dropped lines and L_j - 1 - j content lines before it,
-    and its key is L_j - j.  Line c is line c + r of the file, r the count
-    of dropped lines before it: those with key <= c, one bisect.  A slice
-    is a view of positions.
-    """
-
-    __slots__ = ("_keys", "_positions")
-
-    def __init__(self, keys: list[int], positions: range) -> None:
-        self._keys = keys
-        self._positions = positions
-
-    def __len__(self) -> int:
-        return len(self._positions)
-
-    def __getitem__(self, i):
-        c = self._positions[i]
-        if isinstance(i, slice):
-            return _LineNumbers(self._keys, c)
-        return c + bisect_right(self._keys, c)
-
-    def __iter__(self) -> Iterator[int]:
-        positions = self._positions
-        return map(add, positions, map(bisect_right, repeat(self._keys), positions))
 
 
 def _read_header(header: str, lineno: int) -> tuple[int, int, int]:
@@ -358,20 +279,16 @@ def _read_header(header: str, lineno: int) -> tuple[int, int, int]:
 # (n, sink, flat, lines): edge i is flat[2i] -> flat[2i + 1], on line lines[i].
 _Columns = tuple[int, int, Sequence[int], Sequence[int]]
 
-# Line numbers of text read as it stands: line i is line i.
-_EVERY_LINE = range(1, sys.maxsize)
 
-
-def _canonical_columns(text: str, numbers: Sequence[int] = _EVERY_LINE) -> _Columns | None:
+def _canonical_columns(text: str) -> _Columns | None:
     """(n, sink, flat, lines) of text in serialize_graph's exact form,
     else None.
 
     The body must be m lines of two ASCII digit runs joined by one space,
     each ending in a newline; json then converts it in one call, and
     rejects leading zeros (those files take the line path), and its one
-    list [u0, v0, u1, v1, ...] goes to the builder as it is.  Line i of
-    text is line numbers[i - 1] of the file, so edge i is on line
-    numbers[i + 2].
+    list [u0, v0, u1, v1, ...] goes to the builder as it is.  Edge i is
+    on line i + 3.
     """
     magic, _, rest = text.partition("\n")
     header, newline, body = rest.partition("\n")
@@ -383,7 +300,7 @@ def _canonical_columns(text: str, numbers: Sequence[int] = _EVERY_LINE) -> _Colu
         and all(f.isascii() and f.isdigit() for f in fields)
     ):
         return None
-    n, m, sink = _read_header(header, numbers[1])
+    n, m, sink = _read_header(header, 2)
     if not body.isascii():
         return None
     skeleton = body.encode("ascii").translate(None, b"0123456789")
@@ -393,18 +310,23 @@ def _canonical_columns(text: str, numbers: Sequence[int] = _EVERY_LINE) -> _Colu
         nums = json.loads("[" + body.replace("\n", ",").replace(" ", ",")[:-1] + "]")
     except ValueError:
         return None
-    return n, sink, nums, numbers[2 : m + 2]
+    return n, sink, nums, range(3, m + 3)
 
 
-def _line_columns(numbers: Sequence[int], content: str) -> _Columns:
-    """(n, sink, flat, lines) of any file, read line by line from its
-    content lines and their numbers (_content_lines).
+def _line_columns(text: str) -> _Columns:
+    """(n, sink, flat, lines) of any file, read line by line.
 
-    int() reads a sign, so this is the one reader that can yield a
-    negative id, and one min over the ids screens for it (raising the
-    first edge fault in file order); ids of n and above are left to the
-    builder's fill."""
-    rows = list(zip(numbers, content.split("\n")[:-1]))
+    Lines are split where str.splitlines splits them and counted from 1;
+    each is stripped of trailing whitespace, and the blank ones and the
+    comments ('#' after optional whitespace) are skipped.  int() reads a
+    sign, so this is the one reader that can yield a negative id, and one
+    min over the ids screens for it (raising the first edge fault in file
+    order); ids of n and above are left to the builder's fill."""
+    rows = [
+        (lineno, line)
+        for lineno, line in enumerate(map(str.rstrip, text.splitlines()), 1)
+        if line and not line.lstrip().startswith("#")
+    ]
     if not rows or rows[0][1] != MAGIC:
         lineno = rows[0][0] if rows else 1
         raise MalformedHeader(f"expected magic line {MAGIC!r}", lineno)

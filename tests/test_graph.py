@@ -1,7 +1,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from dmdst import Digraph, gen_random, parse_graph, serialize_graph
+from dmdst import (
+    Digraph, gen_blocker, gen_complete, gen_instar, gen_path, gen_random,
+    parse_graph, serialize_graph,
+)
 from dmdst import graph as graph_module
 from dmdst.graph import (
     DuplicateEdge,
@@ -102,10 +105,9 @@ def test_parse_reports_offending_line_in_canonical_text(text, kind, line, messag
 
 def rewrite_as_lines(text: str, comment_every: int, inner_tabs: bool = True) -> tuple[str, dict[int, int]]:
     """The same file with comments, blank lines, trailing spaces and tabs,
-    CRLF and no final newline, all of which the bulk reader strips; with
-    inner_tabs, each edge line also gets a tab inside, which only the line
-    tokenizer reads.  Also returns the new line number of each original
-    line."""
+    CRLF and no final newline, which take it off the canonical form and
+    so to the line reader; with inner_tabs, each edge line also gets a tab
+    inside.  Also returns the new line number of each original line."""
     out: list[str] = ["# leading comment", ""]
     line_of: dict[int, int] = {}
     for i, line in enumerate(text.split("\n")[:-1], start=1):
@@ -204,17 +206,9 @@ def test_a_hash_after_an_edge_is_not_a_comment():
     assert info.value.line == 4
 
 
-def forbid_line_reader(monkeypatch) -> None:
-    def fail(*args):
-        raise AssertionError("text went to the line tokenizer")
-
-    monkeypatch.setattr(graph_module, "_line_columns", fail)
-
-
-def test_annotated_canonical_text_is_read_in_bulk(corpus_results, monkeypatch):
+def test_annotated_canonical_text_parses_as_canonical(corpus_results):
     """Comments, blank lines, trailing whitespace and CRLF around canonical
-    text leave the bulk reader in charge, and the graph the same."""
-    forbid_line_reader(monkeypatch)
+    text leave the graph the same."""
     results, _ = corpus_results
     for s in results:
         text = serialize_graph(s.g)
@@ -238,8 +232,7 @@ def test_annotated_canonical_text_is_read_in_bulk(corpus_results, monkeypatch):
         ("# c\ndmdst 1\n\n3 2 5\n1 0\n2 1\n", VertexOutOfRange, 4),
     ],
 )
-def test_fault_below_a_comment_reports_its_original_line(text, kind, line, monkeypatch):
-    forbid_line_reader(monkeypatch)
+def test_fault_below_a_comment_reports_its_original_line(text, kind, line):
     with pytest.raises(kind) as info:
         parse_graph(text)
     assert info.value.line == line
@@ -270,6 +263,33 @@ def test_roundtrip_generator_instance():
     again = parse_graph(text)
     assert again == g
     assert serialize_graph(again) == text
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: gen_random(1, 0, 0), id="random-n1"),
+        pytest.param(lambda: gen_path(1), id="path-n1"),
+        pytest.param(lambda: gen_instar(1), id="instar-n1"),
+        pytest.param(lambda: gen_complete(1), id="complete-n1"),
+        pytest.param(lambda: gen_random(50, 60, 42), id="random-n50"),
+        pytest.param(lambda: gen_random(1200, 3600, 7), id="random-n1200"),
+        pytest.param(lambda: gen_complete(40), id="complete-n40"),
+        pytest.param(lambda: gen_instar(120), id="instar-n120"),
+        pytest.param(lambda: gen_path(120), id="path-n120"),
+        pytest.param(lambda: gen_blocker(4, 3, 1), id="blocker-k4"),
+        pytest.param(lambda: gen_blocker(25, 30, 2), id="blocker-k25"),
+    ],
+)
+def test_generator_text_is_read_in_bulk(make):
+    """Every generator's text is in canonical form, which the bulk reader
+    takes, and it reads the same columns as the line reader: a generator
+    whose text missed the form would send every parse of it line by line."""
+    text = serialize_graph(make())
+    bulk = graph_module._canonical_columns(text)
+    assert bulk is not None
+    n, sink, flat, lines = bulk
+    assert (n, sink, list(flat), list(lines)) == graph_module._line_columns(text)
 
 
 @given(st.integers(0, 10 ** 6))
