@@ -12,7 +12,11 @@ total potential the adjustment can add back.  Each level is one scan
 check, admits it and collects the vertex set its exit search then uses.
 The exit search is local search's exit_set (dmdst.local_search), the one
 BFS out of a subtree that both solvers share; a path is built only for
-the endpoint and for the blockers on the chain back from it.
+the endpoint and for the blockers on the chain back from it.  A leaf
+candidate, most of them on a stalling round, takes neither: its subtree
+is itself, so the walk's verdict is k > 2 and c**0 within budget, and
+its exits are its out-list up to the first low one, each one hop away,
+exactly what exit_set returns for it.
 
 Levels must grow by a (1+epsilon) factor each round; when they stop
 growing, the accumulated levels, with the degree >= k+1 layer, are the
@@ -38,7 +42,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from typing import Sequence
 
 from .config import Config
@@ -133,19 +137,31 @@ def extend_layer(
     whether it joins U_i as a start: clean (no vertex of degree >= k-2, so
     segment interiors are low-degree) and cheap (potential within the
     level's integer budget).  The walk stops at the first vertex that
-    breaks either rule; terms are positive, so a partial sum over the
-    budget means the full one is over it too.  Admitted starts are thus
+    breaks either rule (_clean_subtree).  Admitted starts are thus
     unrelated: each hangs under a vertex of degree >= k-1, which no walk
-    admits.  A start's exits are explored once it is admitted: the first
-    exit of degree <= k-2 ends the search.  Otherwise exits of degree
-    exactly k-1 never seen before join V_i, remembering which start
-    discovered them and the trail to them (first discoverer wins); only
-    the endpoint gets its path (exit_path) here.
+    admits.  A start's exits are explored once it is admitted
+    (exit_set): the first exit of degree <= k-2 ends the search.
+    Otherwise exits of degree exactly k-1 never seen before join V_i,
+    remembering which start discovered them and the trail to them (first
+    discoverer wins); only the endpoint gets its path (exit_path) here.
+
+    A leaf u skips the walk and exit_set, with their exact outcome: its
+    subtree is {u}, clean iff 0 < k-2 and within budget iff powers[0] is,
+    and its exits are g.out_edges[u] in order up to and including the
+    first of degree <= k-2, each reached by the one-hop trail (u, None):
+    the graph has no self-loop, so no out-neighbour is inside {u}, and no
+    repeated edge, so none is met twice.  Its exits are filed by the same
+    loop as any start's.
     """
     k = st.k
+    low = k - 2
     budget = level_budget(cfg, k, st.budgets, i)
     powers = st.powers
+    # the leaf rule's admission: the walk's verdict on a subtree {u}
+    leaf_admitted = low > 0 and powers[0] <= budget
     children = t.children
+    out_edges = g.out_edges
+    seen, pred, level0 = st.seen, st.pred, st.levels_V[0]
     admitted: set[int] = set()
     st.levels_U.append(admitted)
     v_new: set[int] = set()
@@ -154,37 +170,60 @@ def extend_layer(
     else:
         scan = sorted(chain.from_iterable(map(children.__getitem__, st.levels_V[i - 1])))
     for u in scan:
-        if len(children[u]) >= k - 2:
+        kids = children[u]
+        if not kids:
+            if not leaf_admitted:
+                continue
+            # exit_set's exits, read off the out-list: the filing loop
+            # stops at the first low one
+            exits = zip(out_edges[u], repeat((u, None)))
+        elif len(kids) >= low:
             continue  # the walk's first step would reject u
-        inside: set[int] = set()
-        total = 0
-        stack = [u]
-        while stack:
-            v = stack.pop()
-            kids = children[v]
-            if len(kids) >= k - 2:
-                break
-            total += powers[len(kids)]
-            if total > budget:
-                break
-            inside.add(v)
-            stack.extend(kids)
         else:
-            admitted.add(u)
-            for x, trail in exit_set(t, g, u, k, inside).items():
-                d = t.deg(x)
-                if d <= k - 2:
-                    return FoundEndpoint(i, u, x, exit_path(trail, x))
-                if d == k - 1 and x not in st.seen:
-                    st.seen.add(x)
-                    v_new.add(x)
-                    st.pred[x] = (u, trail)
-                elif d == k:
-                    # Degree-k exits are level 0 by definition; higher ones
-                    # sit in S_{k+1}.  Both land on the certificate's
-                    # blocking side.
-                    assert x in st.levels_V[0]
+            inside = _clean_subtree(children, powers, u, k, budget)
+            if inside is None:
+                continue
+            exits = exit_set(t, g, u, k, inside).items()
+        admitted.add(u)
+        for x, trail in exits:
+            d = len(children[x])
+            if d <= low:
+                return FoundEndpoint(i, u, x, exit_path(trail, x))
+            if d == k - 1 and x not in seen:
+                seen.add(x)
+                v_new.add(x)
+                pred[x] = (u, trail)
+            elif d == k:
+                # Degree-k exits are level 0 by definition; higher ones
+                # sit in S_{k+1}.  Both land on the certificate's
+                # blocking side.
+                assert x in level0
     return v_new
+
+
+def _clean_subtree(
+    children: list[list[int]], powers: Sequence[int], u: int, k: int, budget: int
+) -> set[int] | None:
+    """subtree(u)'s vertex set when no vertex in it has degree >= k-2 and
+    its potential, the sum of powers[deg(v)], is within budget; else None.
+
+    The walk stops at the first vertex that breaks either rule: terms are
+    positive, so a partial sum over the budget means the full one is over
+    it too."""
+    inside: set[int] = set()
+    total = 0
+    stack = [u]
+    while stack:
+        v = stack.pop()
+        kids = children[v]
+        if len(kids) >= k - 2:
+            return None
+        total += powers[len(kids)]
+        if total > budget:
+            return None
+        inside.add(v)
+        stack.extend(kids)
+    return inside
 
 
 def reconstruct_path(st: LayeredState, endpoint: FoundEndpoint, t: InTree) -> AugmentingPath:

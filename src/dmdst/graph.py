@@ -20,6 +20,9 @@ serialize_graph writes is read in bulk (one json call for the whole
 body), and any other text, annotated text with comment lines, blank
 lines, trailing whitespace or CRLF line endings included, line by line;
 an invalid file raises the same error type on the same line either way.
+Both read the header through one check, which also rejects a header
+promising fewer than n - 1 edges: those cannot reach the sink from every
+vertex, and rejecting them there costs nothing n-sized.
 """
 
 from __future__ import annotations
@@ -261,7 +264,8 @@ def parse_graph(text: str | bytes) -> Digraph:
 
 
 def _read_header(header: str, lineno: int) -> tuple[int, int, int]:
-    """n, m and sink from the '<n> <m> <sink>' line, checked."""
+    """n, m and sink from the '<n> <m> <sink>' line, checked: n >= 1, the
+    sink in range and m >= n - 1."""
     parts = header.split()
     if len(parts) != 3:
         raise MalformedHeader(f"expected '<n> <m> <sink>', got {header!r}", lineno)
@@ -273,6 +277,14 @@ def _read_header(header: str, lineno: int) -> tuple[int, int, int]:
         raise MalformedHeader(f"vertex count must be >= 1, got {n}", lineno)
     if not 0 <= sink < n:
         raise VertexOutOfRange(f"sink {sink} out of range for n={n}", lineno)
+    # Every vertex but the sink needs an out-edge to reach it.  Checked
+    # here, before anything n long is built, so a header with a huge n and
+    # few edges fails at once and names no stranded vertices.
+    if m < n - 1:
+        raise MalformedHeader(
+            f"{n} vertices need at least {n - 1} edges to reach the sink, header promises {m}",
+            lineno,
+        )
     return n, m, sink
 
 

@@ -26,7 +26,10 @@ its subtree computes its gate value (psi) and collects the vertex set
 that its path search (find_improvement_path) then reuses.
 That search reads its path off exit_set, the one BFS out of a subtree to
 its first low exit, which lives here and which the layered search
-(dmdst.augmenting) calls for each level segment.  A class below 2 stalls
+(dmdst.augmenting) calls for each level segment.  A leaf candidate makes
+neither call: its subtree is itself, its psi 2**0 = 1, and exit_set from
+it stops at its first out-neighbour of degree <= k-2, the one the
+first-hop test found, so its path is that one hop.  A class below 2 stalls
 at once, since no path vertex can have degree <= k-2 there, and so does
 class 2, whose gate 1/2 no subtree passes: each holds a leaf, worth
 2**0 = 1.
@@ -185,6 +188,11 @@ def exit_set(t: InTree, g: Digraph, u: int, k: int, inside: set[int]) -> dict[in
     one of that degree.  Without such an exit the map holds every first
     exit the BFS reaches.  On a clean subtree (no vertex of degree >= k-2,
     as the layered search admits) every interior vertex passes the filter.
+    For a leaf u (inside = {u}) the map is g.out_edges[u] in order, up to
+    and including its first vertex of degree <= k-2, each mapped to
+    (u, None): the graph has no self-loop and no repeated edge.  Both
+    solvers read a leaf's exits off its out-list by that rule and call
+    this only for subtrees of two or more vertices.
     """
     children = t.children
     low = k - 2
@@ -352,13 +360,21 @@ def run_local_search(
                 continue
             if first < 0:
                 first = j
-            inside: set[int] = set()
-            psi_u = psi(t, u, k, gate, inside)
-            if psi_u > gate:
-                continue
-            path = find_improvement_path(t, g, u, k, inside)
-            if path is None:
-                continue
+            if d:
+                inside: set[int] = set()
+                psi_u = psi(t, u, k, gate, inside)
+                if psi_u > gate:
+                    continue
+                path = find_improvement_path(t, g, u, k, inside)
+                if path is None:
+                    continue
+            else:
+                # A leaf's subtree is {u}: psi is 2**0 = 1, the degree
+                # screen's bound that just passed the gate, and exit_set's
+                # BFS from u stops at its first low out-neighbour, the first
+                # hop y just found.
+                psi_u = 1
+                path = ImprovementPath(k, (u, y))
             delta = apply_improvement_path(t, path, powers)
             applications += 1
             # Accounting: the degree-k parent loses 2**(k-1) of potential,

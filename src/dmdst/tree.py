@@ -13,6 +13,7 @@ report's, with no InTree built.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Iterable, Iterator, Sequence
 
 from .graph import Digraph
@@ -52,15 +53,23 @@ class InTree:
             raise TreeError(f"parent array length {len(parent)} != n={g.n}")
         self.g = g
         self.parent: list[int | None] = list(parent)
-        self.children: list[list[int]] = [[] for _ in range(g.n)]
-        for v in range(g.n):
-            p = self.parent[v]
+        children: list[list[int]] = [[] for _ in range(g.n)]
+        self.children = children
+        for v, p in enumerate(self.parent):
             if p is not None:
-                self.children[p].append(v)
-        self._members: dict[int, set[int]] = {}
-        for v in range(g.n):
-            self._members.setdefault(len(self.children[v]), set()).add(v)
-        self.max_deg = max(self._members)
+                children[p].append(v)
+        # The leaves are the vertices no one names as parent: class 0 is
+        # one set difference, and only the parents are filed one by one.
+        parents = set(self.parent)
+        parents.discard(None)
+        leaves = set(range(g.n)).difference(parents)
+        members: defaultdict[int, set[int]] = defaultdict(set)
+        if leaves:
+            members[0] = leaves
+        for p in parents:
+            members[len(children[p])].add(p)
+        self._members: dict[int, set[int]] = dict(members)
+        self.max_deg = max(members)
 
     # -- degree bookkeeping ------------------------------------------------
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 from dmdst import (
     Config,
@@ -45,6 +45,17 @@ def random_corpus_specs() -> list[tuple[int, int, int]]:
         extra = min((seed * 7) % 13, n * (n - 1) - (n - 1))
         specs.append((n, extra, seed))
     return specs
+
+
+@st.composite
+def small_digraphs(draw) -> Digraph:
+    """A digraph on 3..9 vertices whose sink 0 every vertex reaches: each
+    v >= 1 has an edge to some smaller vertex, plus any extra edges."""
+    n = draw(st.integers(3, 9))
+    edges = {(v, draw(st.integers(0, v - 1))) for v in range(1, n)}
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges |= {(u, v) for u, v in draw(st.sets(pairs, max_size=3 * n)) if u != v}
+    return Digraph(n, 0, sorted(edges))
 
 
 def random_corpus() -> list[Digraph]:

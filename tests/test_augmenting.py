@@ -1,4 +1,6 @@
+import copy
 import math
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -37,6 +39,7 @@ from conftest import (
     degree_snapshot,
     random_corpus_specs,
     report_without_timing,
+    small_digraphs,
 )
 
 
@@ -257,6 +260,146 @@ def test_kept_level1_list_matches_fresh_sort(monkeypatch):
         run_augmenting_search(g)
     assert tally["rebuilds"] == tally["k_changes"]
     assert tally["scans"] > tally["rebuilds"], tally  # some lists were carried over
+
+
+def leaf_rule_exits(t, g, u: int, k: int) -> list[tuple[int, tuple]]:
+    """The leaf rule's exits of leaf u, in order: u's out-list up to and
+    including its first vertex of degree <= k-2, each one hop from u."""
+    exits = []
+    for y in g.out_edges[u]:
+        exits.append((y, (u, None)))
+        if t.deg(y) <= k - 2:
+            break
+    return exits
+
+
+def general_layer(t, g, st_, i, cfg) -> FoundEndpoint | set[int]:
+    """extend_layer with no leaf rule: every candidate, leaf or not, is
+    admitted by subtree enumeration (clean and within the level budget)
+    and explores exit_set over its whole subtree; the exits are filed as
+    extend_layer files them."""
+    k = st_.k
+    budget = dmdst.augmenting.level_budget(cfg, k, st_.budgets, i)
+    admitted = set()
+    st_.levels_U.append(admitted)
+    v_new = set()
+    if i == 1:
+        scan = st_.level1
+    else:
+        scan = sorted(c for v in st_.levels_V[i - 1] for c in t.children[v])
+    for u in scan:
+        sub = t.subtree(u)
+        if any(t.deg(w) >= k - 2 for w in sub):
+            continue
+        if sum(st_.powers[t.deg(w)] for w in sub) > budget:
+            continue
+        admitted.add(u)
+        for x, trail in exit_set(t, g, u, k, sub).items():
+            if t.deg(x) <= k - 2:
+                return FoundEndpoint(i, u, x, exit_path(trail, x))
+            if t.deg(x) == k - 1 and x not in st_.seen:
+                st_.seen.add(x)
+                v_new.add(x)
+                st_.pred[x] = (u, trail)
+    return v_new
+
+
+def check_leaf_rule(monkeypatch) -> Counter:
+    """Wrap extend_layer so that each level scan first checks, on the tree
+    it scans, that every leaf candidate gets from the leaf rule what the
+    general path gives it: the walk's admission (k - 2 > 0 and c**0
+    within the level budget), and, when admitted, exit_set(t, g, u, k, {u})
+    key by key and trail by trail.  The scan's outcome (its return value,
+    levels, discovery links and seen set) must then equal general_layer's
+    on a copy of the state.  Returns a tally of the leaves checked."""
+    scan = dmdst.augmenting.extend_layer
+    tally = Counter()
+
+    def checked(t, g, st_, i, cfg):
+        k = st_.k
+        budget = dmdst.augmenting.level_budget(cfg, k, st_.budgets, i)
+        if i == 1:
+            candidates = st_.level1
+        else:
+            candidates = sorted(c for v in st_.levels_V[i - 1] for c in t.children[v])
+        for u in candidates:
+            if t.children[u]:
+                continue
+            walked = dmdst.augmenting._clean_subtree(t.children, st_.powers, u, k, budget)
+            admits = k - 2 > 0 and st_.powers[0] <= budget
+            assert (walked is not None) == admits, (u, k, budget)
+            tally["leaves"] += 1
+            if admits:
+                exits = list(exit_set(t, g, u, k, {u}).items())
+                assert exits == leaf_rule_exits(t, g, u, k), u
+                tally["admitted"] += 1
+                tally["past_first"] += len(exits) > 1
+        reference = copy.deepcopy(st_)
+        result = scan(t, g, st_, i, cfg)
+        assert result == general_layer(t, g, reference, i, cfg)
+        assert (st_.levels_U, st_.pred, st_.seen) == (
+            reference.levels_U, reference.pred, reference.seen
+        )
+        return result
+
+    monkeypatch.setattr(dmdst.augmenting, "extend_layer", checked)
+    return tally
+
+
+def test_leaf_rule_matches_the_general_path_on_the_corpus(corpus_results, monkeypatch):
+    """At every level of every round on the corpus, blocker instances and
+    mid-size random graphs, each leaf start's admission and exits are the
+    walk's and exit_set's, the level's outcome is the general path's, and
+    the reports are as before.  Some admitted leaves have exits past their
+    first out-neighbour."""
+    tally = check_leaf_rule(monkeypatch)
+    results, _ = corpus_results
+    for s in results:
+        report = run_augmenting_search(s.g, Config.for_graph(s.g), trace=True)
+        assert report_without_timing(report) == report_without_timing(s.augment), s.name
+    for g in [gen_blocker(6, 10, s) for s in range(3)] + [gen_random(60, 120, s) for s in range(3)]:
+        run_augmenting_search(g)
+    assert tally["admitted"] and tally["past_first"], tally
+    assert tally["leaves"] > tally["admitted"], tally
+
+
+@given(small_digraphs())
+def test_leaf_rule_matches_the_general_path_on_small_digraphs(g):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        check_leaf_rule(monkeypatch)
+        run_augmenting_search(g)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_leaf_is_rejected_at_class_two_and_below(k):
+    """On the two-segment fixture at k = 2, leaf 6 under the degree-2
+    vertex 5 has the exit 8 of degree 0 <= k-2, and at k = 1 leaf 8 under
+    the degree-1 vertex 7 exits to it; still no leaf is a start there,
+    since a start's own degree must be below k-2 <= 0, and the level
+    admits nothing.  The level budget is set so high that only that rule
+    decides: at the default epsilon the budget at k <= 2 is 0, which
+    rejects every leaf anyway."""
+    g = two_segment_fixture()
+    t, cfg, st_ = layered_fixture_state(g, k)
+    assert potential_budget(cfg, 1, k) == 0
+    st_.budgets[:] = [10 ** 6]
+    assert [u for u in st_.level1 if not t.children[u]] == {1: [8], 2: [6, 9]}[k]
+    assert dmdst.augmenting._clean_subtree(t.children, st_.powers, 8, k, 10 ** 6) is None
+    assert extend_layer(t, g, st_, 1, cfg) == set()
+    assert st_.levels_U == [set()]
+
+
+def test_leaf_is_rejected_under_a_zero_budget():
+    """With the level-1 budget set to 0, the leaves 2 and 4 that the
+    fixture admits at k = 3 (each worth c**0 = 1) are over it."""
+    g = two_segment_fixture()
+    t = build_initial_tree(g)
+    cfg = Config.for_graph(g)
+    for row, admitted in (([], {2, 4}), ([0], set())):
+        st_ = level1_state(t, cfg, 3, t.members(3))
+        st_.budgets[:] = row
+        assert extend_layer(t, g, st_, 1, cfg) == ({5} if admitted else set())
+        assert st_.levels_U == [admitted]
 
 
 def test_validation_rejects_tampered_path():

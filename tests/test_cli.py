@@ -1,6 +1,7 @@
 import json
 import shlex
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -79,11 +80,31 @@ def test_solve_local_improves_chorded_instar(tmp_path, capsys):
 
 
 def test_solve_rejects_malformed_file(tmp_path, capsys):
+    # two edges for three vertices: one edge fewer would fail the header
+    # check on line 2 before the self-loop on line 3 is read
     bad = tmp_path / "bad.g"
-    bad.write_text("dmdst 1\n3 1 0\n1 1\n")
+    bad.write_text("dmdst 1\n3 2 0\n1 1\n2 0\n")
     code, _, err = run_cli(capsys, "solve", str(bad))
     assert code == 2
     assert "self-loop" in err
+
+
+def test_header_with_too_few_edges_exits_fast(tmp_path, capsys):
+    """A header-only file for a million vertices is bad input, rejected
+    from its header alone: exit 2 at once, with one short line and no
+    list of stranded vertices."""
+    bad = tmp_path / "huge.g"
+    bad.write_text("dmdst 1\n1000000 0 0\n")
+    for argv in (["solve", str(bad)], ["verify", str(bad), str(tmp_path / "none.json")]):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
+        assert len(err.encode()) < 1024
+        assert err == (
+            "error: line 2: 1000000 vertices need at least 999999 edges"
+            " to reach the sink, header promises 0\n"
+        )
 
 
 def test_solve_then_verify_roundtrip(tmp_path, capsys):

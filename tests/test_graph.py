@@ -34,9 +34,23 @@ def test_parse_rejects_self_loop():
 
 
 def test_parse_rejects_unreachable_vertex():
+    # n - 1 edges, so the header check passes and the sink BFS strands 2
     with pytest.raises(SinkUnreachable) as info:
-        parse_graph("dmdst 1\n3 1 0\n1 0\n")
+        parse_graph("dmdst 1\n3 2 0\n1 0\n0 1\n")
     assert info.value.vertices == (2,)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("dmdst 1\n3 1 0\n1 0\n", 2),
+    ("dmdst 1\n1000000 0 0\n", 2),
+    ("# c\ndmdst 1\n\n4 2 0  \n1 0\n2 0\n", 4),
+])
+def test_parse_rejects_header_with_fewer_than_n_minus_one_edges(text, line):
+    """Fewer than n - 1 edges strand a vertex whatever they are: both
+    readers reject the header before reading an edge."""
+    with pytest.raises(MalformedHeader, match="edges to reach the sink, header promises") as info:
+        parse_graph(text)
+    assert info.value.line == line
 
 
 def test_parse_rejects_duplicate_edge():
@@ -359,7 +373,8 @@ FAULTED_EDGES = [
     ([(1, 0), (9, 0), (1, 1)], VertexOutOfRange),
     ([(1, 0), (2, 0), (1, 0), (2, 2), (-1, 0)], DuplicateEdge),
     ([(2, 1), (-1, 0), (1, 0), (1, 0)], VertexOutOfRange),
-    ([(9, 9)], VertexOutOfRange),
+    # a second edge makes n - 1, so the readers get past the header
+    ([(9, 9), (1, 0)], VertexOutOfRange),
     ([(1, 0), (2, 1), (2, 2), (1, 0)], SelfLoop),
     # wrapped around, -1 would be vertex 2 and the graph valid
     ([(1, 0), (-1, 1)], VertexOutOfRange),
@@ -559,24 +574,38 @@ def test_producers_raise_the_first_fault_of_an_edge_by_edge_check(case):
     order raises, with its type, message and line, or all build the same
     graph.  Ids of n and above reach the readers' fill loop, which is the
     range check; negative ids reach only the constructor's screen and the
-    line reader's."""
+    line reader's.  With fewer than n - 1 edges both readers stop at the
+    header line before any edge; the constructor, whose edges come from
+    code, goes on to them."""
     n, sink, edges = case
     expected = expected_outcome(n, sink, edges)
     text = f"dmdst 1\n{n} {len(edges)} {sink}\n" + "".join(f"{u} {v}\n" for u, v in edges)
     lined, line_of = rewrite_as_lines(text, 2)
+    short = len(edges) < n - 1
     producers = [
         (lambda: Digraph(n, sink, edges), None),
-        (lambda: parse_graph(lined), {line_of[i + 3]: i for i in range(len(edges))}),
+        (lambda: parse_graph(lined),
+         {line_of[2]: "header", **{line_of[i + 3]: i for i in range(len(edges))}}),
     ]
     if all(u >= 0 and v >= 0 for u, v in edges):
-        assert graph_module._canonical_columns(text) is not None
-        producers.append((lambda: parse_graph(text), {i + 3: i for i in range(len(edges))}))
-    else:
+        if not short:
+            assert graph_module._canonical_columns(text) is not None
+        producers.append(
+            (lambda: parse_graph(text), {2: "header", **{i + 3: i for i in range(len(edges))}})
+        )
+    elif not short:
         assert graph_module._canonical_columns(text) is None
     graphs = []
     for build, line_of_edge in producers:
         # the constructor's edges come from code and have no line
         want = expected if line_of_edge is not None else (*expected[:2], None)
+        if short and line_of_edge is not None:
+            want = (
+                MalformedHeader,
+                f"{n} vertices need at least {n - 1} edges to reach the sink,"
+                f" header promises {len(edges)}",
+                "header",
+            )
         assert produced_outcome(build, line_of_edge) == want
         if expected[0] == "ok":
             graphs.append(build())

@@ -31,6 +31,7 @@ from conftest import (
     corpus_instances,
     degree_snapshot,
     report_without_timing,
+    small_digraphs,
 )
 
 
@@ -340,9 +341,13 @@ def candidate_without_exit() -> Digraph:
 def test_path_search_reuses_the_gated_subtree(corpus_results, monkeypatch):
     """The vertex set psi collected is exactly subtree(u) whenever the
     path search runs, and reusing it leaves every corpus report as is;
-    a search that finds no exit is checked too."""
+    a search that finds no exit is checked too.  Leaf candidates take
+    the leaf rule and no path search: of the corpus's 285 applied paths,
+    275 start at a leaf and 10 come from the search."""
     search = dmdst.local_search.find_improvement_path
+    apply = dmdst.local_search.apply_improvement_path
     found = []
+    leaf_starts = []
 
     def checked(t, g, u, d, inside):
         assert inside == t.subtree(u), u
@@ -350,12 +355,18 @@ def test_path_search_reuses_the_gated_subtree(corpus_results, monkeypatch):
         found.append(path is not None)
         return path
 
+    def applied(t, p, powers):
+        leaf_starts.append(not t.children[p.vertices[0]])
+        return apply(t, p, powers)
+
     monkeypatch.setattr(dmdst.local_search, "find_improvement_path", checked)
+    monkeypatch.setattr(dmdst.local_search, "apply_improvement_path", applied)
     results, _ = corpus_results
     for s in results:
         report = run_local_search(s.g, Config.for_graph(s.g), trace=True)
         assert report_without_timing(report) == report_without_timing(s.local), s.name
-    assert found.count(True) == sum(s.local.iterations for s in results)
+    assert len(leaf_starts) == sum(s.local.iterations for s in results) == 285
+    assert (leaf_starts.count(True), found.count(True)) == (275, 10)
     del found[:]
     g = candidate_without_exit()
     t = build_initial_tree(g)
@@ -481,17 +492,6 @@ def test_psi_runs_only_past_the_degree_screen(corpus_results, monkeypatch):
     assert walks
 
 
-@st.composite
-def small_digraphs(draw) -> Digraph:
-    """A digraph on 3..9 vertices whose sink 0 every vertex reaches: each
-    v >= 1 has an edge to some smaller vertex, plus any extra edges."""
-    n = draw(st.integers(3, 9))
-    edges = {(v, draw(st.integers(0, v - 1))) for v in range(1, n)}
-    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-    edges |= {(u, v) for u, v in draw(st.sets(pairs, max_size=3 * n)) if u != v}
-    return Digraph(n, 0, sorted(edges))
-
-
 @given(small_digraphs())
 def test_first_hop_skip_is_exact_on_small_digraphs(g):
     with pytest.MonkeyPatch.context() as monkeypatch:
@@ -599,16 +599,65 @@ def test_degree_screen_bound_is_below_psi(g, k):
 
 
 def test_first_hop_skips_blocked_candidates_before_psi(monkeypatch):
-    """On a blocker instance every round walks one subtree and runs one
-    path search, the one that applies; without the first-hop test it made
-    1,012 psi calls and 982 path searches that found nothing."""
+    """On a blocker instance no round walks a subtree or runs a path
+    search: every candidate the first-hop test lets through is a leaf,
+    which the leaf rule applies along its first hop.  Without the
+    first-hop test the scan made 1,012 psi calls and 982 path searches
+    that found nothing; with it and before the leaf rule, 28 of each, one
+    per applied path."""
     calls = count_candidate_work(monkeypatch)
     report = run_local_search(gen_blocker(30, 60, 1009))
-    psi_calls = [r for name, r in calls if name == "psi"]
-    searches = [r for name, r in calls if name == "find_improvement_path"]
-    assert len(psi_calls) == report.iterations == 28
-    assert len(searches) == 28 and None not in searches
+    assert calls == []
+    assert report.iterations == 28
     assert (report.delta_initial, report.delta_final) == (30, 30)
+
+
+def check_leaf_rule(monkeypatch) -> Counter:
+    """Wrap choose_k so that each round first checks, on its tree and at
+    its class k >= 3, every leaf child u of N_k with an out-neighbour of
+    degree <= k-2, the first such being y: the general path gives it
+    psi(u) = 1 and the improvement path (u, y), the leaf rule's.  Returns
+    a tally of the leaves checked."""
+    choose = dmdst.local_search.choose_k
+    tally = Counter()
+
+    def checked(t, ranks):
+        k = choose(t, ranks)
+        gate = 2 ** k // 8
+        for u in sorted(c for p in t.members(k) for c in t.children[p]) if k >= 3 else ():
+            low = [y for y in t.g.out_edges[u] if t.deg(y) <= k - 2]
+            if t.children[u] or not low:
+                continue
+            assert psi(t, u, k, gate, set()) == 1 <= gate, u
+            path = find_improvement_path(t, t.g, u, k, {u})
+            assert path is not None and path.vertices == (u, low[0]), u
+            tally["leaves"] += 1
+            tally["past_first"] += low[0] != t.g.out_edges[u][0]
+        return k
+
+    monkeypatch.setattr(dmdst.local_search, "choose_k", checked)
+    return tally
+
+
+def test_leaf_rule_matches_the_general_path_on_the_corpus(corpus_results, monkeypatch):
+    """Every round on the corpus and on blocker and mid-size random
+    instances: each leaf the rule can apply has psi 1 and the general
+    path search's path, and the reports are as before."""
+    tally = check_leaf_rule(monkeypatch)
+    results, _ = corpus_results
+    for s in results:
+        report = run_local_search(s.g, Config.for_graph(s.g), trace=True)
+        assert report_without_timing(report) == report_without_timing(s.local), s.name
+    for g in [gen_blocker(8, 6, s) for s in range(3)] + [gen_random(60, 120, s) for s in range(3)]:
+        run_local_search(g)
+    assert tally["leaves"] and tally["past_first"], tally
+
+
+@given(small_digraphs())
+def test_leaf_rule_matches_the_general_path_on_small_digraphs(g):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        check_leaf_rule(monkeypatch)
+        run_local_search(g)
 
 
 def test_run_improves_star_with_ham_path():
