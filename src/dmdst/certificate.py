@@ -55,28 +55,36 @@ class BlockingCertificate:
     @classmethod
     def from_dict(cls, d: dict) -> "BlockingCertificate":
         """Raises TypeError on a side that is not a list of int vertices,
-        on a k that is not an int (bools included), or on a verified flag
-        that is not a bool."""
-        k = d["k"]
-        if type(k) is not int:
-            raise TypeError(f"certificate k {k!r} is not an int")
+        on a k, bound_num or bound_den that is not an int (bools
+        included), or on a verified flag that is not a bool.  Raises
+        ValueError on a side that lists a vertex twice, or on a declared
+        bound other than |U|/|B| in lowest terms.  An empty B declares no
+        bound that could be checked: verify_blocking rejects it."""
+        for key in ("k", "bound_num", "bound_den"):
+            if type(d[key]) is not int:
+                raise TypeError(f"certificate {key} {d[key]!r} is not an int")
         verified = d.get("verified", False)
         if type(verified) is not bool:
             raise TypeError(f"certificate verified flag {verified!r} is not a bool")
-        return cls(
-            U=_vertex_set(d["U"]),
-            B=_vertex_set(d["B"]),
-            k=k,
-            verified=verified,
-        )
+        cert = cls(U=_vertex_set(d["U"]), B=_vertex_set(d["B"]), k=d["k"], verified=verified)
+        num, den = d["bound_num"], d["bound_den"]
+        if cert.B:
+            b = cert.bound
+            if (num, den) != (b.numerator, b.denominator):
+                raise ValueError(f"certificate bound {num}/{den} is not |U|/|B| = {b}")
+        return cert
 
 
 def _vertex_set(side: list) -> frozenset[int]:
-    """A certificate side's vertices, which must be ints (not bools)."""
+    """A certificate side's vertices, which must be distinct ints (not
+    bools)."""
     bad = next((v for v in side if type(v) is not int), None)
     if bad is not None:
         raise TypeError(f"certificate vertex {bad!r} is not an int")
-    return frozenset(side)
+    vertices = frozenset(side)
+    if len(vertices) != len(side):
+        raise ValueError("certificate side lists a vertex twice")
+    return vertices
 
 
 # verify_blocking's owner marks besides a witness, which marks what it

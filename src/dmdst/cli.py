@@ -5,13 +5,15 @@ error.  Bad input is what reading and checking the inputs raises, and
 only that (BAD_INPUT): a file that cannot be read or is not UTF-8, a
 graph file that breaks the format or its invariants (GraphFormatError), a
 report that is not JSON or not a well-formed report (ReportFormatError:
-say a parent entry or certificate k that is not an int, or an algorithm
-other than local, augment or exact), an epsilon outside (0, 1/4)
-(ConfigError), a generator parameter outside its range (GeneratorError)
-and an instance over the exact oracle's limit (TooLarge).  Any other
-exception, a ValueError raised inside a solve or a check included, such
-as a failed assertion, a broken tree or a certificate that does not
-verify, is a bug, never a recoverable state: exit 3.
+say a parent entry, lower-bound part or certificate k that is not an int,
+a certificate side that lists a vertex twice, a certificate whose
+declared bound is not |U|/|B|, or an algorithm other than local, augment
+or exact), an epsilon outside (0, 1/4) (ConfigError), a generator
+parameter outside its range (GeneratorError) and an instance over the
+exact oracle's limit (TooLarge).  Any other exception, a ValueError
+raised inside a solve or a check included, such as a failed assertion, a
+broken tree or a certificate that does not verify, is a bug, never a
+recoverable state: exit 3.
 """
 
 from __future__ import annotations

@@ -1,14 +1,17 @@
-"""Solve reports: the stable JSON surface shared by all solvers."""
+"""Solve reports: the stable JSON surface shared by all solvers.
+
+A report is one line of compact JSON with sorted keys, as the standard
+library's C encoder writes it.  Reading is json.loads, which takes the
+indented layout of older reports alike.
+"""
 
 from __future__ import annotations
 
 import json
-import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterator
 
 from .certificate import BlockingCertificate
@@ -41,73 +44,6 @@ def _any_int_length() -> Iterator[None]:
         yield
     finally:
         set_limit(saved)
-
-
-def _float_text(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-def _encode(value: object, out: list[str], nl: str) -> None:
-    """Append value's text as json.dumps(value, sort_keys=True, indent=2)
-    writes it, for a value whose own line opens with nl (a newline and
-    that line's indent).  Dict keys must be strs, as every report's are:
-    quoting any other key raises TypeError.
-
-    The standard library runs that dump in its pure-Python encoder, since
-    the C one has no indent.  Here a list of plain ints, a parent array
-    or a certificate side, is one join; bools, whose type is not int,
-    take the general path and are written as true/false.
-    """
-    if isinstance(value, str):
-        out.append(_quote(value))
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, float):
-        out.append(_float_text(value))
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        inner = nl + "  "
-        if set(map(type, value)) == {int}:
-            out.append("[" + inner + ("," + inner).join(map(str, value)) + nl + "]")
-            return
-        sep = "[" + inner
-        for item in value:
-            out.append(sep)
-            _encode(item, out, inner)
-            sep = "," + inner
-        out.append(nl + "]")
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = nl + "  "
-        sep = "{" + inner
-        for key in sorted(value):
-            item = value[key]
-            # plain ints, the bulk of trace rows, skip the recursion
-            if type(item) is int:
-                out.append(sep + _quote(key) + ": " + str(item))
-            else:
-                out.append(sep + _quote(key) + ": ")
-                _encode(item, out, inner)
-            sep = "," + inner
-        out.append(nl + "}")
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _int_field(d: dict, key: str) -> int:
@@ -179,20 +115,19 @@ class SolveReport:
         return out
 
     def to_json(self) -> str:
-        """The report as json.dumps(self.to_dict(), sort_keys=True,
-        indent=2) + "\n" would write it, byte for byte."""
-        out: list[str] = []
+        """The report as one line: compact JSON with sorted keys, which the
+        standard library's C encoder writes, and a newline."""
         with _any_int_length():
-            _encode(self.to_dict(), out, "\n")
-        out.append("\n")
-        return "".join(out)
+            return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
 
     @classmethod
     def from_dict(cls, d: dict) -> "SolveReport":
         """Raises ReportFormatError on a missing key or a wrongly shaped
         value: the algorithm must be one of ALGORITHMS, since verification
         rules differ by algorithm; n, m, delta_initial, delta_final,
-        iterations and every parent entry must be ints, and bools are not."""
+        iterations, lower_bound's num and den and every parent entry must
+        be ints, and bools are not; a certificate must pass
+        BlockingCertificate.from_dict."""
         if not isinstance(d, dict):
             raise ReportFormatError(f"report must be a JSON object, not {type(d).__name__}")
         try:
@@ -208,7 +143,9 @@ class SolveReport:
                 m=_int_field(d, "m"),
                 delta_initial=_int_field(d, "delta_initial"),
                 delta_final=_int_field(d, "delta_final"),
-                lower_bound=None if lb is None else Fraction(lb["num"], lb["den"]),
+                lower_bound=None
+                if lb is None
+                else Fraction(_int_field(lb, "num"), _int_field(lb, "den")),
                 certificate=None if cert is None else BlockingCertificate.from_dict(cert),
                 iterations=_int_field(d, "iterations"),
                 potential_trace=d.get("potential_trace"),
@@ -221,7 +158,9 @@ class SolveReport:
             )
         except KeyError as exc:
             raise ReportFormatError(f"malformed report: missing key {exc}") from exc
-        except (TypeError, ZeroDivisionError) as exc:
+        except ReportFormatError:
+            raise
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise ReportFormatError(f"malformed report: {exc}") from exc
 
     @classmethod

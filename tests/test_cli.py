@@ -108,15 +108,20 @@ def test_header_with_too_few_edges_exits_fast(tmp_path, capsys):
 
 
 def test_solve_then_verify_roundtrip(tmp_path, capsys):
+    """Each report verifies as written, one line, and re-indented in the
+    layout that earlier versions wrote."""
     path = write_instance(tmp_path, "g", instar_with_chords(8))
     for algo in ("local", "augment", "exact"):
         code, stdout, _ = run_cli(capsys, "solve", path, "--algo", algo)
         assert code == 0
-        report_file = tmp_path / f"r-{algo}.json"
-        report_file.write_text(stdout)
-        code, out, err = run_cli(capsys, "verify", path, str(report_file))
-        assert code == 0, err
-        assert out.strip() == "ok"
+        assert stdout.count("\n") == 1 and stdout.endswith("\n")
+        indented = json.dumps(json.loads(stdout), sort_keys=True, indent=2) + "\n"
+        for layout, text in (("compact", stdout), ("indented", indented)):
+            report_file = tmp_path / f"r-{algo}-{layout}.json"
+            report_file.write_text(text)
+            code, out, err = run_cli(capsys, "verify", path, str(report_file))
+            assert code == 0, err
+            assert out.strip() == "ok"
 
 
 def test_solve_then_verify_one_vertex_graph(tmp_path, capsys):
@@ -149,7 +154,7 @@ def test_verify_flags_shrunken_witness_set(tmp_path, capsys):
     _, stdout, _ = run_cli(capsys, "solve", path, "--algo", "local")
     data = json.loads(stdout)
     assert data["certificate"] is not None
-    data["certificate"]["U"] = data["certificate"]["U"][:-1]
+    data["certificate"].update(U=data["certificate"]["U"][:-1], bound_num=3)  # |U|/|B| = 3
     report_file = tmp_path / "bad.json"
     report_file.write_text(json.dumps(data))
     code, _, err = run_cli(capsys, "verify", path, str(report_file))
@@ -307,6 +312,21 @@ def _parent_entry(value):
     return corrupt
 
 
+def _certificate_fields(fields):
+    """The report with its certificate's fields replaced, or dropped where
+    given as None."""
+
+    def corrupt(data):
+        for key, value in fields.items():
+            if value is None:
+                del data["certificate"][key]
+            else:
+                data["certificate"][key] = value
+        return data
+
+    return corrupt
+
+
 def _certificate_k(value):
     def corrupt(data):
         data["certificate"]["k"] = value
@@ -331,6 +351,18 @@ INT_FIELDS = ["n", "m", "delta_initial", "delta_final", "iterations"]
 NON_INT_FIELDS = [
     (key, kind) for key in INT_FIELDS for kind in ("str", "float", "bool")
 ] + [("iterations", "x")]
+# Certificates whose own fields disagree, from one whose U is [1, 2, 3, 4],
+# B is [0] and bound is 4/1: a declared bound that is not |U|/|B| (or not
+# an int, or missing), and a side that lists a vertex twice.
+FORGED_CERTIFICATES = [
+    ("bound_num-99", {"bound_num": 99}),
+    ("bound_den-0", {"bound_den": 0}),
+    ("bound_num-str", {"bound_num": "4"}),
+    ("bound-missing", {"bound_num": None, "bound_den": None}),
+    ("U-shrunk-stale-bound", {"U": [1, 2, 3]}),
+    ("U-repeated", {"U": [1, 2, 3, 4, 1]}),
+    ("B-repeated", {"B": [0, 0]}),
+]
 
 
 def _certificate_verified(value):
@@ -370,7 +402,9 @@ def _int_field(key, kind):
     + [_certificate_k(v) for v in NON_INT_KS]
     + [_certificate_verified(v) for v in NON_BOOL_VERIFIED]
     + [_unknown_algorithm(v) for v in UNKNOWN_ALGORITHMS]
-    + [_int_field(key, kind) for key, kind in NON_INT_FIELDS],
+    + [_int_field(key, kind) for key, kind in NON_INT_FIELDS]
+    + [_certificate_fields(fields) for _, fields in FORGED_CERTIFICATES]
+    + [lambda data: {**data, "lower_bound": {"num": True, "den": True}}],
     ids=["missing-parent", "zero-denominator", "certificate-without-k", "top-level-list"]
     + [f"certificate-{side}-{v!r}" for side, v in NON_INT_VERTICES]
     + [f"certificate-U-extra-{v!r}" for v in EQUAL_NON_INT_VERTICES]
@@ -378,7 +412,9 @@ def _int_field(key, kind):
     + [f"certificate-k-{v!r}" for v in NON_INT_KS]
     + [f"certificate-verified-{v!r}" for v in NON_BOOL_VERIFIED]
     + [f"algorithm-{v!r}" for v in UNKNOWN_ALGORITHMS]
-    + [f"{key}-{kind}" for key, kind in NON_INT_FIELDS],
+    + [f"{key}-{kind}" for key, kind in NON_INT_FIELDS]
+    + [f"certificate-{name}" for name, _ in FORGED_CERTIFICATES]
+    + ["lower-bound-bools"],
 )
 def test_verify_rejects_malformed_report_as_bad_input(tmp_path, capsys, corrupt):
     path = write_instance(tmp_path, "g", Digraph(5, 0, [(v, 0) for v in range(1, 5)]))
