@@ -40,7 +40,7 @@ from .local_search import (
     psi,
     run_local_search,
 )
-from .oracle import enumerate_spanning_intrees, exact_min_degree
+from .oracle import exact_min_degree
 from .report import SolveReport
 from .search import power_table, rank_table
 from .tree import InTree, build_initial_tree, tree_from_parents
@@ -64,7 +64,6 @@ __all__ = [
     "apply_improvement_path",
     "build_initial_tree",
     "choose_k",
-    "enumerate_spanning_intrees",
     "exact_min_degree",
     "extract_certificate",
     "find_improvement_path",

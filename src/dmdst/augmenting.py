@@ -451,5 +451,5 @@ def run_augmenting_search(
 
     return search(
         g, cfg, "augment", attempt, build=build_initial_tree, choose_k=choose_k,
-        base=Fraction(c, 2), threshold=cfg.stop_threshold_aug, trace=trace,
+        base=Fraction(c, 2), stop_power=cfg.stop_power_aug, trace=trace,
     )

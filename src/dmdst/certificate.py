@@ -11,13 +11,20 @@ and extract_certificate reads only the graph and B, no tree and no solver
 state, so it cannot inherit a solver bug.  Its U is the vertices outside B
 whose out-edges all enter B.  verify_blocking then checks the two
 properties directly on the graph before any certificate is emitted: it is
-the artifact's trust anchor.
+the artifact's trust anchor.  It reads only a graph's n, sink and
+out_edges, so any object with those three checks alike.
+
+Both begin with one pass at C speed.  Extraction tests every out-set
+against B.  Verification screens: it accepts at once when every
+witness's out-list lies inside B, since each reach set in G - B is then
+the witness alone, and walks the graph only when that screen fails.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 from .graph import Digraph
 
@@ -78,8 +85,8 @@ class BlockingCertificate:
 def _vertex_set(side: list) -> frozenset[int]:
     """A certificate side's vertices, which must be distinct ints (not
     bools)."""
-    bad = next((v for v in side if type(v) is not int), None)
-    if bad is not None:
+    if not set(map(type, side)) <= {int}:  # screened at C speed
+        bad = next(v for v in side if type(v) is not int)
         raise TypeError(f"certificate vertex {bad!r} is not an int")
     vertices = frozenset(side)
     if len(vertices) != len(side):
@@ -97,22 +104,28 @@ def verify_blocking(g: Digraph, cert: BlockingCertificate) -> bool:
 
     In the vertex-deleted graph G - B the sink must be unreachable from
     every u in U, and the reachability sets of distinct U vertices must be
-    pairwise disjoint.  One walk checks both: an owner array, with B
-    pre-filled as never entered, records the witness that reached each
-    vertex.  Witnesses go in increasing order; each fails if an earlier
-    one owns it, or if its search from it reaches the sink or a vertex
-    another witness owns.  Reads only g.n, g.sink and g.out_edges.
+    pairwise disjoint.  When every witness's out-list lies inside B, each
+    reach set is the witness alone, so both hold: that screen runs at C
+    speed and settles the common case.  Otherwise one walk checks both:
+    an owner array, with B pre-filled as never entered, records the
+    witness that reached each vertex.  Witnesses go in increasing order;
+    each fails if an earlier one owns it, or if its search from it
+    reaches the sink or a vertex another witness owns.  Reads only g.n,
+    g.sink and g.out_edges.
     """
     U, B = cert.U, cert.B
     if not U or not B or (U & B) or g.sink in U:
         return False
-    if any(not 0 <= v < g.n for v in U | B):
+    everything = U | B
+    if min(everything) < 0 or max(everything) >= g.n:
         return False
+    out_edges = g.out_edges
+    if all(map(B.issuperset, map(out_edges.__getitem__, U))):
+        return True
     owner = [_FREE] * g.n
     owner[g.sink] = _SINK
     for b in B:  # a sink in B is never entered, like any B vertex
         owner[b] = _BLOCKED
-    out_edges = g.out_edges
     for u in sorted(U):
         if owner[u] != _FREE:
             return False
@@ -135,7 +148,7 @@ def _verify_or_die(g: Digraph, cert: BlockingCertificate) -> BlockingCertificate
             f"stall certificate failed verification: "
             f"k={cert.k} U={sorted(cert.U)} B={sorted(cert.B)}"
         )
-    return replace(cert, verified=True)
+    return BlockingCertificate(cert.U, cert.B, cert.k, verified=True)
 
 
 def extract_certificate(g: Digraph, B: set[int] | frozenset[int], k: int) -> BlockingCertificate:
@@ -143,15 +156,14 @@ def extract_certificate(g: Digraph, B: set[int] | frozenset[int], k: int) -> Blo
     stall's blocking set B.
 
     U is every vertex outside B, other than the sink, whose out-edges all
-    enter B.  In G - B each such vertex reaches only itself, so the reach
+    enter B: one pass tests every out-set against B, then B and the sink
+    are removed.  In G - B each such vertex reaches only itself, so the reach
     sets are disjoint singletons and none holds the sink.  B then shrinks
     to the vertices that U enters, which keeps that true and can only
     raise the bound.  Raises EmptyWitness when no vertex qualifies.
     """
-    out_sets, sink = g.out_sets, g.sink
-    U = frozenset(
-        v for v, out in enumerate(out_sets) if v != sink and v not in B and out <= B
-    )
+    out_sets = g.out_sets
+    U = frozenset(compress(range(g.n), map(B.issuperset, out_sets))) - B - {g.sink}
     if not U:
         raise EmptyWitness(f"no blocked witnesses at degree class {k}")
     entered = frozenset().union(*map(out_sets.__getitem__, U))

@@ -10,7 +10,7 @@ solver rule that uses it.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, asdict, dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from typing import ClassVar
 
@@ -31,6 +31,11 @@ class Config:
     profile "paper" keeps the loop thresholds that back the approximation
     guarantee; "practical" sets both stop thresholds to 0 so the solvers
     keep improving for as long as any gated adjustment exists.
+    The loops decide by the thresholds' exact int forms, since log2 is
+    monotone: Delta > 34*log2(n) iff 2**Delta > stop_power_local = n**34,
+    and Delta > 2*log2(n)/(log2(c) - 1) iff (c/2)**Delta > stop_power_aug
+    = n**2 (c >= 4).  In the practical profile both powers are 1, which
+    is Delta > 0.  The float thresholds are what a report's config shows.
     psi_factor is the local search's fixed gate, not a setting.
     """
 
@@ -42,6 +47,8 @@ class Config:
     base_c: int = field(init=False)
     stop_threshold_local: float = field(init=False)
     stop_threshold_aug: float = field(init=False)
+    stop_power_local: int = field(init=False)
+    stop_power_aug: int = field(init=False)
 
     def __post_init__(self, n: int) -> None:
         # range first: Fraction(inf) and Fraction(nan) raise, 1/0 divides by zero
@@ -58,6 +65,8 @@ class Config:
             "base_c": c,
             "stop_threshold_local": 34.0 * log_n if paper else 0.0,
             "stop_threshold_aug": 2.0 * log_n / (math.log2(c) - 1) if paper else 0.0,
+            "stop_power_local": n ** 34 if paper else 1,
+            "stop_power_aug": n ** 2 if paper else 1,
         }
         for name, value in derived.items():
             object.__setattr__(self, name, value)
@@ -67,5 +76,12 @@ class Config:
         return cls(g.n, **kwargs)
 
     def to_dict(self) -> dict:
-        """The five resolved values, epsilon as the caller's float."""
-        return {**asdict(self), "epsilon": float(self.epsilon)}
+        """A report's config: epsilon as the caller's float, the profile,
+        base_c and the two float stop thresholds."""
+        return {
+            "epsilon": float(self.epsilon),
+            "profile": self.profile,
+            "base_c": self.base_c,
+            "stop_threshold_local": self.stop_threshold_local,
+            "stop_threshold_aug": self.stop_threshold_aug,
+        }

@@ -411,5 +411,5 @@ def run_local_search(
 
     return search(
         g, cfg, "local", attempt, build=build_initial_tree, choose_k=choose_k,
-        base=2, threshold=cfg.stop_threshold_local, trace=trace,
+        base=2, stop_power=cfg.stop_power_local, trace=trace,
     )

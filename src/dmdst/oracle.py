@@ -8,15 +8,11 @@ every child count at most D.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from .graph import Digraph
 from .tree import InTree, tree_from_parents
 
-# Largest instances each entry point takes, and the most trees enumerated.
+# Largest instance exact_min_degree takes.
 EXACT_LIMIT = 12
-ENUMERATION_LIMIT = 9
-ENUMERATION_CAP = 10 ** 6
 
 
 class TooLarge(ValueError):
@@ -107,36 +103,3 @@ def exact_min_degree(g: Digraph) -> tuple[int, InTree]:
     assert not tree.validate()
     assert tree.max_deg == lo
     return lo, tree
-
-
-def enumerate_spanning_intrees(g: Digraph) -> Iterator[InTree]:
-    """Yield every spanning in-tree rooted at the sink; raise TooLarge
-    past ENUMERATION_CAP of them.
-
-    Depth-first product of parent choices in vertex order, pruning any
-    assignment that closes a cycle; the order is deterministic.
-    """
-    if g.n > ENUMERATION_LIMIT:
-        raise TooLarge(g.n, ENUMERATION_LIMIT)
-    n, sink = g.n, g.sink
-    vertices = [v for v in range(n) if v != sink]
-    parent = [-1] * n
-    produced = 0
-
-    def rec(idx: int) -> Iterator[InTree]:
-        nonlocal produced
-        if idx == len(vertices):
-            produced += 1
-            if produced > ENUMERATION_CAP:
-                raise TooLarge(produced, ENUMERATION_CAP)
-            yield tree_from_parents(g, parent)
-            return
-        v = vertices[idx]
-        for p in g.out_edges[v]:
-            if _creates_cycle(parent, v, p, sink):
-                continue
-            parent[v] = p
-            yield from rec(idx + 1)
-            parent[v] = -1
-
-    yield from rec(0)

@@ -165,6 +165,11 @@ class SolveReport:
 
     @classmethod
     def from_json(cls, text: str) -> "SolveReport":
+        """Raises ReportFormatError on JSON nested deeper than the decoder
+        recurses, as well as where from_dict does."""
         with _any_int_length():
-            data = json.loads(text)
+            try:
+                data = json.loads(text)
+            except RecursionError as exc:
+                raise ReportFormatError("malformed report: JSON nested too deeply") from exc
         return cls.from_dict(data)

@@ -54,14 +54,20 @@ def rank_table(base: int | Fraction, top: int) -> list[int]:
     return ranks
 
 
+def stop_bar(base: int | Fraction, stop_power: int, top: int) -> int:
+    """ranks[d] > stop_bar(base, stop_power, top) iff base**d > stop_power,
+    for ranks = rank_table(base, top): both sides times q**top."""
+    return stop_power * base.denominator ** top
+
+
 def search(
     g: Digraph, cfg: Config, algorithm: str, attempt: Callable[[InTree, int], dict | Stall],
     *, build: Callable[[Digraph], InTree], choose_k: Callable[[InTree, list[int]], int],
-    base: int | Fraction, threshold: float, trace: bool,
+    base: int | Fraction, stop_power: int, trace: bool,
 ) -> SolveReport:
-    """Build the start tree, then attempt(t, choose_k(t, ranks)) while Delta
-    exceeds threshold, until a Stall; ranks is the base's rank table up to
-    the start tree's Delta.
+    """Build the start tree, then attempt(t, choose_k(t, ranks)) while
+    base**Delta exceeds stop_power, until a Stall; ranks is the base's rank
+    table up to the start tree's Delta, which also decides that gate.
 
     The stall's certificate is extract_certificate(g, blocking, k), or none
     when it finds no witness.  The paper profile's guarantee is proved when
@@ -71,11 +77,12 @@ def search(
     t = build(g)
     delta_initial = t.max_deg
     ranks = rank_table(base, delta_initial)
+    bar = stop_bar(base, stop_power, delta_initial)
     rows: list[dict] | None = [] if trace else None
     applications = 0
     certificate: BlockingCertificate | None = None
     exit_reason = "threshold"
-    while t.max_deg > threshold:
+    while ranks[t.max_deg] > bar:
         k = choose_k(t, ranks)
         outcome = attempt(t, k)
         if not isinstance(outcome, Stall):

@@ -148,8 +148,14 @@ class InTree:
         return sum((base ** d) * len(s) for d, s in self._members.items())
 
     def parents_signed(self) -> list[int]:
-        """Parent array with -1 at the sink (the serialized form)."""
-        return [-1 if p is None else p for p in self.parent]
+        """Parent array with -1 in place of None, which a tree has only at
+        the sink (the serialized form)."""
+        parent = self.parent
+        if parent.count(None) != 1:
+            return [-1 if p is None else p for p in parent]
+        signed = parent.copy()  # one parentless vertex: copied at C speed
+        signed[signed.index(None)] = -1
+        return signed
 
     # -- validation ----------------------------------------------------------
 

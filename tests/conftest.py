@@ -13,6 +13,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 import pytest
 from hypothesis import settings, strategies as st
@@ -28,7 +29,9 @@ from dmdst import (
     gen_random,
     run_augmenting_search,
     run_local_search,
+    tree_from_parents,
 )
+from dmdst.oracle import TooLarge
 from dmdst.tree import InTree
 
 settings.register_profile("suite", deadline=None, max_examples=40)
@@ -219,6 +222,51 @@ def blocks_by_reach_sets(g: Digraph, U: frozenset[int], B: frozenset[int]) -> bo
     if any(g.sink in r for r in reach):
         return False
     return all(a.isdisjoint(b) for a, b in itertools.combinations(reach, 2))
+
+
+# Largest instance enumerate_spanning_intrees takes, and the most trees it
+# yields.
+ENUMERATION_LIMIT = 9
+ENUMERATION_CAP = 10 ** 6
+
+
+def enumerate_spanning_intrees(g: Digraph) -> Iterator[InTree]:
+    """Yield every spanning in-tree rooted at the sink; raise TooLarge
+    past ENUMERATION_CAP of them.
+
+    Depth-first product of parent choices in vertex order, pruning any
+    assignment that closes a cycle; the order is deterministic.
+    """
+    if g.n > ENUMERATION_LIMIT:
+        raise TooLarge(g.n, ENUMERATION_LIMIT)
+    n, sink = g.n, g.sink
+    vertices = [v for v in range(n) if v != sink]
+    parent = [-1] * n
+    produced = 0
+
+    def closes_cycle(v: int, p: int) -> bool:
+        """Would parent[v] = p close a cycle among the assigned vertices?"""
+        while p != v and p != sink and parent[p] >= 0:
+            p = parent[p]
+        return p == v
+
+    def rec(idx: int) -> Iterator[InTree]:
+        nonlocal produced
+        if idx == len(vertices):
+            produced += 1
+            if produced > ENUMERATION_CAP:
+                raise TooLarge(produced, ENUMERATION_CAP)
+            yield tree_from_parents(g, parent)
+            return
+        v = vertices[idx]
+        for p in g.out_edges[v]:
+            if closes_cycle(v, p):
+                continue
+            parent[v] = p
+            yield from rec(idx + 1)
+            parent[v] = -1
+
+    yield from rec(0)
 
 
 def fraction_det(mat: list[list[Fraction]]) -> Fraction:

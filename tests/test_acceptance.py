@@ -21,7 +21,6 @@ from dmdst import (
     build_initial_tree,
     choose_k,
     rank_table,
-    enumerate_spanning_intrees,
     gen_blocker,
     gen_instar,
     gen_path,
@@ -34,7 +33,7 @@ from dmdst import (
 )
 from dmdst.cli import main as cli_main
 from dmdst.generators import SplitMix64
-from conftest import degree_snapshot, random_corpus_specs
+from conftest import degree_snapshot, enumerate_spanning_intrees, random_corpus_specs
 
 
 def report_pass(number: int, text: str) -> None:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,7 +10,6 @@ from dmdst import (
     Digraph,
     build_initial_tree,
     choose_k,
-    enumerate_spanning_intrees,
     exact_min_degree,
     extract_certificate,
     gen_blocker,
@@ -23,7 +23,7 @@ from dmdst import (
     verify_blocking,
 )
 from dmdst.certificate import EmptyWitness
-from conftest import blocks_by_reach_sets
+from conftest import blocks_by_reach_sets, enumerate_spanning_intrees
 
 
 def local_stall_set(t, k):
@@ -230,6 +230,34 @@ def test_extracted_certificate_is_every_vertex_trapped_by_b(case, k):
     assert cert.k == k and cert.verified
     assert verify_blocking(g, cert) and blocks_by_reach_sets(g, cert.U, cert.B)
     assert cert.bound <= exact_min_degree(g)[0]
+
+
+def test_screen_and_walk_match_reach_sets():
+    """verify_blocking equals the reach-set definition for any (U, B) over
+    ids -1..n, and a stand-in graph that holds only n, sink and out_edges
+    gets the same verdicts.  Each example checks a U of vertices outside B
+    whose out-lists lie inside it, which the screen accepts, that U with
+    any id added, and any U at all; over the run both the screen and the
+    walk must decide some verdicts."""
+    decided_by = set()
+
+    @given(graph_and_blocking_set(), st.data())
+    def check(case, data):
+        g, B = case
+        ids = st.integers(-1, g.n)
+        B = frozenset(B | data.draw(st.sets(ids, max_size=1)))
+        trapped = [v for v in range(g.n) if v != g.sink and v not in B and g.out_sets[v] <= B]
+        U = frozenset(data.draw(st.sets(st.sampled_from(trapped)))) if trapped else frozenset()
+        bare = SimpleNamespace(n=g.n, sink=g.sink, out_edges=g.out_edges)
+        for U in (U, U | {data.draw(ids)}, frozenset(data.draw(st.sets(ids, max_size=4)))):
+            cert = BlockingCertificate(U, B, 0)
+            verdict = verify_blocking(g, cert)
+            assert verdict == blocks_by_reach_sets(g, U, B) == verify_blocking(bare, cert)
+            if U and B and not U & B and g.sink not in U and -1 < min(U | B) <= max(U | B) < g.n:
+                decided_by.add(all(g.out_sets[u] <= B for u in U))  # True: the screen
+
+    check()
+    assert decided_by == {True, False}
 
 
 def test_solvers_certify_their_stall_sets(corpus_results):

@@ -404,7 +404,9 @@ def _int_field(key, kind):
     + [_unknown_algorithm(v) for v in UNKNOWN_ALGORITHMS]
     + [_int_field(key, kind) for key, kind in NON_INT_FIELDS]
     + [_certificate_fields(fields) for _, fields in FORGED_CERTIFICATES]
-    + [lambda data: {**data, "lower_bound": {"num": True, "den": True}}],
+    + [lambda data: {**data, "lower_bound": {"num": True, "den": True}}]
+    + [lambda data: "[" * 200000 + "]" * 200000,
+       lambda data: '{"a":' * 5000 + "0" + "}" * 5000],
     ids=["missing-parent", "zero-denominator", "certificate-without-k", "top-level-list"]
     + [f"certificate-{side}-{v!r}" for side, v in NON_INT_VERTICES]
     + [f"certificate-U-extra-{v!r}" for v in EQUAL_NON_INT_VERTICES]
@@ -414,15 +416,16 @@ def _int_field(key, kind):
     + [f"algorithm-{v!r}" for v in UNKNOWN_ALGORITHMS]
     + [f"{key}-{kind}" for key, kind in NON_INT_FIELDS]
     + [f"certificate-{name}" for name, _ in FORGED_CERTIFICATES]
-    + ["lower-bound-bools"],
+    + ["lower-bound-bools", "nested-arrays", "nested-objects"],
 )
 def test_verify_rejects_malformed_report_as_bad_input(tmp_path, capsys, corrupt):
     path = write_instance(tmp_path, "g", Digraph(5, 0, [(v, 0) for v in range(1, 5)]))
     _, stdout, _ = run_cli(capsys, "solve", path, "--algo", "local")
     data = json.loads(stdout)
     assert data["lower_bound"] is not None and data["certificate"] is not None
+    bad = corrupt(data)  # a report object, or the text of one
     report_file = tmp_path / "bad.json"
-    report_file.write_text(json.dumps(corrupt(data)))
+    report_file.write_text(bad if isinstance(bad, str) else json.dumps(bad))
     code, out, err = run_cli(capsys, "verify", path, str(report_file))
     assert code == 2, err
     assert out == ""

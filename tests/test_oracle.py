@@ -3,7 +3,6 @@ from hypothesis import given, strategies as st
 
 from dmdst import (
     Digraph,
-    enumerate_spanning_intrees,
     exact_min_degree,
     gen_complete,
     gen_instar,
@@ -11,7 +10,7 @@ from dmdst import (
     gen_random,
 )
 from dmdst.oracle import TooLarge
-from conftest import count_intrees_by_determinant
+from conftest import count_intrees_by_determinant, enumerate_spanning_intrees
 
 
 def directed_cycle(n: int) -> Digraph:

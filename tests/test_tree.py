@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -15,9 +16,11 @@ from dmdst import (
     gen_path,
     gen_random,
     parse_graph,
+    rank_table,
     run_local_search,
     serialize_graph,
 )
+from dmdst.search import stop_bar
 from dmdst.tree import CutSink, InTree, NotAnEdge, parent_violations
 from conftest import (
     full_bfs_parents,
@@ -49,6 +52,25 @@ def test_initial_tree_matches_full_bfs():
         parsed = parse_graph(serialize_graph(g))
         expected = full_bfs_parents(g)
         assert build_initial_tree(g).parent == build_initial_tree(parsed).parent == expected
+
+
+def signed_by_comprehension(t):
+    """parents_signed by its first definition."""
+    return [-1 if p is None else p for p in t.parent]
+
+
+def test_parents_signed_matches_the_comprehension():
+    """Trees of every pool shape, a tree whose sink is not vertex 0, and
+    parent arrays that are not trees: a second None, no parent at all, and
+    the one None away from the sink."""
+    trees = [build_initial_tree(g) for g in pool_shape_samples()]
+    trees.append(build_initial_tree(Digraph(4, 2, [(0, 2), (1, 0), (3, 1), (3, 2)])))
+    g = path_with_chord()
+    trees += [InTree(g, parent) for parent in ([None, 0, None], [None] * 3, [1, None, 1])]
+    for t in trees:
+        signed = t.parents_signed()
+        assert signed == signed_by_comprehension(t)
+        assert signed is not t.parent
 
 
 def test_initial_tree_on_path():
@@ -197,7 +219,8 @@ def test_config_invariants():
     for epsilon in (0.3, 0.0, float("inf"), float("nan")):  # rejected before 1/epsilon is taken
         with pytest.raises(ValueError):
             Config(10, epsilon=epsilon)
-    for derived in ("base_c", "stop_threshold_local", "stop_threshold_aug"):
+    for derived in ("base_c", "stop_threshold_local", "stop_threshold_aug",
+                    "stop_power_local", "stop_power_aug"):
         with pytest.raises(TypeError):  # derived from n and epsilon, never passed
             Config(100, **{derived: 10})
     cfg = Config(100, profile="paper")
@@ -217,6 +240,57 @@ def test_config_invariants():
         "stop_threshold_local": 0.0, "stop_threshold_aug": 0.0,
     }
     assert type(practical.to_dict()["epsilon"]) is float
+    assert (cfg.stop_power_local, cfg.stop_power_aug) == (100 ** 34, 100 ** 2)
+    assert (practical.stop_power_local, practical.stop_power_aug) == (1, 1)
+
+
+def stop_gate(base, stop_power, top):
+    """The loop's stop gate as search decides it: Delta in 0..top -> does
+    the loop run."""
+    ranks = rank_table(base, top)
+    bar = stop_bar(base, stop_power, top)
+    return lambda d: ranks[d] > bar
+
+
+def test_stop_gates_decide_exactly():
+    """Over a sweep of n, at the Delta values on both sides of each paper
+    threshold, the int gate says what the exact comparisons 2**Delta >
+    n**34 and (c/2)**Delta > n**2 say, and what Delta > the float
+    threshold says (they agree this far), at c = 10 and at an odd c = 7.
+    The practical gate is Delta > 0."""
+    for n, epsilon in itertools.product([*range(1, 3000, 7), 4097, 65537, 10 ** 6 + 3],
+                                        (0.1, 0.15)):
+        cfg = Config(n, epsilon=epsilon, profile="paper")
+        c = cfg.base_c
+        assert c == (10 if epsilon == 0.1 else 7)
+        for threshold, base, power, exact in (
+            (cfg.stop_threshold_local, 2, cfg.stop_power_local,
+             lambda d: 2 ** d > n ** 34),
+            (cfg.stop_threshold_aug, Fraction(c, 2), cfg.stop_power_aug,
+             lambda d: Fraction(c, 2) ** d > Fraction(n) ** 2),
+        ):
+            near = range(max(0, math.floor(threshold) - 1), math.floor(threshold) + 3)
+            runs = stop_gate(base, power, near[-1] + 3)  # top above Delta, as in a solve
+            assert [runs(d) for d in near] == [exact(d) for d in near] == [
+                d > threshold for d in near], (n, threshold)
+        practical = Config(n, epsilon=epsilon)
+        for base, power in ((2, practical.stop_power_local),
+                            (Fraction(c, 2), practical.stop_power_aug)):
+            runs = stop_gate(base, power, 3)
+            assert [runs(d) for d in range(4)] == [False, True, True, True]
+
+
+def test_stop_gates_at_powers_of_two():
+    """At n = 2**j, log2(n) = j, so each threshold is exact: 34*j for local
+    search, and j for augmenting search at c = 8, where log2(c) - 1 = 2."""
+    for j in range(1, 33):
+        cfg = Config(2 ** j, epsilon=0.13, profile="paper")
+        assert cfg.base_c == 8
+        assert (cfg.stop_threshold_local, cfg.stop_threshold_aug) == (34 * j, j)
+        runs = stop_gate(2, cfg.stop_power_local, 34 * j + 1)
+        assert (runs(34 * j), runs(34 * j + 1)) == (False, True), j
+        runs = stop_gate(Fraction(8, 2), cfg.stop_power_aug, j + 1)
+        assert (runs(j), runs(j + 1)) == (False, True), j
 
 
 # What parent_violations reports; validate() adds ChildrenMismatch,
