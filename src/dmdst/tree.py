@@ -150,10 +150,8 @@ class InTree:
     def parents_signed(self) -> list[int]:
         """Parent array with -1 in place of None, which a tree has only at
         the sink (the serialized form)."""
-        parent = self.parent
-        if parent.count(None) != 1:
-            return [-1 if p is None else p for p in parent]
-        signed = parent.copy()  # one parentless vertex: copied at C speed
+        assert self.parent.count(None) == 1, "parents_signed needs a tree"
+        signed = self.parent.copy()
         signed[signed.index(None)] = -1
         return signed
 

@@ -354,6 +354,12 @@ NON_INT_FIELDS = [
 # Certificates whose own fields disagree, from one whose U is [1, 2, 3, 4],
 # B is [0] and bound is 4/1: a declared bound that is not |U|/|B| (or not
 # an int, or missing), and a side that lists a vertex twice.
+# Nested past any decoder's recursion limit, so json.loads itself fails.
+NESTED_REPORTS = {
+    "nested-arrays": "[" * 200000 + "]" * 200000,
+    "nested-objects": '{"a":' * 200000 + "0" + "}" * 200000,
+}
+
 FORGED_CERTIFICATES = [
     ("bound_num-99", {"bound_num": 99}),
     ("bound_den-0", {"bound_den": 0}),
@@ -405,8 +411,7 @@ def _int_field(key, kind):
     + [_int_field(key, kind) for key, kind in NON_INT_FIELDS]
     + [_certificate_fields(fields) for _, fields in FORGED_CERTIFICATES]
     + [lambda data: {**data, "lower_bound": {"num": True, "den": True}}]
-    + [lambda data: "[" * 200000 + "]" * 200000,
-       lambda data: '{"a":' * 5000 + "0" + "}" * 5000],
+    + [lambda data, text=text: text for text in NESTED_REPORTS.values()],
     ids=["missing-parent", "zero-denominator", "certificate-without-k", "top-level-list"]
     + [f"certificate-{side}-{v!r}" for side, v in NON_INT_VERTICES]
     + [f"certificate-U-extra-{v!r}" for v in EQUAL_NON_INT_VERTICES]
@@ -416,7 +421,8 @@ def _int_field(key, kind):
     + [f"algorithm-{v!r}" for v in UNKNOWN_ALGORITHMS]
     + [f"{key}-{kind}" for key, kind in NON_INT_FIELDS]
     + [f"certificate-{name}" for name, _ in FORGED_CERTIFICATES]
-    + ["lower-bound-bools", "nested-arrays", "nested-objects"],
+    + ["lower-bound-bools"]
+    + list(NESTED_REPORTS),
 )
 def test_verify_rejects_malformed_report_as_bad_input(tmp_path, capsys, corrupt):
     path = write_instance(tmp_path, "g", Digraph(5, 0, [(v, 0) for v in range(1, 5)]))
@@ -431,6 +437,16 @@ def test_verify_rejects_malformed_report_as_bad_input(tmp_path, capsys, corrupt)
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", NESTED_REPORTS.values(), ids=list(NESTED_REPORTS))
+def test_verify_names_a_too_deeply_nested_report(tmp_path, capsys, text):
+    path = write_instance(tmp_path, "g", Digraph(2, 0, [(1, 0)]))
+    report_file = tmp_path / "deep.json"
+    report_file.write_text(text)
+    code, out, err = run_cli(capsys, "verify", path, str(report_file))
+    assert (code, out) == (2, "")
+    assert err == "error: malformed report: JSON nested too deeply\n"
 
 
 def _without_certificate(data):
