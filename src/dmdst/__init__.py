@@ -32,17 +32,15 @@ from .graph import (
     serialize_graph,
 )
 from .local_search import (
-    AdjustDelta,
     ImprovementPath,
     apply_improvement_path,
-    choose_k,
     find_improvement_path,
     psi,
     run_local_search,
 )
 from .oracle import exact_min_degree
 from .report import SolveReport
-from .search import power_table, rank_table
+from .search import AdjustDelta, choose_k, power_table, rank_table
 from .tree import InTree, build_initial_tree, tree_from_parents
 
 __version__ = "0.1.0"

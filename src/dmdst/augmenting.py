@@ -10,13 +10,14 @@ potential fits under a geometrically shrinking budget, which caps the
 total potential the adjustment can add back.  Each level is one scan
 (extend_layer): one walk per candidate subtree, the scan's only cleanliness
 check, admits it and collects the vertex set its exit search then uses.
-The exit search is local search's exit_set (dmdst.local_search), the one
-BFS out of a subtree that both solvers share; a path is built only for
-the endpoint and for the blockers on the chain back from it.  A leaf
-candidate, most of them on a stalling round, takes neither: its subtree
-is itself, so the walk's verdict is k > 2 and c**0 within budget, and
-its exits are its out-list up to the first low one, each one hop away,
-exactly what exit_set returns for it.
+The exit search is the shared exit_set (dmdst.search), the one BFS out
+of a subtree to its first low exit; a path is built only for the
+endpoint and for the blockers on the chain back from it, and the
+adjustment is the shared audited rewrite (search.rewrite_and_audit).  A
+leaf candidate, most of them on a stalling round, takes neither: its
+subtree is itself, so the walk's verdict is k > 2 and c**0 within
+budget, and its exits are its out-list up to the first low one, each one
+hop away, exactly what exit_set returns for it.
 
 Levels must grow by a (1+epsilon) factor each round; when they stop
 growing, the accumulated levels, with the degree >= k+1 layer, are the
@@ -47,9 +48,9 @@ from typing import Sequence
 
 from .config import Config
 from .graph import Digraph
-from .local_search import AdjustDelta, StalePath, choose_k, exit_path, exit_set, rewrite_and_audit
 from .report import SolveReport
-from .search import Stall, power_table, search
+from .search import (AdjustDelta, StalePath, Stall, choose_k, exit_path, exit_set, power_table,
+                     rewrite_and_audit, search)
 from .tree import InTree, build_initial_tree
 
 
@@ -147,11 +148,8 @@ def extend_layer(
 
     A leaf u skips the walk and exit_set, with their exact outcome: its
     subtree is {u}, clean iff 0 < k-2 and within budget iff powers[0] is,
-    and its exits are g.out_edges[u] in order up to and including the
-    first of degree <= k-2, each reached by the one-hop trail (u, None):
-    the graph has no self-loop, so no out-neighbour is inside {u}, and no
-    repeated edge, so none is met twice.  Its exits are filed by the same
-    loop as any start's.
+    and its exits are its out-list, each by the trail (u, None), as
+    exit_set's leaf rule says; the same loop files them.
     """
     k = st.k
     low = k - 2
@@ -336,12 +334,8 @@ def apply_augmenting_path(
     The class contracts are read from the delta, not from histogram
     snapshots: each class's net change is the number of touched vertices
     that entered it minus the number that left it, by their (old, new)
-    degrees.  Degrees are len(children), and only touched vertices changed
-    children; the audit has checked that each touched vertex is filed
-    under its degree and that the histogram holds n vertices, so this is
-    the change degree_counts() would show.  Cost is O(touched + sum of
-    deg(touched) + live classes), plus the audit's parent walks inside
-    region.
+    degrees, which the audit makes the change degree_counts() would show.
+    Cost is rewrite_and_audit's.
     """
     k = p.k
     segs = p.segments
@@ -430,10 +424,10 @@ def run_augmenting_search(
                 floor = ((k - 2) * p - c * c * q) * len(st.levels_V[i - 1])
                 assert len(st.levels_U[-1]) * p >= floor
             st.levels_V.append(result)
-            grown = sum(len(s) for s in st.levels_V)
+            grown = len(st.seen)  # the levels are disjoint
             previous = grown - len(result)
             if grown * q < (p + q) * previous:  # grown < (1 + eps) * previous
-                blocking = set().union(*st.levels_V) | t.vertices_with_deg_at_least(k + 1)
+                blocking = st.seen | t.vertices_with_deg_at_least(k + 1)
                 return Stall(
                     blocking, {"k": k, "layers": i, "applied": False, "phi": t.potential(c)}
                 )

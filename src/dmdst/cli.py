@@ -50,7 +50,7 @@ BAD_INPUT = (
 def _generate(family: str, n: int, seed: int, extra_edges: int | None,
               k: int, fanout: int) -> Digraph:
     if family == "random":
-        extra = 2 * n if extra_edges is None else extra_edges
+        extra = min(2 * n, (n - 1) ** 2) if extra_edges is None else extra_edges
         return gen_random(n, extra, seed)
     if family == "path":
         return gen_path(n)

@@ -50,6 +50,8 @@ def gen_random(n: int, extra_edges: int, seed: int) -> Digraph:
     """
     if n < 1:
         raise GeneratorError(f"n must be >= 1, got {n}")
+    if extra_edges < 0:
+        raise GeneratorError(f"extra_edges must be >= 0, got {extra_edges}")
     capacity = n * (n - 1) - (n - 1)
     if extra_edges > capacity:
         raise TooManyEdges(

@@ -23,35 +23,31 @@ argmax class, the sorted list is kept, and the scan resumes where the
 last round's first screened-in candidate stood (run_local_search says
 when that point moves back).  For a candidate that passes, one walk of
 its subtree computes its gate value (psi) and collects the vertex set
-that its path search (find_improvement_path) then reuses.
-That search reads its path off exit_set, the one BFS out of a subtree to
-its first low exit, which lives here and which the layered search
-(dmdst.augmenting) calls for each level segment.  A leaf candidate makes
-neither call: its subtree is itself, its psi 2**0 = 1, and exit_set from
-it stops at its first out-neighbour of degree <= k-2, the one the
-first-hop test found, so its path is that one hop.  A class below 2 stalls
-at once, since no path vertex can have degree <= k-2 there, and so does
-class 2, whose gate 1/2 no subtree passes: each holds a leaf, worth
-2**0 = 1.
+that its path search (find_improvement_path) then reuses.  That search
+reads its path off the shared exit search (search.exit_set), and the
+adjustment is the shared audited rewrite (search.rewrite_and_audit);
+this module holds only local search's rules: the psi gate, the kept scan
+and the improvement path.  A leaf candidate makes neither call: its
+subtree is itself, its psi 2**0 = 1, and exit_set from it stops at its
+first out-neighbour of degree <= k-2, the one the first-hop test found,
+so its path is that one hop.  A class below 2 stalls at once, since no
+path vertex can have degree <= k-2 there, and so does class 2, whose
+gate 1/2 no subtree passes: each holds a leaf, worth 2**0 = 1.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass
 from itertools import chain, islice
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .config import Config
 from .graph import Digraph
 from .report import SolveReport
-from .search import Stall, power_table, search
+from .search import (AdjustDelta, StalePath, Stall, choose_k, exit_path, exit_set, power_table,
+                     rewrite_and_audit, search)
 from .tree import InTree, build_initial_tree
-
-
-class StalePath(Exception):
-    """A path failed revalidation against the current tree."""
 
 
 @dataclass(frozen=True)
@@ -61,93 +57,6 @@ class ImprovementPath:
 
     d: int
     vertices: tuple[int, ...]
-
-
-@dataclass(frozen=True, slots=True)
-class AdjustDelta:
-    """Per-vertex degree changes and potential drop of one adjustment."""
-
-    k: int
-    changed: dict[int, tuple[int, int]]
-    phi_before: int
-    phi_after: int
-
-    @property
-    def phi_drop(self) -> int:
-        return self.phi_before - self.phi_after
-
-    def gain(self, v: int) -> int:
-        """Children v gained in the adjustment (negative if it lost some)."""
-        old, new = self.changed.get(v, (0, 0))
-        return new - old
-
-
-def rewrite_and_audit(
-    t: InTree, k: int, segments: Sequence[Sequence[int]], powers: Sequence[int],
-    region: set[int],
-) -> AdjustDelta:
-    """Reroute every segment vertex but the last onto its successor,
-    segment by segment, and audit the tree where the rewrite wrote.
-
-    Only the segment vertices and the old parents of the rerouted ones
-    change degree, so the audit covers exactly those: the tree invariants
-    hold there (InTree.validate_changed), each touched vertex filed in the
-    histogram under its len(children).  region is the caller's fresh walk
-    of the start subtrees, which hold every rerouted vertex's subtree; the
-    audit's parent walks stop where they leave it.  The returned delta
-    records, from one dict of the touched vertices' degrees before the
-    rewrite, each (old, new) degree that changed, and the potential before
-    and after, read from the solver's power table: powers[d] is base**d
-    for every degree d the tree can reach.  The potential after is the one
-    before plus the changed vertices' terms: every other vertex kept its
-    children and its class, and the audit has just checked the touched
-    vertices' filing.  Each solver asserts its own contract on the delta.
-    Cost is O(touched + sum of deg(touched) + live classes), plus the
-    audit's parent walks inside region.
-    """
-    children = t.children
-    rerouted = [a for seg in segments for a in seg[:-1]]
-    old_parents = list(map(t.parent.__getitem__, rerouted))
-    before = {v: len(children[v]) for seg in segments for v in seg}
-    for v in old_parents:
-        before[v] = len(children[v])
-    phi_before = sum(powers[d] * size for d, size in t.class_sizes())
-    for seg in segments:
-        for a, b in zip(seg, seg[1:]):
-            t.cut_and_append(a, b)
-    bad = t.validate_changed(rerouted, old_parents, region)
-    assert not bad, f"tree invalid after adjustment: {bad[:3]}"
-    changed = {}
-    phi_after = phi_before
-    for v, old in before.items():
-        new = len(children[v])
-        if new != old:
-            changed[v] = (old, new)
-            phi_after += powers[new] - powers[old]
-    return AdjustDelta(k, changed, phi_before, phi_after)
-
-
-def argmax_degree_class(classes: Iterable[tuple[int, int]], ranks: Sequence[int]) -> int:
-    """argmax of base**d * size over (d, size) pairs; ties go to the larger d.
-
-    ranks is the base's rank table (search.rank_table), which holds base**d
-    times one common positive factor, so the int score ranks[d] * size
-    orders the pairs exactly as base**d * size does.
-    """
-    best = best_d = -1
-    for d, size in classes:
-        score = ranks[d] * size
-        if score > best or (score == best and d > best_d):
-            best, best_d = score, d
-    if best <= 0:
-        raise ValueError("empty degree histogram")
-    return best_d
-
-
-def choose_k(t: InTree, ranks: Sequence[int]) -> int:
-    """The argmax of base**d * |N_d| over the live classes of t's
-    histogram, by the base's rank table; ties go to the larger d."""
-    return argmax_degree_class(t.class_sizes(), ranks)
 
 
 def psi(t: InTree, u: int, k: int, limit: int, inside: set[int]) -> int:
@@ -173,54 +82,6 @@ def psi(t: InTree, u: int, k: int, limit: int, inside: set[int]) -> int:
             if total > limit:
                 return total
     return total
-
-
-def exit_set(t: InTree, g: Digraph, u: int, k: int, inside: set[int]) -> dict[int, tuple]:
-    """First vertices outside subtree(u) reachable from u, in discovery
-    order, each mapped to the trail (x, x's trail), down to (u, None), of
-    its in-subtree predecessor x on a min-hop path whose interior lies in
-    subtree(u) and, after u, has degree <= k-2; exit_path builds the path
-    from it.  inside is subtree(u)'s vertex set.
-
-    The one exit search of both solvers: a BFS over graph edges that enters
-    only subtree vertices of degree <= k-2 and returns as soon as an exit
-    of degree <= k-2 has been added: it is then the last key, and the only
-    one of that degree.  Without such an exit the map holds every first
-    exit the BFS reaches.  On a clean subtree (no vertex of degree >= k-2,
-    as the layered search admits) every interior vertex passes the filter.
-    For a leaf u (inside = {u}) the map is g.out_edges[u] in order, up to
-    and including its first vertex of degree <= k-2, each mapped to
-    (u, None): the graph has no self-loop and no repeated edge.  Both
-    solvers read a leaf's exits off its out-list by that rule and call
-    this only for subtrees of two or more vertices.
-    """
-    children = t.children
-    low = k - 2
-    entered = {u}
-    exits: dict[int, tuple] = {}
-    queue = deque([(u, None)])
-    while queue:
-        trail = queue.popleft()
-        for y in g.out_edges[trail[0]]:
-            if y in inside:
-                if y not in entered and len(children[y]) <= low:
-                    entered.add(y)
-                    queue.append((y, trail))
-            elif y not in exits:
-                exits[y] = trail
-                if len(children[y]) <= low:
-                    return exits
-    return exits
-
-
-def exit_path(trail: tuple, x: int) -> tuple[int, ...]:
-    """The path u .. x that exit_set found to exit x, from exits[x]."""
-    path = [x]
-    while trail is not None:
-        v, trail = trail
-        path.append(v)
-    path.reverse()
-    return tuple(path)
 
 
 def find_improvement_path(
@@ -300,19 +161,19 @@ def run_local_search(
 
     The scan list (the ascending children of N_k) is built when k changes
     and otherwise carried over, with the round's resume point.  While k
-    holds, an adjustment moves a vertex into N_k only from above (path
-    vertices end at degree <= k-1, every other vertex only loses children),
-    and a vertex that left N_k, or a rerouted child, never comes back under
-    a degree-k parent; so the children of each vertex entering N_k are
-    inserted, and an entry whose parent no longer has degree k is stale and
-    skipped.  The next scan resumes at the first entry this round let past
-    the stale, degree and first-hop screens: every entry before it fails
-    one of them, and only a degree change can turn such a failure into a
-    pass.  So the resume point moves back to any entry whose own degree
-    changed and to any inserted entry, and to the start when a vertex drops
-    from >= k-1 to <= k-2, which may give an earlier entry its first hop.
-    Each round thus scans what a fresh ascending scan would try, in the
-    same order.
+    holds, a vertex that left N_k, or a rerouted child, never comes back
+    under a degree-k parent, so an entry whose parent no longer has degree
+    k is stale and skipped.  The next scan resumes at the first entry this
+    round let past the stale, degree and first-hop screens: every entry
+    before it fails one of them, and only a degree change can turn such a
+    failure into a pass.  So the resume point moves back to any entry whose
+    own degree changed.  Two changes drop the kept list instead, and the
+    next round sorts it afresh: a vertex entering N_k (from above, since
+    path vertices end at degree <= k-1), whose children the list lacks,
+    and a vertex dropping from >= k-1 to <= k-2, which may give an earlier
+    entry its first hop.  Neither happens on the benchmark's seed-1 or
+    seed-2 pools.  Each round thus scans what a fresh ascending scan would
+    try, in the same order.
     """
     cfg = cfg or Config.for_graph(g)
     phi_floor = 8 * g.n * g.n
@@ -391,17 +252,13 @@ def run_local_search(
             )
             # Only a changed degree can let an entry before first pass its
             # screens next round: its own, or an out-neighbour's dropping
-            # to <= k-2 (which has no reverse edges to find them by).
+            # to <= k-2 (which has no reverse edges to find them by).  That
+            # drop, or a vertex entering N_k, sends the next round to a
+            # fresh sort.
             resume = first
             for v, (old, new) in delta.changed.items():
-                if old > low >= new:
-                    resume = 0
-                if new == k:  # entered N_k from above: list its children
-                    for c in children[v]:
-                        i = bisect_left(scan, c)
-                        assert i == len(scan) or scan[i] != c, "child of N_k listed twice"
-                        scan.insert(i, c)
-                        resume = min(resume, i)
+                if new == k or old > low >= new:
+                    kept_k = -1
                 i = bisect_left(scan, v)
                 if i < resume and scan[i] == v:
                     resume = i

@@ -237,9 +237,18 @@ def test_screen_and_walk_match_reach_sets():
     ids -1..n, and a stand-in graph that holds only n, sink and out_edges
     gets the same verdicts.  Each example checks a U of vertices outside B
     whose out-lists lie inside it, which the screen accepts, that U with
-    any id added, and any U at all; over the run both the screen and the
-    walk must decide some verdicts."""
+    any id added, and any U at all.  Both the screen and the walk must
+    decide some verdicts: two fixed pairs on paths make sure of it,
+    whatever the draws."""
     decided_by = set()
+
+    def agree(g, U, B):
+        cert = BlockingCertificate(U, B, 0)
+        bare = SimpleNamespace(n=g.n, sink=g.sink, out_edges=g.out_edges)
+        verdict = verify_blocking(g, cert)
+        assert verdict == blocks_by_reach_sets(g, U, B) == verify_blocking(bare, cert)
+        if U and B and not U & B and g.sink not in U and -1 < min(U | B) <= max(U | B) < g.n:
+            decided_by.add(all(g.out_sets[u] <= B for u in U))  # True: the screen
 
     @given(graph_and_blocking_set(), st.data())
     def check(case, data):
@@ -248,14 +257,11 @@ def test_screen_and_walk_match_reach_sets():
         B = frozenset(B | data.draw(st.sets(ids, max_size=1)))
         trapped = [v for v in range(g.n) if v != g.sink and v not in B and g.out_sets[v] <= B]
         U = frozenset(data.draw(st.sets(st.sampled_from(trapped)))) if trapped else frozenset()
-        bare = SimpleNamespace(n=g.n, sink=g.sink, out_edges=g.out_edges)
         for U in (U, U | {data.draw(ids)}, frozenset(data.draw(st.sets(ids, max_size=4)))):
-            cert = BlockingCertificate(U, B, 0)
-            verdict = verify_blocking(g, cert)
-            assert verdict == blocks_by_reach_sets(g, U, B) == verify_blocking(bare, cert)
-            if U and B and not U & B and g.sink not in U and -1 < min(U | B) <= max(U | B) < g.n:
-                decided_by.add(all(g.out_sets[u] <= B for u in U))  # True: the screen
+            agree(g, U, B)
 
+    agree(gen_path(3), frozenset({2}), frozenset({1}))  # 2 -> 1 enters B: the screen
+    agree(gen_path(4), frozenset({3}), frozenset({1}))  # 3 -> 2 stays outside B: the walk
     check()
     assert decided_by == {True, False}
 

@@ -48,6 +48,18 @@ def instar_with_chords(n: int) -> Digraph:
     return Digraph(n, 0, edges)
 
 
+def test_generate_random_default_fits_every_n(tmp_path, capsys):
+    """With no --extra-edges a random instance gets min(2n, (n-1)**2)
+    extras, so n = 1, 2 and 3, where 2n is more than the (n-1)**2 pairs
+    the backbone leaves, generate too."""
+    for n in range(1, 6):
+        out = tmp_path / f"g{n}.dmdst"
+        code, _, err = run_cli(capsys, "generate", "--family", "random", "--n", str(n),
+                               "--out", str(out))
+        assert (code, err) == (0, ""), n
+        assert parse_graph(out.read_text()).m == n - 1 + min(2 * n, (n - 1) ** 2)
+
+
 def test_generate_writes_parseable_instance(tmp_path, capsys):
     out = str(tmp_path / "g.dmdst")
     code, _, _ = run_cli(
@@ -668,6 +680,7 @@ def test_unreadable_inputs_exit_bad_input(tmp_path, capsys):
         ["verify", path, str(latin_report)],
         ["solve", path, "--epsilon", "0.3"],
         ["generate", "--family", "random", "--n", "0"],
+        ["generate", "--family", "random", "--n", "5", "--extra-edges", "-3"],
         ["generate", "--family", "blocker", "--k", "2"],
     ):
         code, out, err = run_cli(capsys, *argv)

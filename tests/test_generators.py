@@ -13,7 +13,7 @@ from dmdst import (
     run_local_search,
     serialize_graph,
 )
-from dmdst.generators import SplitMix64, TooManyEdges
+from dmdst.generators import GeneratorError, SplitMix64, TooManyEdges
 
 from conftest import full_bfs_parents
 
@@ -44,6 +44,11 @@ def test_identical_seed_identical_bytes():
 def test_too_many_edges_rejected():
     with pytest.raises(TooManyEdges):
         gen_random(4, 10, 0)
+
+
+def test_negative_extra_edges_rejected():
+    with pytest.raises(GeneratorError):
+        gen_random(5, -3, 0)
 
 
 def test_fixed_families():

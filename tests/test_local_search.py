@@ -1,12 +1,15 @@
+import ast
 import math
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 import dmdst.augmenting
 import dmdst.local_search
+import dmdst.search
 
 from dmdst import (
     Config,
@@ -25,7 +28,7 @@ from dmdst import (
     run_augmenting_search,
     run_local_search,
 )
-from dmdst.local_search import StalePath, argmax_degree_class
+from dmdst.search import StalePath, argmax_degree_class
 from conftest import (
     brute_improvement_paths,
     corpus_instances,
@@ -233,6 +236,27 @@ def test_round_bookkeeping_matches_histogram_on_corpus(monkeypatch):
             run_augmenting_search(g, cfg)
     assert seen["adjustments"] > 1000
     assert {2, 5, Fraction(7, 2)} <= seen["bases"]
+
+
+def imported_names(module) -> set[str]:
+    """Every dotted-name part and imported name in module's import
+    statements: "local_search" for `from .local_search import psi`, for
+    `from . import local_search` and for `import dmdst.local_search`."""
+    names = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(part for a in node.names for part in a.name.split("."))
+    return names
+
+
+def test_solvers_share_the_search_core_and_not_each_other():
+    """The round machinery both solvers use lives in dmdst.search: neither
+    solver module imports the other, and search imports neither."""
+    assert "local_search" not in imported_names(dmdst.augmenting)
+    assert "augmenting" not in imported_names(dmdst.local_search)
+    assert not {"local_search", "augmenting"} & imported_names(dmdst.search)
 
 
 @given(st.integers(0, 10 ** 6))
