@@ -35,6 +35,13 @@ Level 1 scans the children of N_k.  The driver keeps that list sorted
 across rounds for as long as the argmax class stays k: an applied path
 changes children and degrees only at the vertices it touches, so only
 their children can move in or out of the list.
+
+Almost every applied path is one hop (u, y), found at level 1: a single
+segment of two vertices.  validate_augmenting_path and
+apply_augmenting_path send such a path to a one-hop body
+(_validate_one_hop, _apply_one_hop), which runs only the checks that can
+fail on one hop, in the general body's order and with its messages, and
+every other path to the general body (_validate_general, _apply_general).
 """
 
 from __future__ import annotations
@@ -246,7 +253,57 @@ def validate_augmenting_path(
     powers is power_table's c**d for every degree d below k-2, budgets the
     solve's row of class k's level budgets (level_budget).  Returns the
     union of the start subtrees, walked fresh here: every rerouted vertex's
-    subtree lies in it, so it is the apply's audit region."""
+    subtree lies in it, so it is the apply's audit region.
+
+    A one-hop path, one segment (u, y) of two vertices, takes
+    _validate_one_hop: u != y, (u, y) a graph edge, u's parent of degree
+    k, deg(y) <= k-1, subtree(u) walked fresh, clean and within the level-1
+    budget, and y outside it, in that order.  The chain, unrelatedness,
+    shared-vertex, occurrence and interior checks have nothing to check on
+    one hop.  Every other path takes _validate_general, which runs them
+    all."""
+    segs = p.segments
+    if len(segs) == 1 and len(segs[0]) == 2:
+        return _validate_one_hop(t, g, p, cfg, powers, budgets)
+    return _validate_general(t, g, p, cfg, powers, budgets)
+
+
+def _validate_one_hop(
+    t: InTree, g: Digraph, p: AugmentingPath, cfg: Config, powers: Sequence[int],
+    budgets: list[int],
+) -> set[int]:
+    """_validate_general on a path of one segment (u, y): the same checks
+    that can fail on it, in the same order, with the same messages."""
+    k = p.k
+    seg = p.segments[0]
+    u, y = seg
+    if u == y:
+        raise ValidationFailed(f"segment not a simple path: {seg}")
+    if not g.has_edge(u, y):
+        raise ValidationFailed(f"({u}, {y}) is not a graph edge")
+    sub = t.subtree(u)
+    children = t.children
+    p1 = t.parent[u]
+    if p1 is None or len(children[p1]) != k:
+        raise ValidationFailed(f"first start's parent must have degree {k}")
+    if len(children[y]) > k - 1:
+        raise ValidationFailed(f"final endpoint {y} above degree {k - 1}")
+    degrees = list(map(len, map(children.__getitem__, sub)))
+    if max(degrees) >= k - 2:
+        raise ValidationFailed(f"subtree of {u} contains a degree >= {k - 2} vertex")
+    if sum(map(powers.__getitem__, degrees)) > level_budget(cfg, k, budgets, 1):
+        raise ValidationFailed(f"subtree of {u} over its potential budget")
+    if y in sub:
+        raise ValidationFailed(f"endpoint {y} inside subtree of {u}")
+    return sub
+
+
+def _validate_general(
+    t: InTree, g: Digraph, p: AugmentingPath, cfg: Config, powers: Sequence[int],
+    budgets: list[int],
+) -> set[int]:
+    """validate_augmenting_path on any path: every check, segment by
+    segment."""
     k = p.k
     segs = p.segments
     if not segs:
@@ -336,15 +393,23 @@ def apply_augmenting_path(
     that entered it minus the number that left it, by their (old, new)
     degrees, which the audit makes the change degree_counts() would show.
     Cost is rewrite_and_audit's.
+
+    A one-hop path, one segment (u, y) of two vertices, takes
+    _apply_one_hop: the stale check on y, the same audited rewrite, the
+    class contracts, u's old parent losing exactly one child, y gaining at
+    most two and ending at degree <= k-1, and the potential's strict drop.
+    It has no middle endpoint or interior to check.  Every other path
+    takes _apply_general.
     """
-    k = p.k
     segs = p.segments
-    final = segs[-1][-1]
-    if t.deg(final) > k - 2:
-        raise StalePath(f"final endpoint {final} has degree {t.deg(final)} > {k - 2}")
-    first_parent = t.parent[segs[0][0]]
-    assert first_parent is not None
-    delta = rewrite_and_audit(t, k, segs, powers, region)
+    if len(segs) == 1 and len(segs[0]) == 2:
+        return _apply_one_hop(t, p, powers, region)
+    return _apply_general(t, p, powers, region)
+
+
+def _assert_class_contracts(delta: AdjustDelta, k: int) -> None:
+    """The degree-k class shrank by exactly one and no class above k grew,
+    by the (old, new) degrees of the touched vertices."""
     net: dict[int, int] = {}
     for old, new in delta.changed.values():
         net[old] = net.get(old, 0) - 1
@@ -353,6 +418,43 @@ def apply_augmenting_path(
     for d, gained in net.items():
         if d > k:
             assert gained <= 0, f"degree class {d} > k grew"
+
+
+def _apply_one_hop(
+    t: InTree, p: AugmentingPath, powers: Sequence[int], region: set[int]
+) -> AdjustDelta:
+    """_apply_general on a path of one segment (u, y): the same checks
+    that can fail on it, in the same order, with the same messages."""
+    k = p.k
+    segs = p.segments
+    u, y = segs[0]
+    if len(t.children[y]) > k - 2:
+        raise StalePath(f"final endpoint {y} has degree {t.deg(y)} > {k - 2}")
+    first_parent = t.parent[u]
+    assert first_parent is not None
+    delta = rewrite_and_audit(t, k, segs, powers, region)
+    _assert_class_contracts(delta, k)
+    assert delta.gain(first_parent) == -1
+    assert delta.gain(y) <= 2
+    assert len(t.children[y]) <= k - 1
+    assert delta.phi_after < delta.phi_before, "base-c potential must strictly decrease"
+    return delta
+
+
+def _apply_general(
+    t: InTree, p: AugmentingPath, powers: Sequence[int], region: set[int]
+) -> AdjustDelta:
+    """apply_augmenting_path on any path: every check, segment by
+    segment."""
+    k = p.k
+    segs = p.segments
+    final = segs[-1][-1]
+    if t.deg(final) > k - 2:
+        raise StalePath(f"final endpoint {final} has degree {t.deg(final)} > {k - 2}")
+    first_parent = t.parent[segs[0][0]]
+    assert first_parent is not None
+    delta = rewrite_and_audit(t, k, segs, powers, region)
+    _assert_class_contracts(delta, k)
     ends = [s[-1] for s in segs]
     assert delta.gain(first_parent) == -1
     for v in ends[:-1]:

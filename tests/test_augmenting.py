@@ -23,6 +23,7 @@ from dmdst.augmenting import (
     AugmentingPath,
     FoundEndpoint,
     LayeredState,
+    StalePath,
     ValidationFailed,
     apply_augmenting_path,
     exit_path,
@@ -538,6 +539,214 @@ def test_apply_two_segment_fixture_postconditions():
     assert t.deg(8) == before[8] + 1
     assert t.validate() == []
     assert t.potential(cfg.base_c) < phi_before
+
+
+# -- one-hop bodies -------------------------------------------------------------
+
+
+def one_hop_outcome(validate, apply, t, g, path, cfg, powers, budgets):
+    """What validate then apply do with path on a copy of t: the exception
+    each raised (type and message), or the region, the delta and the tree
+    they leave."""
+    t = InTree(g, t.parent)
+    budgets = list(budgets)
+    try:
+        region = validate(t, g, path, cfg, powers, budgets)
+    except ValidationFailed as e:
+        return "validate", type(e), str(e)
+    try:
+        delta = apply(t, path, powers, region)
+    except (StalePath, AssertionError) as e:
+        return "apply", region, type(e), str(e)
+    return "applied", region, delta, t.parent, t.children, t.degree_counts(), budgets
+
+
+def compare_one_hop_bodies(t, g, path, cfg, powers, budgets) -> tuple:
+    """The outcome of path under the one-hop bodies, required equal to its
+    outcome under the general bodies."""
+    one_hop = one_hop_outcome(
+        dmdst.augmenting._validate_one_hop, dmdst.augmenting._apply_one_hop,
+        t, g, path, cfg, powers, budgets,
+    )
+    general = one_hop_outcome(
+        dmdst.augmenting._validate_general, dmdst.augmenting._apply_general,
+        t, g, path, cfg, powers, budgets,
+    )
+    assert one_hop == general, path
+    return one_hop
+
+
+def sweep_one_hop_paths(t, g, k, cfg, powers, budgets, tally: Counter) -> None:
+    """Every pair (u, y) as a one-hop path at class k on t, with the given
+    level-budget row and with a zero budget: the two bodies agree on each.
+    tally counts the outcomes by kind (each failure by its message's
+    stem)."""
+    for row in (budgets, [0]):
+        for u in range(g.n):
+            for y in range(g.n):
+                outcome = compare_one_hop_bodies(
+                    t, g, AugmentingPath(k, ((u, y),)), cfg, powers, row
+                )
+                if outcome[0] == "applied":
+                    tally["applied"] += 1
+                else:
+                    message = outcome[-1]
+                    tally[next((kind for stem, kind in ONE_HOP_KINDS.items()
+                                if stem in message), message)] += 1
+
+
+# a stem of each message a one-hop path can raise, and what broke
+ONE_HOP_KINDS = {
+    "not a simple path": "u = y",
+    "not a graph edge": "non-edge",
+    "parent must have degree": "parent's degree != k",
+    "above degree": "y above k-1",
+    "contains a degree": "unclean subtree",
+    "over its potential budget": "over budget",
+    "inside subtree": "y inside the subtree",
+    "has degree": "y at k-1 at apply",
+}
+
+
+def test_one_hop_bodies_match_the_general_bodies_on_the_corpus(corpus_results, monkeypatch):
+    """Every one-hop path the corpus applies, and every other pair (u, y)
+    on the same tree at the same class, under its level-budget row and a
+    zero one: the one-hop bodies return the general bodies' region and
+    delta and leave the same tree, or raise the same exception with the
+    same message.  The sweep reaches every check a one-hop path can fail."""
+    validate = dmdst.augmenting.validate_augmenting_path
+    states = []
+
+    def recorded(t, g, path, cfg, powers, budgets):
+        segs = path.segments
+        if len(segs) == 1 and len(segs[0]) == 2:
+            states.append((InTree(g, t.parent), g, path, cfg, powers, list(budgets)))
+        return validate(t, g, path, cfg, powers, budgets)
+
+    monkeypatch.setattr(dmdst.augmenting, "validate_augmenting_path", recorded)
+    results, _ = corpus_results
+    for s in results:
+        run_augmenting_search(s.g, Config.for_graph(s.g))
+    tally: Counter = Counter()
+    for t, g, path, cfg, powers, budgets in states:
+        assert compare_one_hop_bodies(t, g, path, cfg, powers, budgets)[0] == "applied"
+        sweep_one_hop_paths(t, g, path.k, cfg, powers, budgets, tally)
+    assert len(states) > 100
+    assert set(tally) == {"applied", *ONE_HOP_KINDS.values()}, tally
+
+
+@given(small_digraphs())
+def test_one_hop_bodies_match_the_general_bodies_on_small_digraphs(g):
+    t = build_initial_tree(g)
+    cfg = Config.for_graph(g)
+    powers = power_table(cfg.base_c, t.max_deg)
+    for k in range(1, t.max_deg + 1):
+        sweep_one_hop_paths(t, g, k, cfg, powers, [], Counter())
+
+
+def postcondition_fixture() -> tuple[Digraph, InTree]:
+    """Class k = 5: vertex 1 under the sink with the leaf children 2..6;
+    the sink's other children are 7, with the leaf children 8, 9, 10, and
+    the leaf 11.  The one-hop paths (2, 7) and (2, 11) are valid; 3 also
+    reaches 7, and the sink reaches 11."""
+    edges = [(1, 0), (7, 0), (11, 0), (2, 7), (2, 11), (3, 7), (0, 11)]
+    edges += [(v, 1) for v in range(2, 7)] + [(v, 7) for v in (8, 9, 10)]
+    g = Digraph(12, 0, edges)
+    return g, InTree(g, [None, 0, 1, 1, 1, 1, 1, 0, 7, 7, 7, 0])
+
+
+def extra_changed(v, degrees):
+    return lambda t, delta: replace(delta, changed={**delta.changed, v: degrees})
+
+
+def one_more_child_under_7(t, delta):
+    t.cut_and_append(3, 7)
+    return delta
+
+
+@pytest.mark.parametrize(
+    "segment, doctor",
+    [
+        ((2, 11), extra_changed(12, (4, 6))),  # a class above k grows
+        ((2, 11), extra_changed(12, (4, 5))),  # the class k keeps its size
+        ((2, 11), extra_changed(1, (5, 3))),  # the old parent loses two children
+        ((2, 11), extra_changed(11, (0, 3))),  # y gains three children
+        ((2, 7), one_more_child_under_7),  # y ends at degree k
+        ((2, 11), lambda t, delta: replace(delta, phi_after=delta.phi_before)),
+        ((0, 11), None),  # the sink as start: no parent to leave
+    ],
+)
+def test_one_hop_apply_keeps_every_postcondition(monkeypatch, segment, doctor):
+    """A rewrite that breaks one of apply's contracts, or a start with no
+    parent, fails the one-hop body with the general body's assertion:
+    checks that no path the validator passes can reach."""
+    g, t = postcondition_fixture()
+    cfg = Config.for_graph(g)
+    powers = power_table(cfg.base_c, t.max_deg)
+    path = AugmentingPath(5, (segment,))
+    real = dmdst.augmenting.rewrite_and_audit
+    if doctor is not None:
+        monkeypatch.setattr(
+            dmdst.augmenting, "rewrite_and_audit", lambda t, *a: doctor(t, real(t, *a))
+        )
+    # the region is the start's subtree, as validation would return it for
+    # the valid paths; the sink's path is applied unvalidated
+    def region(t, *args):
+        return t.subtree(segment[0])
+
+    outcomes = [
+        one_hop_outcome(region, apply, t, g, path, cfg, powers, [])
+        for apply in (dmdst.augmenting._apply_one_hop, dmdst.augmenting._apply_general)
+    ]
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == "apply" and outcomes[0][2] is AssertionError
+
+
+def test_multi_hop_paths_take_the_general_bodies(monkeypatch):
+    """The two-segment fixture's path and a one-segment path of three
+    vertices validate and apply with the one-hop bodies made to raise."""
+
+    def refuse(*args):
+        raise RuntimeError("one-hop body called")
+
+    monkeypatch.setattr(dmdst.augmenting, "_validate_one_hop", refuse)
+    monkeypatch.setattr(dmdst.augmenting, "_apply_one_hop", refuse)
+    g = two_segment_fixture()
+    t, cfg, st_ = layered_fixture_state(g)
+    st_.levels_V.append(extend_layer(t, g, st_, 1, cfg))
+    path = reconstruct_path(st_, extend_layer(t, g, st_, 2, cfg), t)
+    assert path.segments == ((2, 5), (6, 8))
+    region = validate_augmenting_path(t, g, path, cfg, st_.powers, st_.budgets)
+    apply_augmenting_path(t, path, st_.powers, region)
+    # class 4: start 2, under the degree-4 vertex 1, steps to its child 6
+    # and out to the leaf 7
+    edges = [(1, 0), (7, 0), (2, 1), (3, 1), (4, 1), (5, 1), (6, 2), (2, 6), (6, 7)]
+    g = Digraph(8, 0, edges)
+    t = InTree(g, [None, 0, 1, 1, 1, 1, 2, 0])
+    cfg = Config.for_graph(g)
+    powers = power_table(cfg.base_c, t.max_deg)
+    path = AugmentingPath(4, ((2, 6, 7),))
+    region = validate_augmenting_path(t, g, path, cfg, powers, [])
+    assert region == {2, 6}
+    delta = apply_augmenting_path(t, path, powers, region)
+    assert delta.changed == {1: (4, 3), 2: (1, 0), 6: (0, 1), 7: (0, 1)}
+    # while a one-hop path does reach the refusing body
+    with pytest.raises(RuntimeError, match="one-hop body called"):
+        validate_augmenting_path(t, g, AugmentingPath(4, ((3, 7),)), cfg, powers, [])
+
+
+@given(small_digraphs())
+def test_one_hop_bodies_leave_reports_unchanged(g):
+    """With the one-hop bodies replaced by the general ones, a traced
+    solve's report is the same but for its wall time."""
+    report = run_augmenting_search(g, trace=True)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(
+            dmdst.augmenting, "_validate_one_hop", dmdst.augmenting._validate_general
+        )
+        monkeypatch.setattr(dmdst.augmenting, "_apply_one_hop", dmdst.augmenting._apply_general)
+        general = run_augmenting_search(g, trace=True)
+    assert report_without_timing(general) == report_without_timing(report)
 
 
 def test_subtree_potential_and_budget():
