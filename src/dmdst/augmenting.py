@@ -37,11 +37,15 @@ changes children and degrees only at the vertices it touches, so only
 their children can move in or out of the list.
 
 Almost every applied path is one hop (u, y), found at level 1: a single
-segment of two vertices.  validate_augmenting_path and
-apply_augmenting_path send such a path to a one-hop body
-(_validate_one_hop, _apply_one_hop), which runs only the checks that can
+segment of two vertices.  validate_augmenting_path sends such a path to
+a one-hop body (_validate_one_hop), which runs only the checks that can
 fail on one hop, in the general body's order and with its messages, and
-every other path to the general body (_validate_general, _apply_general).
+every other path to the general body (_validate_general).  Both raise
+StalePath, as local search's revalidation does.  apply_augmenting_path is
+one body: the audited rewrite asserts the contract both solvers share
+(the first start's parent loses one child, the potential drops), and the
+path's own checks follow, those on middle endpoints and interiors only
+for a path longer than one hop.
 """
 
 from __future__ import annotations
@@ -59,10 +63,6 @@ from .report import SolveReport
 from .search import (AdjustDelta, StalePath, Stall, choose_k, exit_path, exit_set, power_table,
                      rewrite_and_audit, search)
 from .tree import InTree, build_initial_tree
-
-
-class ValidationFailed(Exception):
-    """A reconstructed augmenting path broke one of its invariants."""
 
 
 @dataclass(frozen=True)
@@ -249,7 +249,7 @@ def validate_augmenting_path(
     t: InTree, g: Digraph, p: AugmentingPath, cfg: Config, powers: Sequence[int],
     budgets: list[int],
 ) -> set[int]:
-    """Check every definitional invariant; raise ValidationFailed on any break.
+    """Check every definitional invariant; raise StalePath on any break.
     powers is power_table's c**d for every degree d below k-2, budgets the
     solve's row of class k's level budgets (level_budget).  Returns the
     union of the start subtrees, walked fresh here: every rerouted vertex's
@@ -278,23 +278,23 @@ def _validate_one_hop(
     seg = p.segments[0]
     u, y = seg
     if u == y:
-        raise ValidationFailed(f"segment not a simple path: {seg}")
+        raise StalePath(f"segment not a simple path: {seg}")
     if not g.has_edge(u, y):
-        raise ValidationFailed(f"({u}, {y}) is not a graph edge")
+        raise StalePath(f"({u}, {y}) is not a graph edge")
     sub = t.subtree(u)
     children = t.children
     p1 = t.parent[u]
     if p1 is None or len(children[p1]) != k:
-        raise ValidationFailed(f"first start's parent must have degree {k}")
+        raise StalePath(f"first start's parent must have degree {k}")
     if len(children[y]) > k - 1:
-        raise ValidationFailed(f"final endpoint {y} above degree {k - 1}")
+        raise StalePath(f"final endpoint {y} above degree {k - 1}")
     degrees = list(map(len, map(children.__getitem__, sub)))
     if max(degrees) >= k - 2:
-        raise ValidationFailed(f"subtree of {u} contains a degree >= {k - 2} vertex")
+        raise StalePath(f"subtree of {u} contains a degree >= {k - 2} vertex")
     if sum(map(powers.__getitem__, degrees)) > level_budget(cfg, k, budgets, 1):
-        raise ValidationFailed(f"subtree of {u} over its potential budget")
+        raise StalePath(f"subtree of {u} over its potential budget")
     if y in sub:
-        raise ValidationFailed(f"endpoint {y} inside subtree of {u}")
+        raise StalePath(f"endpoint {y} inside subtree of {u}")
     return sub
 
 
@@ -307,16 +307,16 @@ def _validate_general(
     k = p.k
     segs = p.segments
     if not segs:
-        raise ValidationFailed("no segments")
+        raise StalePath("no segments")
     starts = [s[0] for s in segs]
     ends = [s[-1] for s in segs]
     l = len(segs)
     for s in segs:
         if len(s) < 2 or len(set(s)) != len(s):
-            raise ValidationFailed(f"segment not a simple path: {s}")
+            raise StalePath(f"segment not a simple path: {s}")
         for a, b in zip(s, s[1:]):
             if not g.has_edge(a, b):
-                raise ValidationFailed(f"({a}, {b}) is not a graph edge")
+                raise StalePath(f"({a}, {b}) is not a graph edge")
     # Segments are vertex-disjoint except that the final endpoint may also
     # appear once inside an earlier subtree (it is then low-degree there).
     # Each segment is simple, so only different segments are compared.
@@ -325,15 +325,15 @@ def _validate_general(
     for s in segs:
         shared = used.intersection(s) - {final}
         if shared:
-            raise ValidationFailed(f"vertex {min(shared)} appears twice in segments")
+            raise StalePath(f"vertex {min(shared)} appears twice in segments")
         used.update(s)
     occurrences = sum(final in s for s in segs)
     if occurrences > 2:
-        raise ValidationFailed(f"final endpoint {final} appears {occurrences} times")
+        raise StalePath(f"final endpoint {final} appears {occurrences} times")
     # (i) consecutive segments chain through tree parents
     for i in range(l - 1):
         if t.parent[starts[i + 1]] != ends[i]:
-            raise ValidationFailed(
+            raise StalePath(
                 f"segment {i + 1} start {starts[i + 1]} does not hang under {ends[i]}"
             )
     # (ii) starts pairwise unrelated, endpoints distinct: two starts are
@@ -342,35 +342,35 @@ def _validate_general(
     for i in range(l):
         for j in range(i + 1, l):
             if starts[j] in subtrees[i] or starts[i] in subtrees[j]:
-                raise ValidationFailed(f"starts {starts[i]}, {starts[j]} related")
+                raise StalePath(f"starts {starts[i]}, {starts[j]} related")
     if len(set(ends)) != l:
-        raise ValidationFailed(f"duplicate endpoints: {ends}")
+        raise StalePath(f"duplicate endpoints: {ends}")
     # (iii) degree pattern along the chain
     p1 = t.parent[starts[0]]
     if p1 is None or t.deg(p1) != k:
-        raise ValidationFailed(f"first start's parent must have degree {k}")
+        raise StalePath(f"first start's parent must have degree {k}")
     for i in range(l - 1):
         if t.deg(ends[i]) != k - 1:
-            raise ValidationFailed(f"middle endpoint {ends[i]} must have degree {k - 1}")
+            raise StalePath(f"middle endpoint {ends[i]} must have degree {k - 1}")
     if t.deg(ends[-1]) > k - 1:
-        raise ValidationFailed(f"final endpoint {ends[-1]} above degree {k - 1}")
+        raise StalePath(f"final endpoint {ends[-1]} above degree {k - 1}")
     # (iv) clean start subtrees + potential efficiency per level
     children = t.children
     for i, (u, sub) in enumerate(zip(starts, subtrees), start=1):
         degrees = list(map(len, map(children.__getitem__, sub)))
         if max(degrees) >= k - 2:
-            raise ValidationFailed(f"subtree of {u} contains a degree >= {k - 2} vertex")
+            raise StalePath(f"subtree of {u} contains a degree >= {k - 2} vertex")
         if sum(map(powers.__getitem__, degrees)) > level_budget(cfg, k, budgets, i):
-            raise ValidationFailed(f"subtree of {u} over its potential budget")
+            raise StalePath(f"subtree of {u} over its potential budget")
     # (v) interiors stay inside their subtree, endpoint is the first outside
     for s, sub in zip(segs, subtrees):
         for v in s[:-1]:
             if v not in sub:
-                raise ValidationFailed(f"interior {v} outside subtree of {s[0]}")
+                raise StalePath(f"interior {v} outside subtree of {s[0]}")
             if v != s[0] and t.deg(v) >= k - 2:
-                raise ValidationFailed(f"interior {v} has degree >= {k - 2}")
+                raise StalePath(f"interior {v} has degree >= {k - 2}")
         if s[-1] in sub:
-            raise ValidationFailed(f"endpoint {s[-1]} inside subtree of {s[0]}")
+            raise StalePath(f"endpoint {s[-1]} inside subtree of {s[0]}")
     return set().union(*subtrees)
 
 
@@ -380,36 +380,32 @@ def apply_augmenting_path(
     """Run the cut-and-append rewrite segment by segment and audit it.
 
     region is what validate_augmenting_path returned for p on this tree;
-    the audit's parent walks stop where they leave it.  Requires the final
-    endpoint at degree <= k-2.  After the audited rewrite
-    (rewrite_and_audit), the degree-k class lost exactly one member, no
-    class above k grew, middle endpoints kept their degree, the final
-    endpoint gained at most two children (at most one unless it also sat
-    inside an earlier subtree), and the base-c potential, read from powers
-    (c**d for every degree d the tree can reach), has strictly dropped.
+    the audit's parent walks stop where they leave it.  Raises StalePath
+    unless the final endpoint has degree <= k-2.  The audited rewrite
+    (rewrite_and_audit) asserts the contract both solvers share: the first
+    start's parent loses exactly one child, and the base-c potential, read
+    from powers (c**d for every degree d the tree can reach), strictly
+    drops.  This function then asserts the rest of the path's contract:
+    the degree-k class lost exactly one member, no class above k grew,
+    middle endpoints kept their degree, the final endpoint gained at most
+    two children (at most one unless it also sat inside an earlier
+    subtree) and ends at degree <= k-1, and no interior vertex gained more
+    than one.  A one-hop path, one segment (u, y) of two vertices, has no
+    middle endpoint or interior, so those two checks run only on longer
+    paths.
 
     The class contracts are read from the delta, not from histogram
     snapshots: each class's net change is the number of touched vertices
     that entered it minus the number that left it, by their (old, new)
     degrees, which the audit makes the change degree_counts() would show.
     Cost is rewrite_and_audit's.
-
-    A one-hop path, one segment (u, y) of two vertices, takes
-    _apply_one_hop: the stale check on y, the same audited rewrite, the
-    class contracts, u's old parent losing exactly one child, y gaining at
-    most two and ending at degree <= k-1, and the potential's strict drop.
-    It has no middle endpoint or interior to check.  Every other path
-    takes _apply_general.
     """
+    k = p.k
     segs = p.segments
-    if len(segs) == 1 and len(segs[0]) == 2:
-        return _apply_one_hop(t, p, powers, region)
-    return _apply_general(t, p, powers, region)
-
-
-def _assert_class_contracts(delta: AdjustDelta, k: int) -> None:
-    """The degree-k class shrank by exactly one and no class above k grew,
-    by the (old, new) degrees of the touched vertices."""
+    final = segs[-1][-1]
+    if len(t.children[final]) > k - 2:
+        raise StalePath(f"final endpoint {final} has degree {t.deg(final)} > {k - 2}")
+    delta = rewrite_and_audit(t, k, segs, powers, region)
     net: dict[int, int] = {}
     for old, new in delta.changed.values():
         net[old] = net.get(old, 0) - 1
@@ -418,53 +414,17 @@ def _assert_class_contracts(delta: AdjustDelta, k: int) -> None:
     for d, gained in net.items():
         if d > k:
             assert gained <= 0, f"degree class {d} > k grew"
-
-
-def _apply_one_hop(
-    t: InTree, p: AugmentingPath, powers: Sequence[int], region: set[int]
-) -> AdjustDelta:
-    """_apply_general on a path of one segment (u, y): the same checks
-    that can fail on it, in the same order, with the same messages."""
-    k = p.k
-    segs = p.segments
-    u, y = segs[0]
-    if len(t.children[y]) > k - 2:
-        raise StalePath(f"final endpoint {y} has degree {t.deg(y)} > {k - 2}")
-    first_parent = t.parent[u]
-    assert first_parent is not None
-    delta = rewrite_and_audit(t, k, segs, powers, region)
-    _assert_class_contracts(delta, k)
-    assert delta.gain(first_parent) == -1
-    assert delta.gain(y) <= 2
-    assert len(t.children[y]) <= k - 1
-    assert delta.phi_after < delta.phi_before, "base-c potential must strictly decrease"
-    return delta
-
-
-def _apply_general(
-    t: InTree, p: AugmentingPath, powers: Sequence[int], region: set[int]
-) -> AdjustDelta:
-    """apply_augmenting_path on any path: every check, segment by
-    segment."""
-    k = p.k
-    segs = p.segments
-    final = segs[-1][-1]
-    if t.deg(final) > k - 2:
-        raise StalePath(f"final endpoint {final} has degree {t.deg(final)} > {k - 2}")
-    first_parent = t.parent[segs[0][0]]
-    assert first_parent is not None
-    delta = rewrite_and_audit(t, k, segs, powers, region)
-    _assert_class_contracts(delta, k)
-    ends = [s[-1] for s in segs]
-    assert delta.gain(first_parent) == -1
-    for v in ends[:-1]:
-        assert delta.gain(v) == 0, f"middle endpoint {v} changed degree"
+    multi_hop = len(segs) > 1 or len(segs[0]) > 2
+    if multi_hop:
+        ends = [s[-1] for s in segs]
+        for v in ends[:-1]:
+            assert delta.gain(v) == 0, f"middle endpoint {v} changed degree"
     assert delta.gain(final) <= 2
-    assert t.deg(final) <= k - 1
-    starts = {s[0] for s in segs}
-    for v in {v for s in segs for v in s} - starts - set(ends):
-        assert delta.gain(v) <= 1, f"interior {v} gained more than one child"
-    assert delta.phi_after < delta.phi_before, "base-c potential must strictly decrease"
+    assert len(t.children[final]) <= k - 1
+    if multi_hop:
+        starts = {s[0] for s in segs}
+        for v in {v for s in segs for v in s} - starts - set(ends):
+            assert delta.gain(v) <= 1, f"interior {v} gained more than one child"
     return delta
 
 
@@ -530,9 +490,8 @@ def run_augmenting_search(
             previous = grown - len(result)
             if grown * q < (p + q) * previous:  # grown < (1 + eps) * previous
                 blocking = st.seen | t.vertices_with_deg_at_least(k + 1)
-                return Stall(
-                    blocking, {"k": k, "layers": i, "applied": False, "phi": t.potential(c)}
-                )
+                phi = sum(powers[d] * size for d, size in t.class_sizes())
+                return Stall(blocking, {"k": k, "layers": i, "applied": False, "phi": phi})
         path = reconstruct_path(st, result, t)
         region = validate_augmenting_path(t, g, path, cfg, powers, st.budgets)
         # the first start's parent, the one vertex leaving N_k

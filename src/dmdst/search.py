@@ -9,8 +9,9 @@ extract_certificate included.
 
 The round machinery both attempts use is written here once: choose_k,
 the class argmax; exit_set, the one BFS out of a subtree to its first low
-exit, with exit_path; and rewrite_and_audit, the audited rewrite whose
-AdjustDelta each solver checks against its own contract.  This module
+exit, with exit_path; and rewrite_and_audit, the audited rewrite, which
+asserts the contract every reroute shares and returns the AdjustDelta each
+solver checks against the rest of its own.  This module
 imports neither solver, and neither solver imports the other.
 
 No round raises a base to a power.  The start tree's Delta never rises, so
@@ -38,7 +39,7 @@ from .tree import InTree
 
 
 class StalePath(Exception):
-    """A path failed revalidation against the current tree."""
+    """A path failed its checks against the current tree."""
 
 
 class Stall(NamedTuple):
@@ -167,7 +168,14 @@ def rewrite_and_audit(
     region: set[int],
 ) -> AdjustDelta:
     """Reroute every segment vertex but the last onto its successor,
-    segment by segment, and audit the tree where the rewrite wrote.
+    segment by segment, audit the tree where the rewrite wrote, and assert
+    the contract every reroute of both solvers shares.
+
+    That contract: the first rerouted vertex has a parent (asserted before
+    any cut), that parent loses exactly one child, and the potential,
+    read from the solver's power table (powers[d] is base**d for every
+    degree d the tree can reach), strictly drops.  Each solver asserts
+    the rest of its own contract on the returned delta.
 
     Only the segment vertices and the old parents of the rerouted ones
     change degree, so the audit covers exactly those: the tree invariants
@@ -177,17 +185,17 @@ def rewrite_and_audit(
     audit's parent walks stop where they leave it.  The returned delta
     records, from one dict of the touched vertices' degrees before the
     rewrite, each (old, new) degree that changed, and the potential before
-    and after, read from the solver's power table: powers[d] is base**d
-    for every degree d the tree can reach.  The potential after is the one
-    before plus the changed vertices' terms: every other vertex kept its
-    children and its class, and the audit has just checked the touched
-    vertices' filing.  Each solver asserts its own contract on the delta.
-    Cost is O(touched + sum of deg(touched) + live classes), plus the
-    audit's parent walks inside region.
+    and after.  The potential after is the one before plus the changed
+    vertices' terms: every other vertex kept its children and its class,
+    and the audit has just checked the touched vertices' filing.  Cost is
+    O(touched + sum of deg(touched) + live classes), plus the audit's
+    parent walks inside region.
     """
     children = t.children
     rerouted = [a for seg in segments for a in seg[:-1]]
     old_parents = list(map(t.parent.__getitem__, rerouted))
+    first_parent = old_parents[0]
+    assert first_parent is not None, f"first rerouted vertex {rerouted[0]} has no parent"
     before = {v: len(children[v]) for seg in segments for v in seg}
     for v in old_parents:
         before[v] = len(children[v])
@@ -197,6 +205,9 @@ def rewrite_and_audit(
             t.cut_and_append(a, b)
     bad = t.validate_changed(rerouted, old_parents, region)
     assert not bad, f"tree invalid after adjustment: {bad[:3]}"
+    assert len(children[first_parent]) == before[first_parent] - 1, (
+        f"old parent {first_parent} must lose exactly one child"
+    )
     changed = {}
     phi_after = phi_before
     for v, old in before.items():
@@ -204,6 +215,7 @@ def rewrite_and_audit(
         if new != old:
             changed[v] = (old, new)
             phi_after += powers[new] - powers[old]
+    assert phi_after < phi_before, "potential must strictly decrease"
     return AdjustDelta(k, changed, phi_before, phi_after)
 
 

@@ -5,7 +5,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import dmdst.augmenting
 
@@ -17,6 +17,7 @@ from dmdst import (
     gen_path,
     gen_random,
     run_augmenting_search,
+    tree_from_parents,
     validate_augmenting_path,
 )
 from dmdst.augmenting import (
@@ -24,7 +25,6 @@ from dmdst.augmenting import (
     FoundEndpoint,
     LayeredState,
     StalePath,
-    ValidationFailed,
     apply_augmenting_path,
     exit_path,
     exit_set,
@@ -32,7 +32,9 @@ from dmdst.augmenting import (
     potential_budget,
     power_table,
     reconstruct_path,
+    rewrite_and_audit,
 )
+from dmdst.local_search import ImprovementPath, apply_improvement_path
 from dmdst.tree import InTree
 from conftest import (
     brute_first_exits,
@@ -406,11 +408,11 @@ def test_leaf_is_rejected_under_a_zero_budget():
 def test_validation_rejects_tampered_path():
     g = two_segment_fixture()
     t, cfg, st_ = layered_fixture_state(g)
-    with pytest.raises(ValidationFailed):
+    with pytest.raises(StalePath):
         validate_augmenting_path(
             t, g, AugmentingPath(3, ((2, 5), (7, 8))), cfg, st_.powers, st_.budgets
         )
-    with pytest.raises(ValidationFailed):
+    with pytest.raises(StalePath):
         validate_augmenting_path(
             t, g, AugmentingPath(3, ((4, 1),)), cfg, st_.powers, st_.budgets
         )
@@ -432,7 +434,7 @@ def test_validation_rejects_related_starts(segments):
     t = InTree(g, [None, 0, 1, 2, 3])
     cfg = Config.for_graph(g)
     powers = power_table(cfg.base_c, t.max_deg)
-    with pytest.raises(ValidationFailed, match="related"):
+    with pytest.raises(StalePath, match="related"):
         validate_augmenting_path(t, g, AugmentingPath(3, segments), cfg, powers, [])
 
 
@@ -445,7 +447,7 @@ def validate_on_fixture(segments, k=3):
 def test_validation_rejects_vertex_shared_by_two_segments():
     """5 ends the first segment and sits inside the second, which chains
     under it (6 is 5's child) and ends at the low vertex 3."""
-    with pytest.raises(ValidationFailed, match="5 appears twice"):
+    with pytest.raises(StalePath, match="5 appears twice"):
         validate_on_fixture(((2, 5), (6, 5, 3)))
 
 
@@ -456,7 +458,7 @@ def test_validation_rejects_final_endpoint_three_times():
     t = build_initial_tree(g)
     cfg = Config.for_graph(g)
     powers = power_table(cfg.base_c, t.max_deg)
-    with pytest.raises(ValidationFailed, match="final endpoint 9 appears 3 times"):
+    with pytest.raises(StalePath, match="final endpoint 9 appears 3 times"):
         validate_augmenting_path(t, g, AugmentingPath(3, segments), cfg, powers, [])
 
 
@@ -470,7 +472,7 @@ def test_validation_rejects_final_endpoint_three_times():
 def test_validation_rejects_segment_repeating_a_vertex(segments):
     """Repeats inside one segment are the simple-path check's, which runs
     before the cross-segment ones."""
-    with pytest.raises(ValidationFailed, match="segment not a simple path"):
+    with pytest.raises(StalePath, match="segment not a simple path"):
         validate_on_fixture(segments)
 
 
@@ -544,33 +546,32 @@ def test_apply_two_segment_fixture_postconditions():
 # -- one-hop bodies -------------------------------------------------------------
 
 
-def one_hop_outcome(validate, apply, t, g, path, cfg, powers, budgets):
-    """What validate then apply do with path on a copy of t: the exception
-    each raised (type and message), or the region, the delta and the tree
-    they leave."""
+def one_hop_outcome(validate, t, g, path, cfg, powers, budgets):
+    """What validate then apply_augmenting_path do with path on a copy of
+    t: the exception either raised (type and message), or the region, the
+    delta and the tree they leave."""
     t = InTree(g, t.parent)
     budgets = list(budgets)
     try:
         region = validate(t, g, path, cfg, powers, budgets)
-    except ValidationFailed as e:
+    except StalePath as e:
         return "validate", type(e), str(e)
     try:
-        delta = apply(t, path, powers, region)
+        delta = apply_augmenting_path(t, path, powers, region)
     except (StalePath, AssertionError) as e:
         return "apply", region, type(e), str(e)
     return "applied", region, delta, t.parent, t.children, t.degree_counts(), budgets
 
 
 def compare_one_hop_bodies(t, g, path, cfg, powers, budgets) -> tuple:
-    """The outcome of path under the one-hop bodies, required equal to its
-    outcome under the general bodies."""
+    """The outcome of path validated by the one-hop body, required equal to
+    its outcome validated by the general body; the one apply body applies
+    it either way."""
     one_hop = one_hop_outcome(
-        dmdst.augmenting._validate_one_hop, dmdst.augmenting._apply_one_hop,
-        t, g, path, cfg, powers, budgets,
+        dmdst.augmenting._validate_one_hop, t, g, path, cfg, powers, budgets
     )
     general = one_hop_outcome(
-        dmdst.augmenting._validate_general, dmdst.augmenting._apply_general,
-        t, g, path, cfg, powers, budgets,
+        dmdst.augmenting._validate_general, t, g, path, cfg, powers, budgets
     )
     assert one_hop == general, path
     return one_hop
@@ -578,7 +579,8 @@ def compare_one_hop_bodies(t, g, path, cfg, powers, budgets) -> tuple:
 
 def sweep_one_hop_paths(t, g, k, cfg, powers, budgets, tally: Counter) -> None:
     """Every pair (u, y) as a one-hop path at class k on t, with the given
-    level-budget row and with a zero budget: the two bodies agree on each.
+    level-budget row and with a zero budget: the two validate bodies agree
+    on each.
     tally counts the outcomes by kind (each failure by its message's
     stem)."""
     for row in (budgets, [0]):
@@ -611,9 +613,10 @@ ONE_HOP_KINDS = {
 def test_one_hop_bodies_match_the_general_bodies_on_the_corpus(corpus_results, monkeypatch):
     """Every one-hop path the corpus applies, and every other pair (u, y)
     on the same tree at the same class, under its level-budget row and a
-    zero one: the one-hop bodies return the general bodies' region and
-    delta and leave the same tree, or raise the same exception with the
-    same message.  The sweep reaches every check a one-hop path can fail."""
+    zero one: validated by the one-hop body and applied, each gives the
+    region and delta and leaves the tree that the general validate body
+    does, or raises the same exception with the same message.  The sweep
+    reaches every check a one-hop path can fail."""
     validate = dmdst.augmenting.validate_augmenting_path
     states = []
 
@@ -659,58 +662,126 @@ def extra_changed(v, degrees):
     return lambda t, delta: replace(delta, changed={**delta.changed, v: degrees})
 
 
-def one_more_child_under_7(t, delta):
-    t.cut_and_append(3, 7)
-    return delta
+def doctored(doctor):
+    """A fault: augment's apply sees doctor(t, delta) of the real audited
+    rewrite's delta."""
+    return lambda monkeypatch: monkeypatch.setattr(
+        dmdst.augmenting, "rewrite_and_audit",
+        lambda t, *a: doctor(t, rewrite_and_audit(t, *a)),
+    )
+
+
+def one_more_child_under_7(monkeypatch):
+    """A fault: after the rewrite, 3 also moves under 7."""
+
+    def doctor(t, delta):
+        t.cut_and_append(3, 7)
+        return delta
+
+    doctored(doctor)(monkeypatch)
+
+
+def cut_also_moving_3(t, v, new_parent, cut=InTree.cut_and_append):
+    """InTree.cut_and_append, moving 3 under 7 as well when it moves 2:
+    1, the parent of both, loses two children in one reroute."""
+    cut(t, v, new_parent)
+    if v == 2:
+        cut(t, 3, 7)
+
+
+# Faults of the contract every reroute shares, which rewrite_and_audit
+# asserts: the first parent loses two children, the potential (by a flat
+# power table) does not drop, and (the fault None) the start is the sink.
+# Each is a lambda, as the other faults are, so the cases keep their ids.
+SECOND_CHILD_OFF_1 = lambda monkeypatch: monkeypatch.setattr(
+    InTree, "cut_and_append", cut_also_moving_3
+)
+FLAT_POWERS = lambda monkeypatch: monkeypatch.setattr(
+    dmdst.augmenting, "power_table", lambda base, top: [1] * (top + 1)
+)
+SHARED_FAULTS = (SECOND_CHILD_OFF_1, FLAT_POWERS, None)
 
 
 @pytest.mark.parametrize(
-    "segment, doctor",
+    "segment, fault",
     [
-        ((2, 11), extra_changed(12, (4, 6))),  # a class above k grows
-        ((2, 11), extra_changed(12, (4, 5))),  # the class k keeps its size
-        ((2, 11), extra_changed(1, (5, 3))),  # the old parent loses two children
-        ((2, 11), extra_changed(11, (0, 3))),  # y gains three children
+        ((2, 11), doctored(extra_changed(12, (4, 6)))),  # a class above k grows
+        ((2, 11), doctored(extra_changed(12, (4, 5)))),  # the class k keeps its size
+        ((2, 11), SECOND_CHILD_OFF_1),  # the old parent loses two children
+        ((2, 11), doctored(extra_changed(11, (0, 3)))),  # y gains three children
         ((2, 7), one_more_child_under_7),  # y ends at degree k
-        ((2, 11), lambda t, delta: replace(delta, phi_after=delta.phi_before)),
+        ((2, 11), FLAT_POWERS),  # the potential does not drop
         ((0, 11), None),  # the sink as start: no parent to leave
     ],
 )
-def test_one_hop_apply_keeps_every_postcondition(monkeypatch, segment, doctor):
-    """A rewrite that breaks one of apply's contracts, or a start with no
-    parent, fails the one-hop body with the general body's assertion:
-    checks that no path the validator passes can reach."""
+def test_one_hop_apply_keeps_every_postcondition(monkeypatch, segment, fault):
+    """A fault in the rewrite, or a start with no parent, fails apply with
+    an assertion: checks that no path the validator passes can reach.  A
+    fault of the shared contract is raised inside rewrite_and_audit, and
+    local search's apply fails on it with the same message; the others
+    are apply_augmenting_path's own checks."""
     g, t = postcondition_fixture()
-    cfg = Config.for_graph(g)
-    powers = power_table(cfg.base_c, t.max_deg)
-    path = AugmentingPath(5, (segment,))
-    real = dmdst.augmenting.rewrite_and_audit
-    if doctor is not None:
-        monkeypatch.setattr(
-            dmdst.augmenting, "rewrite_and_audit", lambda t, *a: doctor(t, real(t, *a))
-        )
-    # the region is the start's subtree, as validation would return it for
-    # the valid paths; the sink's path is applied unvalidated
-    def region(t, *args):
-        return t.subtree(segment[0])
+    if fault is not None:
+        fault(monkeypatch)
+    powers = dmdst.augmenting.power_table(Config.for_graph(g).base_c, t.max_deg)
+    shared = fault in SHARED_FAULTS
+    parents, children = list(t.parent), copy.deepcopy(t.children)
+    with pytest.raises(AssertionError) as failed:
+        apply_augmenting_path(t, AugmentingPath(5, (segment,)), powers, t.subtree(segment[0]))
+    assert failed.traceback[-1].name == (
+        "rewrite_and_audit" if shared else "apply_augmenting_path"
+    )
+    local_path = ImprovementPath(5, segment)
+    if fault is None:
+        # the sink start fails before any cut, leaving the tree as it was;
+        # local search's revalidation rejects it before its rewrite
+        assert str(failed.value) == "first rerouted vertex 0 has no parent"
+        assert (t.parent, t.children) == (parents, children)
+        with pytest.raises(StalePath, match="deg\\(parent\\(0\\)\\) is no longer 5"):
+            apply_improvement_path(t, local_path, powers)
+    elif shared:
+        with pytest.raises(AssertionError) as local_failed:
+            apply_improvement_path(InTree(g, parents), local_path, powers)
+        assert local_failed.traceback[-1].name == "rewrite_and_audit"
+        assert str(local_failed.value) == str(failed.value)
 
-    outcomes = [
-        one_hop_outcome(region, apply, t, g, path, cfg, powers, [])
-        for apply in (dmdst.augmenting._apply_one_hop, dmdst.augmenting._apply_general)
-    ]
-    assert outcomes[0] == outcomes[1]
-    assert outcomes[0][0] == "apply" and outcomes[0][2] is AssertionError
+
+def one_segment_of_three_fixture() -> tuple[Digraph, InTree]:
+    """Class 4: start 2, under the degree-4 vertex 1, steps to its child 6
+    and out to the leaf 7."""
+    edges = [(1, 0), (7, 0), (2, 1), (3, 1), (4, 1), (5, 1), (6, 2), (2, 6), (6, 7)]
+    g = Digraph(8, 0, edges)
+    return g, InTree(g, [None, 0, 1, 1, 1, 1, 2, 0])
+
+
+def test_apply_checks_middle_endpoints_and_interiors_beyond_one_hop(monkeypatch):
+    """On a path longer than one hop, a middle endpoint that changed degree
+    or an interior vertex that gained two children fails apply's own
+    checks."""
+    g = two_segment_fixture()
+    t, cfg, st_ = layered_fixture_state(g)
+    st_.levels_V.append(extend_layer(t, g, st_, 1, cfg))
+    path = reconstruct_path(st_, extend_layer(t, g, st_, 2, cfg), t)
+    region = validate_augmenting_path(t, g, path, cfg, st_.powers, st_.budgets)
+    doctored(extra_changed(5, (2, 1)))(monkeypatch)
+    with pytest.raises(AssertionError, match="middle endpoint 5 changed degree"):
+        apply_augmenting_path(t, path, st_.powers, region)
+    g, t = one_segment_of_three_fixture()
+    powers = power_table(Config.for_graph(g).base_c, t.max_deg)
+    doctored(extra_changed(6, (0, 2)))(monkeypatch)
+    with pytest.raises(AssertionError, match="interior 6 gained more than one child"):
+        apply_augmenting_path(t, AugmentingPath(4, ((2, 6, 7),)), powers, {2, 6})
 
 
 def test_multi_hop_paths_take_the_general_bodies(monkeypatch):
     """The two-segment fixture's path and a one-segment path of three
-    vertices validate and apply with the one-hop bodies made to raise."""
+    vertices validate and apply with the one-hop validate body made to
+    raise."""
 
     def refuse(*args):
         raise RuntimeError("one-hop body called")
 
     monkeypatch.setattr(dmdst.augmenting, "_validate_one_hop", refuse)
-    monkeypatch.setattr(dmdst.augmenting, "_apply_one_hop", refuse)
     g = two_segment_fixture()
     t, cfg, st_ = layered_fixture_state(g)
     st_.levels_V.append(extend_layer(t, g, st_, 1, cfg))
@@ -718,11 +789,7 @@ def test_multi_hop_paths_take_the_general_bodies(monkeypatch):
     assert path.segments == ((2, 5), (6, 8))
     region = validate_augmenting_path(t, g, path, cfg, st_.powers, st_.budgets)
     apply_augmenting_path(t, path, st_.powers, region)
-    # class 4: start 2, under the degree-4 vertex 1, steps to its child 6
-    # and out to the leaf 7
-    edges = [(1, 0), (7, 0), (2, 1), (3, 1), (4, 1), (5, 1), (6, 2), (2, 6), (6, 7)]
-    g = Digraph(8, 0, edges)
-    t = InTree(g, [None, 0, 1, 1, 1, 1, 2, 0])
+    g, t = one_segment_of_three_fixture()
     cfg = Config.for_graph(g)
     powers = power_table(cfg.base_c, t.max_deg)
     path = AugmentingPath(4, ((2, 6, 7),))
@@ -737,16 +804,30 @@ def test_multi_hop_paths_take_the_general_bodies(monkeypatch):
 
 @given(small_digraphs())
 def test_one_hop_bodies_leave_reports_unchanged(g):
-    """With the one-hop bodies replaced by the general ones, a traced
+    """With the one-hop validate body replaced by the general one, a traced
     solve's report is the same but for its wall time."""
     report = run_augmenting_search(g, trace=True)
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(
             dmdst.augmenting, "_validate_one_hop", dmdst.augmenting._validate_general
         )
-        monkeypatch.setattr(dmdst.augmenting, "_apply_one_hop", dmdst.augmenting._apply_general)
         general = run_augmenting_search(g, trace=True)
     assert report_without_timing(general) == report_without_timing(report)
+
+
+@given(small_digraphs())
+@example(gen_blocker(4, 3, 1))
+def test_stall_row_carries_the_final_trees_potential(g):
+    """A traced solve that stalls ends with the stall's row, whose phi,
+    read from the solve's power table, is the base-c potential of the tree
+    it stalled on, the final one, by InTree.potential."""
+    report = run_augmenting_search(g, trace=True)
+    if report.exit_reason != "stalled":
+        return
+    row = report.layers_trace[-1]
+    assert row["applied"] is False
+    t = tree_from_parents(g, report.parent)
+    assert row["phi"] == t.potential(report.config["base_c"])
 
 
 def test_subtree_potential_and_budget():

@@ -1,5 +1,7 @@
 import json
+import os
 import shlex
+import subprocess
 import sys
 import time
 from dataclasses import replace
@@ -24,9 +26,9 @@ from dmdst import (
     serialize_graph,
     tree_from_parents,
 )
-from dmdst.augmenting import ValidationFailed
 from dmdst.cli import main
 from dmdst.graph import sink_bfs
+from dmdst.search import StalePath
 from dmdst.tree import InTree
 
 
@@ -134,6 +136,36 @@ def test_solve_then_verify_roundtrip(tmp_path, capsys):
             code, out, err = run_cli(capsys, "verify", path, str(report_file))
             assert code == 0, err
             assert out.strip() == "ok"
+
+
+def run_module(*argv: str) -> subprocess.CompletedProcess:
+    """`python -m dmdst *argv` in a fresh interpreter that imports this
+    checkout's package."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    return subprocess.run(
+        [sys.executable, "-m", "dmdst", *argv], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+    )
+
+
+def test_python_m_dmdst_verifies_a_report_and_rejects_bad_input(tmp_path):
+    """The package runs as a module: a generated graph's report verifies
+    (exit 0, ok), and a graph with a stranded vertex is bad input (exit
+    2)."""
+    graph, report = tmp_path / "g.dmdst", tmp_path / "r.json"
+    done = run_module("generate", "--family", "blocker", "--k", "4", "--fanout", "3",
+                      "--seed", "1", "--out", str(graph))
+    assert done.returncode == 0, done.stderr
+    done = run_module("solve", str(graph), "--algo", "augment")
+    assert done.returncode == 0, done.stderr
+    report.write_text(done.stdout)
+    done = run_module("verify", str(graph), str(report))
+    assert (done.returncode, done.stdout) == (0, "ok\n"), done.stderr
+    stranded = tmp_path / "stranded.dmdst"
+    stranded.write_text("dmdst 1\n3 2 0\n1 0\n0 1\n")
+    done = run_module("solve", str(stranded))
+    assert (done.returncode, done.stdout) == (2, ""), done.stderr
+    assert done.stderr.startswith("error: ")
 
 
 def test_solve_then_verify_one_vertex_graph(tmp_path, capsys):
@@ -624,14 +656,14 @@ def test_solve_walks_the_sink_bfs_once(tmp_path, capsys, monkeypatch, algo):
 
 def test_solver_exception_exits_internal_error(tmp_path, capsys, monkeypatch):
     def broken(g, cfg=None, trace=False):
-        raise ValidationFailed("injected")
+        raise StalePath("injected")
 
     monkeypatch.setattr(cli, "run_augmenting_search", broken)
     path = write_instance(tmp_path, "g", gen_path(4))
     code, stdout, err = run_cli(capsys, "solve", path, "--algo", "augment")
     assert code == 3
     assert stdout == ""
-    assert err.startswith("internal error: ValidationFailed: injected")
+    assert err.startswith("internal error: StalePath: injected")
     assert "Traceback" not in err
 
 
