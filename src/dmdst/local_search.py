@@ -18,12 +18,11 @@ out-edges: every path vertex after the start has degree <= k-2, so a
 candidate with no such out-neighbour has no path, whatever its gate value.
 Both skips are exact and the scan stays in ascending order, so each round
 picks the same candidate and path as without them.  Nor does a round
-re-sort N_k's children or re-screen what cannot pass: while k stays the
-argmax class, the sorted list is kept, and the scan resumes where the
-last round's first screened-in candidate stood (run_local_search says
-when that point moves back).  For a candidate that passes, one walk of
-its subtree computes its gate value (psi) and collects the vertex set
-that its path search (find_improvement_path) then reuses.  That search
+re-sort N_k's children: while k stays the argmax class, the sorted list
+is kept and scanned from its start (run_local_search says when it is
+dropped).  For a candidate that passes, one walk of its subtree computes
+its gate value (psi) and collects the vertex set that its path search
+(find_improvement_path) then reuses.  That search
 reads its path off the shared exit search (search.exit_set), and the
 adjustment is the shared audited rewrite (search.rewrite_and_audit);
 this module holds only local search's rules: the psi gate, the kept scan
@@ -37,9 +36,8 @@ gate 1/2 no subtree passes: each holds a leaf, worth 2**0 = 1.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 from typing import Sequence
 
 from .config import Config
@@ -158,20 +156,13 @@ def run_local_search(
     >= k-1 layer as its blocking set.
 
     The scan list (the ascending children of N_k) is built when k changes
-    and otherwise carried over, with the round's resume point.  While k
-    holds, a vertex that left N_k, or a rerouted child, never comes back
-    under a degree-k parent, so an entry whose parent no longer has degree
-    k is stale and skipped.  The next scan resumes at the first entry this
-    round let past the stale, degree and first-hop screens: every entry
-    before it fails one of them, and only a degree change can turn such a
-    failure into a pass.  So the resume point moves back to any entry whose
-    own degree changed.  Two changes drop the kept list instead, and the
-    next round sorts it afresh: a vertex entering N_k (from above, since
-    path vertices end at degree <= k-1), whose children the list lacks,
-    and a vertex dropping from >= k-1 to <= k-2, which may give an earlier
-    entry its first hop.  Neither happens on the benchmark's seed-1 or
-    seed-2 pools.  Each round thus scans what a fresh ascending scan would
-    try, in the same order.
+    and otherwise carried over, and every round scans it from its start.
+    While k holds, a vertex that left N_k, or a rerouted child, never
+    comes back under a degree-k parent, so an entry whose parent no longer
+    has degree k is stale and skipped.  A vertex entering N_k (from above,
+    since path vertices end at degree <= k-1) has children the list lacks,
+    so it drops the list, and the next round sorts it afresh.  Each round
+    thus scans what a fresh ascending scan would try, in the same order.
     """
     cfg = cfg or Config.for_graph(g)
     phi_floor = 8 * g.n * g.n
@@ -179,10 +170,9 @@ def run_local_search(
     powers: list[int] = []
     kept_k = -1
     scan: list[int] = []
-    resume = 0
 
     def attempt(t: InTree, k: int) -> dict | Stall:
-        nonlocal applications, powers, kept_k, scan, resume
+        nonlocal applications, powers, kept_k, scan
         if not powers:
             powers = power_table(2, t.max_deg)
         if k <= 2:
@@ -199,9 +189,7 @@ def run_local_search(
         if k != kept_k:
             kept_k = k
             scan = sorted(chain.from_iterable(map(children.__getitem__, members)))
-            resume = 0
-        first = -1
-        for j, u in enumerate(islice(scan, resume, None), resume):
+        for u in scan:
             if len(children[parent[u]]) != k:
                 continue  # stale: its parent left N_k, or it was rerouted
             # Degree screen: each of u's d child subtrees holds a leaf (psi
@@ -217,8 +205,6 @@ def run_local_search(
                     break
             else:
                 continue
-            if first < 0:
-                first = j
             if d:
                 inside: set[int] = set()
                 psi_u = psi(t, u, k, gate, inside)
@@ -248,18 +234,11 @@ def run_local_search(
             assert drop * phi_floor >= delta.phi_before, (
                 f"potential drop {drop} below phi/(8 n^2) at k={k}"
             )
-            # Only a changed degree can let an entry before first pass its
-            # screens next round: its own, or an out-neighbour's dropping
-            # to <= k-2 (which has no reverse edges to find them by).  That
-            # drop, or a vertex entering N_k, sends the next round to a
-            # fresh sort.
-            resume = first
-            for v, (old, new) in delta.changed.items():
-                if new == k or old > low >= new:
-                    kept_k = -1
-                i = bisect_left(scan, v)
-                if i < resume and scan[i] == v:
-                    resume = i
+            # A vertex entering N_k has children the kept list lacks: the
+            # next round sorts it afresh.  Every other change leaves the
+            # list a superset of N_k's children, its extra entries stale.
+            if any(new == k for _, new in delta.changed.values()):
+                kept_k = -1
             return {"iteration": applications, "k": k, "n_k": len(members),
                     "phi": delta.phi_before, "drop": drop}
         return Stall(t.vertices_with_deg_at_least(k - 1))

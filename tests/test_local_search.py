@@ -425,10 +425,10 @@ def reference_rounds(
 
     tally, if given, counts the candidates the screen would skip
     ("screened"), and, for each round whose k the next round keeps
-    ("same_k"), the events a kept scan list must follow: a vertex entering
-    N_k ("entered"), a vertex dropping from >= k-1 to <= k-2 ("dropped"),
-    and a candidate of the next round whose own degree changed
-    ("candidate_degree")."""
+    ("same_k"), the events that change what a kept scan list meets: a
+    vertex entering N_k ("entered"), a vertex dropping from >= k-1 to
+    <= k-2 ("dropped"), and a candidate of the next round whose own degree
+    changed ("candidate_degree")."""
     t = build_initial_tree(g)
     powers = power_table(2, t.max_deg)
     threshold = cfg.stop_threshold_local if cfg else 0
@@ -556,9 +556,9 @@ def swapped(parent: list[int | None], *pairs: tuple[int, int]) -> list[int | Non
 
 def entering_from_above() -> Digraph:
     """k = 6.  Candidate 10 (degree 7, under hub 1) reroutes along 10, 29,
-    36, drops to 6 and enters N_6.  Its child 6 joins the scan list ahead
-    of 10, the round's first fit, and is the next round's: its chord
-    reaches the leaf 11."""
+    36, drops to 6 and enters N_6.  Its child 6, which the kept list
+    lacks, is the next round's candidate (its chord reaches the leaf 11),
+    so this graph decides the drop rule: only the fresh sort finds 6."""
     parent = swapped(hubs_tree([6, 6, 6, 6], {5: 7, 23: 1}), (5, 10), (6, 30))
     return graph_on_tree(parent, [(10, 29), (29, 36), (6, 11)])
 
@@ -566,15 +566,17 @@ def entering_from_above() -> Digraph:
 def dropping_to_low() -> Digraph:
     """k = 5.  Candidate 10 (degree 4) reroutes along 10, 25, 29 and drops
     to 3; that gives the earlier leaf 5, which failed the first hop, its
-    path 5, 10."""
+    path 5, 10, and the next round's scan from the list's start finds
+    it."""
     parent = hubs_tree([5, 5, 5, 5], {10: 4, 15: 1})
     return graph_on_tree(parent, [(5, 10), (10, 25), (25, 29)])
 
 
 def candidate_losing_a_child() -> Digraph:
     """k = 5.  Hub 4, itself a child of the degree-5 vertex 1, fails the
-    degree screen at degree 5; leaf 19 moves from under it to 9, and at
-    degree 4 it passes and moves along its chord to 10."""
+    degree screen at degree 5; leaf 19 moves from under it to 9, and the
+    next round's scan from the list's start screens 4 again: at degree 4
+    it passes and moves along its chord to 10."""
     parent = hubs_tree([5, 5, 5], {4: 5})
     return graph_on_tree(parent, [(4, 10), (19, 9)])
 
@@ -583,18 +585,22 @@ def subtree_shedding_mass() -> Digraph:
     """k = 6.  Vertex 4 is the round's first candidate past the screens but
     fails psi (13 > 8): its subtree holds hub 22, whose child 24 carries
     two leaves.  24 moves along its chord to 23, which takes psi(4) down to
-    7, so the next round applies 4 along its chord to 10."""
+    7, so the next round's scan from the list's start applies 4 along its
+    chord to 10."""
     parent = hubs_tree([6, 6, 6], {4: 1, 11: 1, 22: 6, 24: 2})
     return graph_on_tree(parent, [(4, 10), (24, 23)])
 
 
 @pytest.mark.parametrize("profile", ["practical", "paper"])
 def test_kept_scan_matches_a_fresh_scan_where_the_class_repeats(profile, monkeypatch):
-    """Local search's scan list, kept and resumed across rounds of one
-    class, picks every round's candidate and path as a fresh ascending
-    scan does, on mid-size instances where k often holds from one round to
-    the next and on four graphs built so that each rule placing the resume
-    point decides a round.  No generated instance here, nor any
+    """Local search's scan list, kept across rounds of one class and
+    scanned from its start each round, picks every round's candidate and
+    path as a fresh ascending scan does, on mid-size instances where k
+    often holds from one round to the next and on four built graphs.
+    entering_from_above decides the drop rule; the other three check that
+    a full rescan picks up a degree change that turns an earlier failure
+    into the next round's pass (an out-neighbour's, the candidate's own,
+    one inside its subtree).  No generated instance here, nor any
     benchmark pool at seed 1, has a vertex entering N_k or dropping below
     k-1 while k holds.  Under the paper profile these graphs are below the
     stop threshold, so both sides run no round."""
