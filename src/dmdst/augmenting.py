@@ -27,9 +27,9 @@ epsilon is Config.epsilon, an exact Fraction p/q, so the growth test
 are integer comparisons; potentials (base c = Config.base_c, an int) and
 budgets (the exact floor of each rational budget) are ints too.  Both are
 read from per-solve tables: the powers c**d that subtree potentials sum
-are computed once (power_table), up to the start tree's Delta, which
-never rises, and each (level, class) budget is computed when a round
-first reaches it (level_budget), into one row per class up to that Delta.
+come from the driver (power_table, up to the start tree's Delta), and
+each (level, class) budget is computed when a round first reaches it
+(level_budget), into that class's row.
 
 Level 1 scans the children of N_k.  The driver keeps that list sorted
 across rounds for as long as the argmax class stays k: an applied path
@@ -60,7 +60,7 @@ from typing import Sequence
 from .config import Config
 from .graph import Digraph
 from .report import SolveReport
-from .search import (AdjustDelta, StalePath, Stall, choose_k, exit_path, exit_set, power_table,
+from .search import (AdjustDelta, StalePath, Stall, choose_k, exit_path, exit_set,
                      rewrite_and_audit, search)
 from .tree import InTree, build_initial_tree
 
@@ -367,8 +367,6 @@ def _validate_general(
         for v in s[:-1]:
             if v not in sub:
                 raise StalePath(f"interior {v} outside subtree of {s[0]}")
-            if v != s[0] and t.deg(v) >= k - 2:
-                raise StalePath(f"interior {v} has degree >= {k - 2}")
         if s[-1] in sub:
             raise StalePath(f"endpoint {s[-1]} inside subtree of {s[0]}")
     return set().union(*subtrees)
@@ -446,9 +444,9 @@ def run_augmenting_search(
     of N_k: so that parent's children before the rewrite leave the list,
     and nothing joins it.  A length check each round guards this.
 
-    The first round sees the start tree and sizes the c**d table and the
-    budget table (one row per class) by its Delta; each round asserts that
-    k still fits, since Delta never rises.
+    The driver hands every round the solve's c**d table (power_table,
+    up to the start tree's Delta).  The level budgets are kept in one row
+    per class, created by the first round at that class.
     """
     cfg = cfg or Config.for_graph(g)
     c = cfg.base_c
@@ -457,15 +455,10 @@ def run_augmenting_search(
     strict_size_bound = cfg.profile == "paper"
     kept_k = -1
     level1: list[int] = []
-    powers: list[int] = []
-    budgets: list[list[int]] = []
+    budgets: dict[int, list[int]] = {}
 
-    def attempt(t: InTree, k: int) -> dict | Stall:
-        nonlocal kept_k, level1, powers, budgets
-        if not powers:
-            powers = power_table(c, t.max_deg)
-            budgets = [[] for _ in powers]
-        assert k < len(powers), f"class {k} above the start tree's Delta"
+    def attempt(t: InTree, k: int, powers: list[int]) -> dict | Stall:
+        nonlocal kept_k, level1
         children = t.children
         members = t.members(k)
         if k != kept_k:
@@ -473,7 +466,7 @@ def run_augmenting_search(
             level1 = sorted(chain.from_iterable(map(children.__getitem__, members)))
         # each member of N_k has k children: the list must hold k * |N_k|
         assert len(level1) == k * len(members), "kept level-1 list out of step with N_k"
-        st = LayeredState(k, [members], powers, level1, budgets[k])
+        st = LayeredState(k, [members], powers, level1, budgets.setdefault(k, []))
         i = 0
         while True:
             i += 1
@@ -506,5 +499,5 @@ def run_augmenting_search(
 
     return search(
         g, cfg, "augment", attempt, build=build_initial_tree, choose_k=choose_k,
-        base=Fraction(c, 2), stop_power=cfg.stop_power_aug, trace=trace,
+        base=Fraction(c, 2), potential_base=c, stop_power=cfg.stop_power_aug, trace=trace,
     )

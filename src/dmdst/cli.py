@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .augmenting import run_augmenting_search
 from .certificate import verify_blocking
-from .config import Config, ConfigError
+from .config import PROFILES, Config, ConfigError
 from .generators import GeneratorError, gen_blocker, gen_complete, gen_instar, gen_path, gen_random
 from .graph import Digraph, GraphFormatError, load_graph, save_graph, serialize_graph
 from .local_search import run_local_search
@@ -180,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve a graph file, report JSON")
     p_solve.add_argument("graph")
     p_solve.add_argument("--algo", choices=ALGORITHMS, default="local")
-    p_solve.add_argument("--profile", choices=("paper", "practical"), default="practical")
+    p_solve.add_argument("--profile", choices=PROFILES, default="practical")
     p_solve.add_argument("--epsilon", type=float, default=0.1)
     p_solve.add_argument("--trace", action="store_true")
     p_solve.set_defaults(func=cmd_solve)

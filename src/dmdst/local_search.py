@@ -43,7 +43,7 @@ from typing import Sequence
 from .config import Config
 from .graph import Digraph
 from .report import SolveReport
-from .search import (AdjustDelta, StalePath, Stall, choose_k, exit_path, exit_set, power_table,
+from .search import (AdjustDelta, StalePath, Stall, choose_k, exit_path, exit_set,
                      rewrite_and_audit, search)
 from .tree import InTree, build_initial_tree
 
@@ -167,14 +167,11 @@ def run_local_search(
     cfg = cfg or Config.for_graph(g)
     phi_floor = 8 * g.n * g.n
     applications = 0
-    powers: list[int] = []
     kept_k = -1
     scan: list[int] = []
 
-    def attempt(t: InTree, k: int) -> dict | Stall:
-        nonlocal applications, powers, kept_k, scan
-        if not powers:
-            powers = power_table(2, t.max_deg)
+    def attempt(t: InTree, k: int, powers: list[int]) -> dict | Stall:
+        nonlocal applications, kept_k, scan
         if k <= 2:
             # k < 2: no path vertex can have degree <= k-2 < 0.  k = 2: the
             # gate is 1/2, and every subtree holds a leaf, whose psi term is
@@ -245,5 +242,5 @@ def run_local_search(
 
     return search(
         g, cfg, "local", attempt, build=build_initial_tree, choose_k=choose_k,
-        base=2, stop_power=cfg.stop_power_local, trace=trace,
+        base=2, potential_base=2, stop_power=cfg.stop_power_local, trace=trace,
     )

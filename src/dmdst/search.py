@@ -2,10 +2,10 @@
 
 Both solvers build a start tree, pick a degree class k by a potential
 argmax, apply adjustments whose potential strictly drops, and turn a stall
-into a blocking certificate.  A solver supplies only attempt(t, k), which
-applies one adjustment at class k and returns its trace row, or returns a
-Stall that names the stall's blocking set; the driver owns the rest,
-extract_certificate included.
+into a blocking certificate.  A solver supplies only attempt(t, k, powers),
+which applies one adjustment at class k and returns its trace row, or
+returns a Stall that names the stall's blocking set; the driver owns the
+rest, the solve's power table and extract_certificate included.
 
 The round machinery both attempts use is written here once: choose_k,
 the class argmax; exit_set, the one BFS out of a subtree to its first low
@@ -14,11 +14,12 @@ asserts the contract every reroute shares and returns the AdjustDelta each
 solver checks against the rest of its own.  This module
 imports neither solver, and neither solver imports the other.
 
-No round raises a base to a power.  The start tree's Delta never rises, so
-every degree a solve meets is at most that Delta, and each solve computes
-its powers once, in tables of that length: the driver's rank table, which
-the argmax reads, and each solver's power table (power_table), which its
-potential reads.
+No round raises a base to a power.  The start tree's Delta never rises
+(the driver asserts it after each applied round), so every degree a solve
+meets is at most that Delta, and the driver computes the solve's powers
+once, in two tables of that length, next to the start tree: the rank
+table, which the argmax reads, and the power table (power_table), which
+it hands to every attempt for the solver's potential.
 """
 
 from __future__ import annotations
@@ -220,13 +221,16 @@ def rewrite_and_audit(
 
 
 def search(
-    g: Digraph, cfg: Config, algorithm: str, attempt: Callable[[InTree, int], dict | Stall],
+    g: Digraph, cfg: Config, algorithm: str,
+    attempt: Callable[[InTree, int, list[int]], dict | Stall],
     *, build: Callable[[Digraph], InTree], choose_k: Callable[[InTree, list[int]], int],
-    base: int | Fraction, stop_power: int, trace: bool,
+    base: int | Fraction, potential_base: int, stop_power: int, trace: bool,
 ) -> SolveReport:
-    """Build the start tree, then attempt(t, choose_k(t, ranks)) while
-    base**Delta exceeds stop_power, until a Stall; ranks is the base's rank
-    table up to the start tree's Delta, which also decides that gate.
+    """Build the start tree, then attempt(t, choose_k(t, ranks), powers)
+    while base**Delta exceeds stop_power, until a Stall.  ranks (the base's
+    rank table, which also decides that gate) and powers
+    (power_table(potential_base, Delta)) run up to the start tree's Delta,
+    which each applied round is asserted not to exceed.
 
     The stall's certificate is extract_certificate(g, blocking, k), or none
     when it finds no witness.  The paper profile's guarantee is proved when
@@ -236,6 +240,7 @@ def search(
     t = build(g)
     delta_initial = t.max_deg
     ranks = rank_table(base, delta_initial)
+    powers = power_table(potential_base, delta_initial)
     bar = stop_bar(base, stop_power, delta_initial)
     rows: list[dict] | None = [] if trace else None
     applications = 0
@@ -243,8 +248,9 @@ def search(
     exit_reason = "threshold"
     while ranks[t.max_deg] > bar:
         k = choose_k(t, ranks)
-        outcome = attempt(t, k)
+        outcome = attempt(t, k, powers)
         if not isinstance(outcome, Stall):
+            assert t.max_deg <= delta_initial, f"Delta rose above {delta_initial}"
             applications += 1
             if rows is not None:
                 rows.append(outcome)

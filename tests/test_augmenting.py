@@ -1,5 +1,6 @@
 import copy
 import math
+import re
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import dmdst.augmenting
+import dmdst.search
 
 from dmdst import (
     Config,
@@ -30,11 +32,11 @@ from dmdst.augmenting import (
     exit_set,
     extend_layer,
     potential_budget,
-    power_table,
     reconstruct_path,
     rewrite_and_audit,
 )
 from dmdst.local_search import ImprovementPath, apply_improvement_path
+from dmdst.search import power_table
 from dmdst.tree import InTree
 from conftest import (
     brute_first_exits,
@@ -408,14 +410,39 @@ def test_leaf_is_rejected_under_a_zero_budget():
 def test_validation_rejects_tampered_path():
     g = two_segment_fixture()
     t, cfg, st_ = layered_fixture_state(g)
-    with pytest.raises(StalePath):
+    with pytest.raises(StalePath, match=re.escape("(7, 8) is not a graph edge")):
         validate_augmenting_path(
             t, g, AugmentingPath(3, ((2, 5), (7, 8))), cfg, st_.powers, st_.budgets
         )
-    with pytest.raises(StalePath):
+    with pytest.raises(StalePath, match="final endpoint 1 above degree 2"):
         validate_augmenting_path(
             t, g, AugmentingPath(3, ((4, 1),)), cfg, st_.powers, st_.budgets
         )
+
+
+@pytest.mark.parametrize(
+    "segments, message",
+    [
+        ((), "no segments"),
+        (((2, 5), (3, 1)), "segment 1 start 3 does not hang under 5"),
+        # the middle endpoint 5 is also the final one
+        (((2, 5), (6, 5)), "duplicate endpoints: [5, 5]"),
+        (((2, 5), (6, 7)), "middle endpoint 5 must have degree 2"),
+        (((2, 5, 7),), "interior 5 outside subtree of 2"),
+    ],
+)
+def test_general_validation_rejects_each_broken_check(segments, message):
+    """Class 3: the leaf starts 2, 3 and 4 under the degree-3 vertex 1;
+    the would-be blocker 5 under the sink has one child, 6, which escapes
+    to the leaf 7.  Each path passes every check before the one it
+    breaks."""
+    edges = [(1, 0), (5, 0), (7, 0), (2, 1), (3, 1), (4, 1), (6, 5), (2, 5), (6, 7), (5, 7)]
+    g = Digraph(8, 0, edges)
+    t = InTree(g, [None, 0, 1, 1, 1, 0, 5, 0])
+    cfg = Config.for_graph(g)
+    powers = power_table(cfg.base_c, t.max_deg)
+    with pytest.raises(StalePath, match=re.escape(message)):
+        validate_augmenting_path(t, g, AugmentingPath(3, segments), cfg, powers, [])
 
 
 @pytest.mark.parametrize(
@@ -697,7 +724,7 @@ SECOND_CHILD_OFF_1 = lambda monkeypatch: monkeypatch.setattr(
     InTree, "cut_and_append", cut_also_moving_3
 )
 FLAT_POWERS = lambda monkeypatch: monkeypatch.setattr(
-    dmdst.augmenting, "power_table", lambda base, top: [1] * (top + 1)
+    dmdst.search, "power_table", lambda base, top: [1] * (top + 1)
 )
 SHARED_FAULTS = (SECOND_CHILD_OFF_1, FLAT_POWERS, None)
 
@@ -723,7 +750,7 @@ def test_one_hop_apply_keeps_every_postcondition(monkeypatch, segment, fault):
     g, t = postcondition_fixture()
     if fault is not None:
         fault(monkeypatch)
-    powers = dmdst.augmenting.power_table(Config.for_graph(g).base_c, t.max_deg)
+    powers = dmdst.search.power_table(Config.for_graph(g).base_c, t.max_deg)
     shared = fault in SHARED_FAULTS
     parents, children = list(t.parent), copy.deepcopy(t.children)
     with pytest.raises(AssertionError) as failed:

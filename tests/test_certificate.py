@@ -5,8 +5,10 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, strategies as st
 
+import dmdst.certificate
 from dmdst import (
     BlockingCertificate,
+    CertificateError,
     Digraph,
     build_initial_tree,
     choose_k,
@@ -106,6 +108,14 @@ def test_local_extraction_raises_on_empty_witness():
     t = build_initial_tree(g)
     with pytest.raises(EmptyWitness):
         extract_certificate(g, local_stall_set(t, 1), 1)
+
+
+def test_extraction_raises_when_its_certificate_fails_verification(monkeypatch):
+    g = gen_instar(4)
+    t = build_initial_tree(g)
+    monkeypatch.setattr(dmdst.certificate, "verify_blocking", lambda g, cert: False)
+    with pytest.raises(CertificateError, match="stall certificate failed verification: k=3"):
+        extract_certificate(g, local_stall_set(t, 3), 3)
 
 
 def test_augment_certificate_on_blocked_ring():

@@ -696,8 +696,9 @@ def test_value_error_in_verify_check_exits_internal_error(tmp_path, capsys, monk
 
 
 def test_unreadable_inputs_exit_bad_input(tmp_path, capsys):
-    """Files that are not UTF-8, an epsilon outside (0, 1/4) and a
-    generator parameter outside its range are bad input: exit 2."""
+    """Files that are not UTF-8, graph files with a malformed or missing
+    header line, an epsilon outside (0, 1/4) and a generator parameter
+    outside its range are bad input: exit 2."""
     path = write_instance(tmp_path, "g", gen_path(4))
     _, stdout, _ = run_cli(capsys, "solve", path)
     report_file = tmp_path / "g.json"
@@ -706,7 +707,12 @@ def test_unreadable_inputs_exit_bad_input(tmp_path, capsys):
     latin.write_bytes(b"dmdst 1\n# caf\xe9\n2 1 0\n1 0\n")
     latin_report = tmp_path / "latin.json"
     latin_report.write_bytes(stdout.replace('"local"', '"local\xe9"').encode("latin-1"))
+    bad_headers = {"word": "dmdst 1\n3 two 0\n1 0\n2 1\n", "zero": "dmdst 1\n0 0 0\n",
+                   "none": "dmdst 1\n"}
+    for name, text in bad_headers.items():
+        (tmp_path / f"{name}.g").write_text(text)
     for argv in (
+        *(["solve", str(tmp_path / f"{name}.g")] for name in bad_headers),
         ["solve", str(latin)],
         ["verify", str(latin), str(report_file)],
         ["verify", path, str(latin_report)],

@@ -72,6 +72,18 @@ def test_parse_rejects_bad_header():
         parse_graph("dmdst 1\n3 5 0\n1 0\n2 1\n")
 
 
+@pytest.mark.parametrize("text, line, message", [
+    ("dmdst 1\n3 two 0\n1 0\n2 1\n", 2, "non-integer header field in '3 two 0'"),
+    ("dmdst 1\n0 0 0\n", 2, "vertex count must be >= 1, got 0"),
+    ("dmdst 1\n# no header follows\n", 1, "missing '<n> <m> <sink>' header line"),
+])
+def test_parse_rejects_malformed_header_line(text, line, message):
+    with pytest.raises(MalformedHeader) as info:
+        parse_graph(text)
+    assert info.value.line == line
+    assert str(info.value) == f"line {line}: {message}"
+
+
 def test_parse_reports_offending_line():
     with pytest.raises(SelfLoop) as info:
         parse_graph("dmdst 1\n# comment\n2 1 0\n1 1\n")
@@ -491,6 +503,18 @@ def test_constructor_rejects_ids_that_are_not_ints(edges):
     and a bool would be read as vertex 0 or 1."""
     with pytest.raises(GraphFormatError, match="vertex ids must be ints"):
         Digraph(3, 0, edges)
+
+
+@pytest.mark.parametrize("n, sink, kind, message", [
+    (0, 0, MalformedHeader, "vertex count must be >= 1, got 0"),
+    (3, 3, VertexOutOfRange, "sink 3 out of range for n=3"),
+    (3, -1, VertexOutOfRange, "sink -1 out of range for n=3"),
+])
+def test_constructor_rejects_bad_vertex_count_or_sink(n, sink, kind, message):
+    with pytest.raises(kind) as info:
+        Digraph(n, sink, [])
+    assert info.value.line is None
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("edges", [[(0, 1, 2)], [(1, 0), (2,)], [(1, 0), ()]])

@@ -1,5 +1,6 @@
 import ast
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -28,7 +29,9 @@ from dmdst import (
     run_augmenting_search,
     run_local_search,
 )
+from dmdst.local_search import ImprovementPath
 from dmdst.search import StalePath, argmax_degree_class
+from dmdst.tree import InTree
 from conftest import (
     brute_improvement_paths,
     corpus_instances,
@@ -121,6 +124,29 @@ def test_apply_rejects_stale_path():
     apply_improvement_path(t, p, powers2(t))
     with pytest.raises(StalePath):
         apply_improvement_path(t, p, powers2(t))
+
+
+@pytest.mark.parametrize(
+    "vertices, message",
+    [
+        ((2, 5, 2), "not a simple path: (2, 5, 2)"),
+        ((2, 3), "(2, 3) is not a graph edge"),
+        ((2, 1), "vertex 1 has degree 3 > 1"),
+        ((2, 5, 6), "interior vertex 5 left subtree(2)"),
+        ((2, 7), "endpoint 7 is inside subtree(2)"),
+    ],
+)
+def test_apply_rejects_each_broken_path_check(vertices, message):
+    """Class 3: start 2, with its child 7, under the degree-3 vertex 1;
+    5 and 6 are leaves under the sink.  Each path breaks one check of the
+    revalidation, and apply leaves the tree as it was."""
+    edges = [(1, 0), (5, 0), (6, 0), (2, 1), (3, 1), (4, 1), (7, 2), (2, 5), (5, 6), (2, 7)]
+    g = Digraph(8, 0, edges)
+    t = InTree(g, [None, 0, 1, 1, 1, 0, 0, 2])
+    parents, children = list(t.parent), [list(c) for c in t.children]
+    with pytest.raises(StalePath, match=re.escape(message)):
+        apply_improvement_path(t, ImprovementPath(3, vertices), powers2(t))
+    assert (t.parent, t.children) == (parents, children)
 
 
 def test_apply_potential_change_matches_recomputation():

@@ -21,7 +21,7 @@ from dmdst import (
     serialize_graph,
 )
 from dmdst.search import stop_bar
-from dmdst.tree import CutSink, InTree, NotAnEdge, parent_violations
+from dmdst.tree import CutSink, InTree, NotAnEdge, TreeError, parent_violations
 from conftest import (
     full_bfs_parents,
     random_corpus,
@@ -95,6 +95,12 @@ def test_cut_and_append_single_reattachment():
     assert t.parent == [None, 0, 0]
     assert [t.deg(v) for v in range(3)] == [2, 0, 0]
     assert t.validate() == []
+
+
+@pytest.mark.parametrize("parent", [[None, 0], [None, 0, 1, 2]])
+def test_tree_rejects_parent_array_of_wrong_length(parent):
+    with pytest.raises(TreeError, match=f"parent array length {len(parent)} != n=3"):
+        InTree(gen_path(3), parent)
 
 
 def test_cut_and_append_rejects_sink():
@@ -215,6 +221,8 @@ def test_config_invariants():
     for epsilon in (0.3, 0.0, float("inf"), float("nan")):  # rejected before 1/epsilon is taken
         with pytest.raises(ValueError):
             Config(10, epsilon=epsilon)
+    with pytest.raises(ValueError, match="profile must be one of"):
+        Config(10, profile="fast")
     for derived in ("base_c", "stop_threshold_local", "stop_threshold_aug",
                     "stop_power_local", "stop_power_aug"):
         with pytest.raises(TypeError):  # derived from n and epsilon, never passed
